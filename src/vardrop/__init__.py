@@ -50,7 +50,6 @@ from .model import (
     BatchMetrics,
     FlopLedger,
     ForwardTrace,
-    Gradients,
     ModelParams,
     TrainSettings,
     attention,
@@ -74,7 +73,6 @@ from .reduction import (
     stratified_sample,
 )
 from .spectral import (
-    AmplitudeSpectrum,
     DominantSet,
     HashValue,
     MeanSpectrum,
@@ -105,7 +103,6 @@ __all__ = [
     "synth_redundant",
     "synth_redundant_detail",
     # spectral
-    "AmplitudeSpectrum",
     "MeanSpectrum",
     "DominantSet",
     "HashValue",
@@ -125,7 +122,6 @@ __all__ = [
     "reduction_report",
     # model
     "ModelParams",
-    "Gradients",
     "AttentionFragment",
     "ForwardTrace",
     "FlopLedger",

@@ -21,7 +21,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,8 @@ from .analysis import (
 from .dataset import (
     SeriesTable,
     SplitSpec,
+    SynthDetail,
+    WindowBatch,
     batch_windows,
     chronological_split,
     load_csv,
@@ -50,80 +52,57 @@ from .model import (
     train_epoch,
     validation_loss,
 )
-from .reduction import derive_seed, group_by_hash, reduction_report, stratified_sample
+from .reduction import (
+    GroupTable,
+    derive_seed,
+    group_by_hash,
+    reduction_report,
+    stratified_sample,
+)
 from .spectral import kdfh
 
 __all__ = ["RunConfig", "validate_config", "parse_config_file", "main"]
 
 _EXIT_CODES = {"parse": 2, "validation": 3, "numeric": 4, "io": 5}
 
-# key -> (kind, default); seed's default is resolved from the environment.
-_SCHEMA: dict[str, tuple[str, object]] = {
-    "data": ("str", ""),
-    "delimiter": ("str", ","),
-    "synth_n": ("int", 64),
-    "synth_g": ("int", 8),
-    "synth_sigma": ("float", 0.05),
-    "synth_length": ("int", 4096),
-    "T": ("int", 96),
-    "H": ("int", 96),
-    "B": ("int", 32),
-    "stride": ("int", 1),
-    "k": ("int", 3),
-    "epsilon": ("int", 25),
-    "gs": ("int", 10),
-    "d": ("int", 64),
-    "d_k": ("int", 32),
-    "lr": ("float", 0.01),
-    "epochs": ("int", 10),
-    "seed": ("int", 0),
-    "vardrop_on": ("bool", True),
-    "normalize_windows": ("bool", False),
-    "train_frac": ("float", 0.7),
-    "val_frac": ("float", 0.1),
-    "test_frac": ("float", 0.2),
-    "corr_threshold": ("float", 0.9),
-    "shift_count": ("int", 4),
-    "sweep_ks": ("str", "2,3,4,5"),
-    "sweep_gss": ("str", "1,5,10,15"),
-    "bench_n": ("int", 64),
-    "bench_delta": ("float", 0.5),
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully defaulted, range-checked run configuration."""
+    """Fully defaulted, range-checked run configuration.
 
-    data: str
-    delimiter: str
-    synth_n: int
-    synth_g: int
-    synth_sigma: float
-    synth_length: int
-    T: int
-    H: int
-    B: int
-    stride: int
-    k: int
-    epsilon: int
-    gs: int
-    d: int
-    d_k: int
-    lr: float
-    epochs: int
-    seed: int
-    vardrop_on: bool
-    normalize_windows: bool
-    train_frac: float
-    val_frac: float
-    test_frac: float
-    corr_threshold: float
-    shift_count: int
-    sweep_ks: str
-    sweep_gss: str
-    bench_n: int
-    bench_delta: float
+    Each field is one config key. Its annotation, a string under postponed
+    evaluation, names the kind validate_config parses the key as; its default
+    is the built-in default (seed's yields to VARDROP_SEED when that is set).
+    """
+
+    data: str = ""
+    delimiter: str = ","
+    synth_n: int = 64
+    synth_g: int = 8
+    synth_sigma: float = 0.05
+    synth_length: int = 4096
+    T: int = 96
+    H: int = 96
+    B: int = 32
+    stride: int = 1
+    k: int = 3
+    epsilon: int = 25
+    gs: int = 10
+    d: int = 64
+    d_k: int = 32
+    lr: float = 0.01
+    epochs: int = 10
+    seed: int = 0
+    vardrop_on: bool = True
+    normalize_windows: bool = False
+    train_frac: float = 0.7
+    val_frac: float = 0.1
+    test_frac: float = 0.2
+    corr_threshold: float = 0.9
+    shift_count: int = 4
+    sweep_ks: str = "2,3,4,5"
+    sweep_gss: str = "1,5,10,15"
+    bench_n: int = 64
+    bench_delta: float = 0.5
 
 
 def _parse_bool(key: str, text: str) -> bool:
@@ -171,18 +150,17 @@ def validate_config(raw: dict[str, str]) -> RunConfig:
     Unknown keys are hard errors. Every range violation names the key and the
     permitted interval. The seed default comes from VARDROP_SEED when set.
     """
-    unknown = sorted(set(raw) - set(_SCHEMA))
+    unknown = sorted(set(raw) - {f.name for f in fields(RunConfig)})
     if unknown:
         raise ParameterError(f"unknown config key(s): {', '.join(unknown)}")
 
     values: dict[str, object] = {}
-    for key, (kind, default) in _SCHEMA.items():
-        if key == "seed" and key not in raw:
-            env = os.environ.get("VARDROP_SEED")
-            if env is not None:
-                values[key] = _parse_scalar("VARDROP_SEED", "int", env)
-                continue
-        values[key] = _parse_scalar(key, kind, raw[key]) if key in raw else default
+    env_seed = os.environ.get("VARDROP_SEED")
+    for f in fields(RunConfig):
+        if f.name in raw:
+            values[f.name] = _parse_scalar(f.name, f.type, raw[f.name])
+        elif f.name == "seed" and env_seed is not None:
+            values[f.name] = _parse_scalar("VARDROP_SEED", "int", env_seed)
 
     c = RunConfig(**values)
     _require("T", c.T >= 2, "[2, inf)", c.T)
@@ -313,10 +291,8 @@ def _echo_config(config: RunConfig) -> str:
     return "\n".join(sorted(lines)) + "\n"
 
 
-def _load_table(config: RunConfig) -> SeriesTable:
-    if config.data:
-        return load_csv(config.data, delimiter=config.delimiter)
-    detail = synth_redundant_detail(
+def _synth(config: RunConfig) -> SynthDetail:
+    return synth_redundant_detail(
         config.synth_n,
         config.synth_g,
         config.synth_length,
@@ -324,7 +300,12 @@ def _load_table(config: RunConfig) -> SeriesTable:
         config.seed,
         period=config.T,
     )
-    return detail.table
+
+
+def _load_table(config: RunConfig) -> SeriesTable:
+    if config.data:
+        return load_csv(config.data, delimiter=config.delimiter)
+    return _synth(config).table
 
 
 def _lookback_batches(table: SeriesTable, config: RunConfig):
@@ -346,15 +327,22 @@ def _split_batches(table: SeriesTable, config: RunConfig):
     return train_batches, val_batches
 
 
+def _write_hashes(config: RunConfig, batch: WindowBatch, out: Path) -> GroupTable:
+    """Hash one batch, group it, and write ``hashes.json``; returns the groups."""
+    hashes = kdfh(batch, config.k, config.epsilon, normalize=config.normalize_windows)
+    groups = group_by_hash(hashes)
+    payload = {
+        "k": config.k,
+        "epsilon": config.epsilon,
+        "hashes": [h.text for h in hashes],
+        "groups": {key.text: list(idx) for key, idx in groups.groups.items()},
+    }
+    _write_text(out / "hashes.json", canonical_json(payload))
+    return groups
+
+
 def _cmd_synth(config: RunConfig, out: Path) -> None:
-    detail = synth_redundant_detail(
-        config.synth_n,
-        config.synth_g,
-        config.synth_length,
-        config.synth_sigma,
-        config.seed,
-        period=config.T,
-    )
+    detail = _synth(config)
     write_csv(detail.table, str(out / "data.csv"), delimiter=config.delimiter)
     sidecar = {
         "labels": list(detail.labels),
@@ -372,16 +360,8 @@ def _cmd_synth(config: RunConfig, out: Path) -> None:
 def _cmd_hash(config: RunConfig, out: Path) -> None:
     table = _load_table(config)
     batch = _lookback_batches(table, config)[0]
-    hashes = kdfh(batch, config.k, config.epsilon, normalize=config.normalize_windows)
-    groups = group_by_hash(hashes)
-    payload = {
-        "k": config.k,
-        "epsilon": config.epsilon,
-        "hashes": [h.text for h in hashes],
-        "groups": {key.text: list(idx) for key, idx in groups.groups.items()},
-    }
-    _write_text(out / "hashes.json", canonical_json(payload))
-    print(f"hash: {len(hashes)} variates -> {groups.G} groups")
+    groups = _write_hashes(config, batch, out)
+    print(f"hash: {batch.n_variates} variates -> {groups.G} groups")
 
 
 def _cmd_reduce(config: RunConfig, out: Path) -> None:
@@ -463,32 +443,12 @@ def _cmd_analyze(config: RunConfig, out: Path) -> None:
 def _cmd_train(config: RunConfig, out: Path) -> None:
     table = _load_table(config)
     train_batches, val_batches = _split_batches(table, config)
+    # every TrainSettings field is also a config key of the same name
     settings = TrainSettings(
-        k=config.k,
-        epsilon=config.epsilon,
-        gs=config.gs,
-        lr=config.lr,
-        seed=config.seed,
-        vardrop_on=config.vardrop_on,
-        normalize_windows=config.normalize_windows,
+        **{f.name: getattr(config, f.name) for f in fields(TrainSettings)}
     )
     params = initialize_params(config.T, config.H, config.d, config.d_k, config.seed)
-
-    hashes = kdfh(
-        train_batches[0], config.k, config.epsilon, normalize=config.normalize_windows
-    )
-    groups = group_by_hash(hashes)
-    _write_text(
-        out / "hashes.json",
-        canonical_json(
-            {
-                "k": config.k,
-                "epsilon": config.epsilon,
-                "hashes": [h.text for h in hashes],
-                "groups": {key.text: list(idx) for key, idx in groups.groups.items()},
-            }
-        ),
-    )
+    _write_hashes(config, train_batches[0], out)
 
     all_metrics = []
     epoch_rows = []
@@ -542,16 +502,8 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
         ).attention
     val_loss = validation_loss(params, val_batches)
 
-    shapes = {
-        "w_embed": [config.T, config.d],
-        "b_embed": [config.d],
-        "w_query": [config.d, config.d_k],
-        "w_key": [config.d, config.d_k],
-        "w_value": [config.d, config.d_k],
-        "w_out": [config.d_k, config.d],
-        "w_head": [config.d, config.H],
-        "b_head": [config.H],
-    }
+    arrays = {f.name: getattr(params, f.name) for f in fields(params)}
+    shapes = {name: list(array.shape) for name, array in arrays.items()}
     report = {
         "epochs": epoch_rows,
         "reduction": {
@@ -568,18 +520,7 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
     }
     _write_text(out / "report.json", canonical_json(report))
     try:
-        np.savez(
-            out / "checkpoint.npz",
-            w_embed=params.w_embed,
-            b_embed=params.b_embed,
-            w_query=params.w_query,
-            w_key=params.w_key,
-            w_value=params.w_value,
-            w_out=params.w_out,
-            w_head=params.w_head,
-            b_head=params.b_head,
-            seed=np.array(config.seed),
-        )
+        np.savez(out / "checkpoint.npz", **arrays, seed=np.array(config.seed))
     except OSError as exc:
         raise PipelineIOError(f"cannot write checkpoint: {exc}") from exc
     _write_text(out / "timing.txt", "\n".join(timing_lines) + "\n")
@@ -622,16 +563,7 @@ def _cmd_bench(config: RunConfig, out: Path) -> None:
     reduced = count_flops(n_reduced, config.T, config.d, config.d_k, config.H)
 
     def stages(ledger) -> dict:
-        return {
-            "embed": ledger.embed,
-            "qkv": ledger.qkv,
-            "scores": ledger.scores,
-            "softmax": ledger.softmax,
-            "context": ledger.context,
-            "head": ledger.head,
-            "attention": ledger.attention,
-            "total": ledger.total,
-        }
+        return {**asdict(ledger), "attention": ledger.attention, "total": ledger.total}
 
     ratio = reduced.attention / dense.attention
     payload = {

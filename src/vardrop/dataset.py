@@ -52,7 +52,6 @@ class SeriesTable:
 
     names: tuple[str, ...]
     values: np.ndarray
-    interval: str | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -156,12 +155,6 @@ class WindowBatch:
         """Stack lookbacks into a ``B x N x T`` array."""
         return np.stack([w.data for w in self.windows])
 
-    def horizon_tensor(self) -> np.ndarray:
-        """Stack horizons into a ``B x N x H`` array; requires horizons present."""
-        if self.horizon_length == 0:
-            raise ParameterError("batch windows carry no horizon")
-        return np.stack([w.horizon for w in self.windows])
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -182,7 +175,8 @@ class SplitSpec:
 def load_csv(path: str, delimiter: str = ",") -> SeriesTable:
     """Read a variates-in-columns CSV into a SeriesTable.
 
-    The first non-comment row is the header of variate names. A leading
+    A row whose first cell starts with ``#`` is a comment, whatever else it
+    holds. The first non-comment row is the header of variate names. A leading
     timestamp column (detected by a non-numeric first data cell) is dropped.
     Any NaN/Inf or non-numeric cell aborts the load with the offending
     row/column named; imputation is deliberately not attempted.
@@ -198,7 +192,7 @@ def load_csv(path: str, delimiter: str = ",") -> SeriesTable:
         rows: list[list[str]] = []
         line_nums: list[int] = []
         for row in reader:
-            if not row or (row[0].lstrip().startswith("#") and len(row) == 1):
+            if not row or row[0].lstrip().startswith("#"):
                 continue
             if header is None:
                 header = [c.strip() for c in row]
@@ -328,7 +322,6 @@ def chronological_split(
             SeriesTable(
                 names=table.names,
                 values=table.values[:, offset : offset + part_len],
-                interval=table.interval,
             )
         )
         offset += part_len

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .spectral import kdfh
 
 __all__ = [
     "ModelParams",
-    "Gradients",
     "AttentionFragment",
     "ForwardTrace",
     "FlopLedger",
@@ -49,7 +48,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """All learnable arrays; shapes are set by initialize_params."""
+    """Learnable arrays, or one gradient per array; shapes set by initialize_params."""
 
     w_embed: np.ndarray
     b_embed: np.ndarray
@@ -78,20 +77,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class Gradients:
-    """Loss gradients, one array per parameter in ModelParams."""
-
-    w_embed: np.ndarray
-    b_embed: np.ndarray
-    w_query: np.ndarray
-    w_key: np.ndarray
-    w_value: np.ndarray
-    w_out: np.ndarray
-    w_head: np.ndarray
-    b_head: np.ndarray
-
-
-@dataclass(frozen=True)
 class AttentionFragment:
     """Attention intermediates for one window: Q/K/V, weights, context."""
 
@@ -103,15 +88,10 @@ class AttentionFragment:
 
 
 @dataclass(frozen=True)
-class ForwardTrace:
-    """One forward pass: embedded tokens through predictions, plus the loss."""
+class ForwardTrace(AttentionFragment):
+    """One forward pass: attention intermediates plus tokens, predictions and loss."""
 
     tokens: np.ndarray
-    queries: np.ndarray
-    keys: np.ndarray
-    values: np.ndarray
-    weights: np.ndarray
-    context: np.ndarray
     predictions: np.ndarray
     loss: float
 
@@ -213,6 +193,19 @@ def attention(tokens: np.ndarray, params: ModelParams) -> AttentionFragment:
     )
 
 
+def _predict(
+    window: MultivariateWindow, params: ModelParams, retained: Sequence[int]
+) -> tuple[np.ndarray, AttentionFragment, np.ndarray]:
+    """Embed, attend and project to horizons; the one prediction path."""
+    tokens = embed(window, params, retained)
+    frag = attention(tokens, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        predictions = (frag.context @ params.w_out) @ params.w_head + params.b_head
+    if not np.all(np.isfinite(predictions)):
+        raise NumericError("non-finite predictions")
+    return tokens, frag, predictions
+
+
 def forward(
     window: MultivariateWindow, params: ModelParams, retained: Sequence[int]
 ) -> ForwardTrace:
@@ -229,25 +222,11 @@ def forward(
             f"{params.horizon}"
         )
     idx = _check_retained(retained, window.n_variates)
-    tokens = embed(window, params, idx)
-    frag = attention(tokens, params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        predictions = (frag.context @ params.w_out) @ params.w_head + params.b_head
-    if not np.all(np.isfinite(predictions)):
-        raise NumericError("non-finite predictions")
+    tokens, frag, predictions = _predict(window, params, idx)
     target = window.horizon[list(idx)]
     with np.errstate(over="ignore"):
         loss = float(np.mean((predictions - target) ** 2))
-    return ForwardTrace(
-        tokens=tokens,
-        queries=frag.queries,
-        keys=frag.keys,
-        values=frag.values,
-        weights=frag.weights,
-        context=frag.context,
-        predictions=predictions,
-        loss=loss,
-    )
+    return ForwardTrace(**vars(frag), tokens=tokens, predictions=predictions, loss=loss)
 
 
 def backward(
@@ -255,7 +234,7 @@ def backward(
     window: MultivariateWindow,
     params: ModelParams,
     retained: Sequence[int],
-) -> Gradients:
+) -> ModelParams:
     """Analytic gradients of the trace's MSE loss for every parameter.
 
     The softmax backward uses the row Jacobian
@@ -275,67 +254,61 @@ def backward(
     # a diverging loss may overflow these products; the next forward's
     # finiteness check is the failure point, so do not warn here
     with np.errstate(over="ignore", invalid="ignore"):
-        return _backward_arrays(trace, params, window, idx, d_pred)
+        mixed = trace.context @ params.w_out
+        d_w_head = mixed.T @ d_pred
+        d_b_head = d_pred.sum(axis=0)
+        d_mixed = d_pred @ params.w_head.T
+
+        d_w_out = trace.context.T @ d_mixed
+        d_context = d_mixed @ params.w_out.T
+
+        d_weights = d_context @ trace.values.T
+        d_values = trace.weights.T @ d_context
+
+        inner = np.sum(d_weights * trace.weights, axis=1, keepdims=True)
+        d_scores = trace.weights * (d_weights - inner)
+
+        scale = 1.0 / math.sqrt(params.attn_dim)
+        d_queries = d_scores @ trace.keys * scale
+        d_keys = d_scores.T @ trace.queries * scale
+
+        d_w_query = trace.tokens.T @ d_queries
+        d_w_key = trace.tokens.T @ d_keys
+        d_w_value = trace.tokens.T @ d_values
+
+        d_tokens = (
+            d_queries @ params.w_query.T
+            + d_keys @ params.w_key.T
+            + d_values @ params.w_value.T
+        )
+        rows = window.data[list(idx)]
+        d_w_embed = rows.T @ d_tokens
+        d_b_embed = d_tokens.sum(axis=0)
+
+        return ModelParams(
+            w_embed=d_w_embed,
+            b_embed=d_b_embed,
+            w_query=d_w_query,
+            w_key=d_w_key,
+            w_value=d_w_value,
+            w_out=d_w_out,
+            w_head=d_w_head,
+            b_head=d_b_head,
+        )
 
 
-def _backward_arrays(trace, params, window, idx, d_pred):
-    mixed = trace.context @ params.w_out
-    d_w_head = mixed.T @ d_pred
-    d_b_head = d_pred.sum(axis=0)
-    d_mixed = d_pred @ params.w_head.T
-
-    d_w_out = trace.context.T @ d_mixed
-    d_context = d_mixed @ params.w_out.T
-
-    d_weights = d_context @ trace.values.T
-    d_values = trace.weights.T @ d_context
-
-    inner = np.sum(d_weights * trace.weights, axis=1, keepdims=True)
-    d_scores = trace.weights * (d_weights - inner)
-
-    scale = 1.0 / math.sqrt(params.attn_dim)
-    d_queries = d_scores @ trace.keys * scale
-    d_keys = d_scores.T @ trace.queries * scale
-
-    d_w_query = trace.tokens.T @ d_queries
-    d_w_key = trace.tokens.T @ d_keys
-    d_w_value = trace.tokens.T @ d_values
-
-    d_tokens = (
-        d_queries @ params.w_query.T
-        + d_keys @ params.w_key.T
-        + d_values @ params.w_value.T
+def _combine(fn, *trees: ModelParams) -> ModelParams:
+    """Apply ``fn`` across the trees one parameter at a time, in field order."""
+    return ModelParams(
+        **{f.name: fn(*(getattr(t, f.name) for t in trees)) for f in fields(ModelParams)}
     )
-    rows = window.data[list(idx)]
-    d_w_embed = rows.T @ d_tokens
-    d_b_embed = d_tokens.sum(axis=0)
-
-    return Gradients(
-        w_embed=d_w_embed,
-        b_embed=d_b_embed,
-        w_query=d_w_query,
-        w_key=d_w_key,
-        w_value=d_w_value,
-        w_out=d_w_out,
-        w_head=d_w_head,
-        b_head=d_b_head,
-    )
 
 
-def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> ModelParams:
+def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     """Plain gradient descent; returns new params, inputs untouched."""
     if lr <= 0:
         raise ParameterError(f"learning rate must be > 0, got {lr}")
-    return ModelParams(
-        w_embed=params.w_embed - lr * grads.w_embed,
-        b_embed=params.b_embed - lr * grads.b_embed,
-        w_query=params.w_query - lr * grads.w_query,
-        w_key=params.w_key - lr * grads.w_key,
-        w_value=params.w_value - lr * grads.w_value,
-        w_out=params.w_out - lr * grads.w_out,
-        w_head=params.w_head - lr * grads.w_head,
-        b_head=params.b_head - lr * grads.b_head,
-    )
+    return _combine(lambda p, g: p - lr * g, params, grads)
 
 
 @dataclass(frozen=True)
@@ -430,14 +403,9 @@ class BatchMetrics:
     flops: int
 
 
-def _mean_gradients(grads: list[Gradients]) -> Gradients:
+def _mean_gradients(grads: list[ModelParams]) -> ModelParams:
     n = len(grads)
-    return Gradients(
-        **{
-            field: sum(getattr(g, field) for g in grads) / n
-            for field in Gradients.__dataclass_fields__
-        }
-    )
+    return _combine(lambda *arrays: sum(arrays) / n, *grads)
 
 
 def train_epoch(
@@ -505,13 +473,7 @@ def train_epoch(
 
 def predict_full(window: MultivariateWindow, params: ModelParams) -> np.ndarray:
     """Dense ``N x H`` forecast over all variates; no reduction, no horizon needed."""
-    tokens = embed(window, params, range(window.n_variates))
-    frag = attention(tokens, params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        predictions = (frag.context @ params.w_out) @ params.w_head + params.b_head
-    if not np.all(np.isfinite(predictions)):
-        raise NumericError("non-finite predictions")
-    return predictions
+    return _predict(window, params, range(window.n_variates))[2]
 
 
 def validation_loss(params: ModelParams, batches: list[WindowBatch]) -> float:

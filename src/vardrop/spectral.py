@@ -28,7 +28,6 @@ from .dataset import WindowBatch
 from .errors import ParameterError
 
 __all__ = [
-    "AmplitudeSpectrum",
     "MeanSpectrum",
     "DominantSet",
     "HashValue",
@@ -39,26 +38,6 @@ __all__ = [
     "kdfh",
     "reconstruction_error",
 ]
-
-
-@dataclass(frozen=True)
-class AmplitudeSpectrum:
-    """Per-variate amplitudes (``N x F``) at the integer bins ``bin_freqs``."""
-
-    amps: np.ndarray
-    bin_freqs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.amps.ndim != 2:
-            raise ParameterError(f"amps must be 2-D, got shape {self.amps.shape}")
-        if self.amps.shape[1] != len(self.bin_freqs):
-            raise ParameterError(
-                f"{self.amps.shape[1]} columns for {len(self.bin_freqs)} bins"
-            )
-        if np.any(self.amps < 0):
-            raise ParameterError("amplitudes must be nonnegative")
-        if any(b >= a for a, b in zip(self.bin_freqs, self.bin_freqs[1:])):
-            raise ParameterError("bin_freqs must be strictly increasing")
 
 
 @dataclass(frozen=True)

@@ -129,12 +129,10 @@ class TestEmbed:
 
 
 def _zero_grads_like(params):
-    from vardrop import Gradients
-
-    return Gradients(
+    return ModelParams(
         **{
             name: np.zeros_like(getattr(params, name))
-            for name in Gradients.__dataclass_fields__
+            for name in ModelParams.__dataclass_fields__
         }
     )
 
