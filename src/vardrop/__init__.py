@@ -58,6 +58,7 @@ from .model import (
     embed,
     forward,
     initialize_params,
+    plan_batch,
     predict_full,
     sgd_step,
     train_epoch,
@@ -134,6 +135,7 @@ __all__ = [
     "backward",
     "sgd_step",
     "count_flops",
+    "plan_batch",
     "train_epoch",
     "predict_full",
     "validation_loss",

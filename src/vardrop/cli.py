@@ -49,16 +49,11 @@ from .model import (
     TrainSettings,
     count_flops,
     initialize_params,
+    plan_batch,
     train_epoch,
     validation_loss,
 )
-from .reduction import (
-    GroupTable,
-    derive_seed,
-    group_by_hash,
-    reduction_report,
-    stratified_sample,
-)
+from .reduction import GroupTable, group_by_hash, reduction_report
 from .spectral import kdfh
 
 __all__ = ["RunConfig", "validate_config", "parse_config_file", "main"]
@@ -251,12 +246,8 @@ def canonical_json(obj) -> str:
     def render(v) -> str:
         if v is None:
             return "null"
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        if isinstance(v, (float, np.floating)):
-            return "%.12g" % float(v)
+        if isinstance(v, (bool, int, float, np.integer, np.floating)):
+            return _fmt(v)
         if isinstance(v, str):
             return json.dumps(v)
         if isinstance(v, dict):
@@ -306,6 +297,13 @@ def _load_table(config: RunConfig) -> SeriesTable:
     if config.data:
         return load_csv(config.data, delimiter=config.delimiter)
     return _synth(config).table
+
+
+def _settings(config: RunConfig) -> TrainSettings:
+    # every TrainSettings field is also a config key of the same name
+    return TrainSettings(
+        **{f.name: getattr(config, f.name) for f in fields(TrainSettings)}
+    )
 
 
 def _lookback_batches(table: SeriesTable, config: RunConfig):
@@ -366,18 +364,10 @@ def _cmd_hash(config: RunConfig, out: Path) -> None:
 
 def _cmd_reduce(config: RunConfig, out: Path) -> None:
     table = _load_table(config)
+    settings = _settings(config)
     batches = _lookback_batches(table, config)
-    plans = []
-    rows = []
-    for i, batch in enumerate(batches):
-        hashes = kdfh(
-            batch, config.k, config.epsilon, normalize=config.normalize_windows
-        )
-        plan = stratified_sample(
-            group_by_hash(hashes), config.gs, derive_seed(config.seed, f"0:{i}")
-        )
-        plans.append(plan)
-        rows.append([i, len(plan.retained), plan.delta])
+    plans = [plan_batch(batch, settings, 0, i) for i, batch in enumerate(batches)]
+    rows = [[i, len(plan.retained), plan.delta] for i, plan in enumerate(plans)]
     _write_csv_rows(out / "reduction.csv", ["iteration", "tokens_used", "delta"], rows)
     first = plans[0]
     payload = {
@@ -443,10 +433,7 @@ def _cmd_analyze(config: RunConfig, out: Path) -> None:
 def _cmd_train(config: RunConfig, out: Path) -> None:
     table = _load_table(config)
     train_batches, val_batches = _split_batches(table, config)
-    # every TrainSettings field is also a config key of the same name
-    settings = TrainSettings(
-        **{f.name: getattr(config, f.name) for f in fields(TrainSettings)}
-    )
+    settings = _settings(config)
     params = initialize_params(config.T, config.H, config.d, config.d_k, config.seed)
     _write_hashes(config, train_batches[0], out)
 

@@ -177,9 +177,10 @@ def load_csv(path: str, delimiter: str = ",") -> SeriesTable:
 
     A row whose first cell starts with ``#`` is a comment, whatever else it
     holds. The first non-comment row is the header of variate names. A leading
-    timestamp column (detected by a non-numeric first data cell) is dropped.
-    Any NaN/Inf or non-numeric cell aborts the load with the offending
-    row/column named; imputation is deliberately not attempted.
+    timestamp column is dropped: one headed ``date``, ``time``, ``timestamp``
+    or ``datetime`` (any case), or whose first data cell is non-numeric. Any
+    NaN/Inf or non-numeric cell aborts the load with the offending row/column
+    named; imputation is deliberately not attempted.
     """
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
@@ -205,7 +206,7 @@ def load_csv(path: str, delimiter: str = ",") -> SeriesTable:
     if not rows:
         raise EmptyInputError(f"{path}: header but no data rows")
 
-    drop_first = False
+    drop_first = header[0].lower() in ("date", "time", "timestamp", "datetime")
     try:
         float(rows[0][0])
     except (ValueError, IndexError):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import MultivariateWindow, WindowBatch
 from .errors import NumericError, ParameterError
-from .reduction import derive_seed, group_by_hash, stratified_sample
+from .reduction import ReductionPlan, derive_seed, group_by_hash, stratified_sample
 from .spectral import kdfh
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "backward",
     "sgd_step",
     "count_flops",
+    "plan_batch",
     "train_epoch",
     "predict_full",
     "validation_loss",
@@ -89,8 +90,10 @@ class AttentionFragment:
 
 @dataclass(frozen=True)
 class ForwardTrace(AttentionFragment):
-    """One forward pass: attention intermediates plus tokens, predictions and loss."""
+    """One forward pass: gathered rows and targets, attention, predictions, loss."""
 
+    rows: np.ndarray
+    target: np.ndarray
     tokens: np.ndarray
     predictions: np.ndarray
     loss: float
@@ -131,8 +134,8 @@ def initialize_params(
     )
 
 
-def _check_retained(retained: Sequence[int], n: int) -> tuple[int, ...]:
-    idx = tuple(int(i) for i in retained)
+def _check_retained(retained: Sequence[int], n: int) -> list[int]:
+    idx = [int(i) for i in retained]
     if not idx:
         raise ParameterError("retained index list must not be empty")
     if len(set(idx)) != len(idx):
@@ -143,20 +146,19 @@ def _check_retained(retained: Sequence[int], n: int) -> tuple[int, ...]:
     return idx
 
 
-def embed(
-    window: MultivariateWindow, params: ModelParams, retained: Sequence[int]
-) -> np.ndarray:
-    """Embed the retained variates of a window into ``N' x d`` tokens.
+def embed(rows: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Embed ``N' x T`` lookback rows into ``N' x d`` tokens.
 
-    Only retained rows are computed; dropped variates never touch the
-    embedding. Row i is ``window.data[retained[i]] @ w_embed + b_embed``.
+    Row i is ``rows[i] @ w_embed + b_embed``. Callers pass only the retained
+    rows, so dropped variates never touch the embedding.
     """
-    idx = _check_retained(retained, window.n_variates)
-    if window.lookback != params.lookback:
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
+        raise ParameterError(f"expected N' x T rows, got shape {rows.shape}")
+    if rows.shape[1] != params.lookback:
         raise ParameterError(
-            f"window length {window.lookback} does not match embed input {params.lookback}"
+            f"window length {rows.shape[1]} does not match embed input {params.lookback}"
         )
-    rows = window.data[list(idx)]
     return rows @ params.w_embed + params.b_embed
 
 
@@ -194,10 +196,10 @@ def attention(tokens: np.ndarray, params: ModelParams) -> AttentionFragment:
 
 
 def _predict(
-    window: MultivariateWindow, params: ModelParams, retained: Sequence[int]
+    rows: np.ndarray, params: ModelParams
 ) -> tuple[np.ndarray, AttentionFragment, np.ndarray]:
     """Embed, attend and project to horizons; the one prediction path."""
-    tokens = embed(window, params, retained)
+    tokens = embed(rows, params)
     frag = attention(tokens, params)
     with np.errstate(over="ignore", invalid="ignore"):
         predictions = (frag.context @ params.w_out) @ params.w_head + params.b_head
@@ -212,7 +214,8 @@ def forward(
     """Embed retained variates, attend, project to horizons, score the loss.
 
     Loss is the MSE between predictions and the horizon rows of the retained
-    variates only.
+    variates only. Only here are the retained indices checked and gathered;
+    the trace carries the gathered rows and targets on to ``backward``.
     """
     if window.horizon_length < 1:
         raise ParameterError("forward needs a window with a horizon")
@@ -222,34 +225,25 @@ def forward(
             f"{params.horizon}"
         )
     idx = _check_retained(retained, window.n_variates)
-    tokens, frag, predictions = _predict(window, params, idx)
-    target = window.horizon[list(idx)]
+    rows = window.data[idx]
+    target = window.horizon[idx]
+    tokens, frag, predictions = _predict(rows, params)
     with np.errstate(over="ignore"):
         loss = float(np.mean((predictions - target) ** 2))
-    return ForwardTrace(**vars(frag), tokens=tokens, predictions=predictions, loss=loss)
+    return ForwardTrace(
+        **vars(frag), rows=rows, target=target, tokens=tokens,
+        predictions=predictions, loss=loss,
+    )
 
 
-def backward(
-    trace: ForwardTrace,
-    window: MultivariateWindow,
-    params: ModelParams,
-    retained: Sequence[int],
-) -> ModelParams:
+def backward(trace: ForwardTrace, params: ModelParams) -> ModelParams:
     """Analytic gradients of the trace's MSE loss for every parameter.
 
     The softmax backward uses the row Jacobian
     ``dS = W * (dW - sum(dW * W, axis=-1))``, with the ``1/sqrt(d_k)`` score
     scale folded into the query/key gradients.
     """
-    idx = _check_retained(retained, window.n_variates)
-    target = window.horizon[list(idx)]
-    preds = trace.predictions
-    if preds.shape != target.shape:
-        raise ParameterError(
-            f"trace predictions {preds.shape} do not match retained horizons "
-            f"{target.shape}"
-        )
-    d_pred = 2.0 * (preds - target) / preds.size
+    d_pred = 2.0 * (trace.predictions - trace.target) / trace.predictions.size
 
     # a diverging loss may overflow these products; the next forward's
     # finiteness check is the failure point, so do not warn here
@@ -281,8 +275,7 @@ def backward(
             + d_keys @ params.w_key.T
             + d_values @ params.w_value.T
         )
-        rows = window.data[list(idx)]
-        d_w_embed = rows.T @ d_tokens
+        d_w_embed = trace.rows.T @ d_tokens
         d_b_embed = d_tokens.sum(axis=0)
 
         return ModelParams(
@@ -408,6 +401,19 @@ def _mean_gradients(grads: list[ModelParams]) -> ModelParams:
     return _combine(lambda *arrays: sum(arrays) / n, *grads)
 
 
+def plan_batch(
+    batch: WindowBatch, config: TrainSettings, epoch: int, batch_index: int
+) -> ReductionPlan:
+    """Choose the variates one batch keeps: hash, group, sample.
+
+    The sampling seed is derived from ``seed:epoch:batch``, so every batch of
+    every epoch redraws its representatives. ``vardrop_on`` is not consulted.
+    """
+    seed = derive_seed(config.seed, f"{epoch}:{batch_index}")
+    hashes = kdfh(batch, config.k, config.epsilon, normalize=config.normalize_windows)
+    return stratified_sample(group_by_hash(hashes), config.gs, seed)
+
+
 def train_epoch(
     batches: list[WindowBatch],
     params: ModelParams,
@@ -416,11 +422,10 @@ def train_epoch(
 ) -> tuple[ModelParams, list[BatchMetrics]]:
     """One pass over the batches with per-batch token reduction.
 
-    Per batch: hash the variates over the batch's windows, group, keep at
-    most ``gs`` per group (seed derived from ``seed:epoch:batch`` so every
-    batch redraws its representatives), then average window gradients over
-    the batch and take one descent step on the kept tokens. With reduction
-    off every variate is kept and delta is 0, through the same code path.
+    Per batch: ``plan_batch`` picks at most ``gs`` variates per hash group,
+    then window gradients are averaged over the batch and one descent step is
+    taken on the kept tokens. With reduction off every variate is kept and
+    delta is 0, through the same code path.
     Reported FLOPs are the forward cost of the batch at the kept token count.
     """
     if not batches:
@@ -429,25 +434,17 @@ def train_epoch(
     for batch_index, batch in enumerate(batches):
         if batch.horizon_length < 1:
             raise ParameterError("training batches must carry horizons")
-        n = batch.n_variates
-
         if config.vardrop_on:
-            batch_seed = derive_seed(config.seed, f"{epoch}:{batch_index}")
-            hashes = kdfh(
-                batch, config.k, config.epsilon, normalize=config.normalize_windows
-            )
-            plan = stratified_sample(group_by_hash(hashes), config.gs, batch_seed)
-            retained = plan.retained
-            delta = plan.delta
+            plan = plan_batch(batch, config, epoch, batch_index)
+            retained, delta = plan.retained, plan.delta
         else:
-            retained = tuple(range(n))
-            delta = 0.0
+            retained, delta = range(batch.n_variates), 0.0
 
         window_grads = []
         loss_sum = 0.0
         for window in batch.windows:
             trace = forward(window, params, retained)
-            window_grads.append(backward(trace, window, params, retained))
+            window_grads.append(backward(trace, params))
             loss_sum += trace.loss
         params = sgd_step(params, _mean_gradients(window_grads), config.lr)
 
@@ -473,7 +470,7 @@ def train_epoch(
 
 def predict_full(window: MultivariateWindow, params: ModelParams) -> np.ndarray:
     """Dense ``N x H`` forecast over all variates; no reduction, no horizon needed."""
-    return _predict(window, params, range(window.n_variates))[2]
+    return _predict(window.data, params)[2]
 
 
 def validation_loss(params: ModelParams, batches: list[WindowBatch]) -> float:

@@ -144,21 +144,16 @@ def batch_mean_spectrum(
 def dominant_frequencies(mean: MeanSpectrum, k: int) -> DominantSet:
     """Top-k bins per variate, ordered by descending mean amplitude.
 
-    Ties break toward the lower bin index.
+    Ties break toward the lower bin index: ``bin_freqs`` ascend, so a stable
+    sort that keeps tied columns in order does exactly that.
     """
     amps = mean.amps
     n_bins = amps.shape[1]
     if not 1 <= k <= n_bins:
         raise ParameterError(f"need 1 <= k <= {n_bins} available bins, got k={k}")
     freqs = np.asarray(mean.bin_freqs, dtype=np.int64)
-    n = amps.shape[0]
-    top_bins = np.empty((n, k), dtype=np.int64)
-    top_amps = np.empty((n, k), dtype=np.float64)
-    for i in range(n):
-        order = np.lexsort((freqs, -amps[i]))[:k]
-        top_bins[i] = freqs[order]
-        top_amps[i] = amps[i, order]
-    return DominantSet(bins=top_bins, amps=top_amps)
+    order = np.argsort(-amps, axis=1, kind="stable")[:, :k]
+    return DominantSet(bins=freqs[order], amps=np.take_along_axis(amps, order, axis=1))
 
 
 def kdfh(

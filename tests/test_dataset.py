@@ -92,6 +92,12 @@ class TestLoadCsv(object):
         assert table.names[-2:] == ("a", "b")
         npt.assert_array_equal(table.values[-2:], [[1.0, 3.0], [2.0, 4.0]])
 
+    def test_numeric_timestamp_column_dropped_by_header(self, tmp_path):
+        text = "# c\ndate,a,b\n2020,1,2\n2021,3,4\n"
+        table = load_csv(self._write(tmp_path, text))
+        assert table.names == ("a", "b")
+        npt.assert_array_equal(table.values, [[1.0, 3.0], [2.0, 4.0]])
+
     def test_nan_cell_names_row_and_column(self, tmp_path):
         text = "a,b\n1,2\n3,nan\n"
         with pytest.raises(ParseError) as err:

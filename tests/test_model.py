@@ -21,6 +21,7 @@ from vardrop import (
     embed,
     forward,
     initialize_params,
+    plan_batch,
     predict_full,
     sgd_step,
     sliding_windows,
@@ -92,14 +93,14 @@ class TestEmbed:
         p = initialize_params(8, 2, 4, 2, seed=0)
         p = sgd_step(p, _zero_grads_like(p), 1.0)  # no-op, keeps types honest
         window = MultivariateWindow(np.zeros((3, 8)), start=0)
-        bias = embed(window, p, (0, 1, 2))
+        bias = embed(window.data[[0, 1, 2]], p)
         npt.assert_array_equal(bias, np.tile(p.b_embed, (3, 1)))
 
     def test_matches_loop_matmul(self):
         rng = np.random.default_rng(2)
         p = initialize_params(8, 2, 4, 2, seed=2)
         window = MultivariateWindow(rng.normal(size=(5, 8)), start=0)
-        got = embed(window, p, (0, 2, 4))
+        got = embed(window.data[[0, 2, 4]], p)
         want = matmul_loops(window.data[[0, 2, 4]], p.w_embed) + p.b_embed
         npt.assert_allclose(got, want, rtol=1e-12)
 
@@ -107,25 +108,17 @@ class TestEmbed:
         rng = np.random.default_rng(3)
         p = initialize_params(8, 2, 4, 2, seed=3)
         window = MultivariateWindow(rng.normal(size=(6, 8)), start=0)
-        dense = embed(window, p, range(6))
-        sub = embed(window, p, (1, 4))
+        dense = embed(window.data, p)
+        sub = embed(window.data[[1, 4]], p)
         npt.assert_array_equal(sub, dense[[1, 4]])
-
-    def test_retained_validation(self):
-        p = initialize_params(8, 2, 4, 2, seed=0)
-        window = MultivariateWindow(np.zeros((3, 8)), start=0)
-        with pytest.raises(ParameterError):
-            embed(window, p, ())
-        with pytest.raises(ParameterError):
-            embed(window, p, (0, 0))
-        with pytest.raises(ParameterError):
-            embed(window, p, (0, 3))
 
     def test_lookback_mismatch(self):
         p = initialize_params(8, 2, 4, 2, seed=0)
         window = MultivariateWindow(np.zeros((3, 9)), start=0)
         with pytest.raises(ParameterError):
-            embed(window, p, (0,))
+            embed(window.data[[0]], p)
+        with pytest.raises(ParameterError):
+            embed(np.zeros(8), p)  # one row, not an N' x T matrix
 
 
 def _zero_grads_like(params):
@@ -231,7 +224,7 @@ class TestForward:
         retained = (0, 2, 3)
         trace = forward(window, p, retained)
         # straight-line recompute from the public pieces
-        tokens = embed(window, p, retained)
+        tokens = embed(window.data[list(retained)], p)
         frag = attention(tokens, p)
         preds = (frag.context @ p.w_out) @ p.w_head + p.b_head
         npt.assert_allclose(trace.predictions, preds, rtol=1e-15)
@@ -260,6 +253,16 @@ class TestForward:
         with pytest.raises(ParameterError):
             forward(window, p, (0, 1))
 
+    def test_retained_validation(self):
+        p = initialize_params(8, 2, 4, 2, seed=0)
+        window = MultivariateWindow(np.zeros((3, 8)), start=0, horizon=np.zeros((3, 2)))
+        with pytest.raises(ParameterError):
+            forward(window, p, ())
+        with pytest.raises(ParameterError):
+            forward(window, p, (0, 0))
+        with pytest.raises(ParameterError):
+            forward(window, p, (0, 3))
+
 
 class TestBackward:
     def test_zero_loss_zero_gradients(self):
@@ -268,7 +271,7 @@ class TestBackward:
         p = initialize_params(8, 2, 4, 2, seed=12)
         trace = forward(base, p, (0, 1, 2))
         window = MultivariateWindow(base.data, start=0, horizon=trace.predictions)
-        grads = backward(forward(window, p, (0, 1, 2)), window, p, (0, 1, 2))
+        grads = backward(forward(window, p, (0, 1, 2)), p)
         for name in (
             "w_embed", "b_embed", "w_query", "w_key",
             "w_value", "w_out", "w_head", "b_head",
@@ -283,7 +286,7 @@ class TestBackward:
         p = initialize_params(16, 4, 8, 4, seed=13)
         retained = (0, 1, 3, 4, 5)
         trace = forward(window, p, retained)
-        grads = backward(trace, window, p, retained)
+        grads = backward(trace, p)
         analytic = {
             name: getattr(grads, name)
             for name in numeric_gradients.__globals__["PARAM_FIELDS"]
@@ -297,28 +300,18 @@ class TestBackward:
         p = initialize_params(8, 3, 4, 2, seed=14)
         retained = (0, 1, 2, 3)
         trace = forward(window, p, retained)
-        g1 = backward(trace, window, p, retained)
+        g1 = backward(trace, p)
         # move the targets so the residual exactly doubles
         stretched = MultivariateWindow(
             window.data,
             start=0,
             horizon=2.0 * window.horizon - trace.predictions,
         )
-        g2 = backward(
-            forward(stretched, p, retained), stretched, p, retained
-        )
+        g2 = backward(forward(stretched, p, retained), p)
         for name in ("w_embed", "w_query", "w_out", "b_head"):
             npt.assert_allclose(
                 getattr(g2, name), 2.0 * getattr(g1, name), rtol=1e-12, atol=1e-15
             )
-
-    def test_trace_window_mismatch_rejected(self):
-        rng = np.random.default_rng(15)
-        window = make_window(rng, n=4, lookback=8, horizon=3)
-        p = initialize_params(8, 3, 4, 2, seed=15)
-        trace = forward(window, p, (0, 1))
-        with pytest.raises(ParameterError):
-            backward(trace, window, p, (0, 1, 2))
 
 
 class TestSgdStep:
@@ -338,7 +331,7 @@ class TestSgdStep:
         rng = np.random.default_rng(17)
         p = initialize_params(8, 2, 4, 2, seed=17)
         window = make_window(rng, n=3, lookback=8, horizon=2)
-        g = backward(forward(window, p, (0, 1)), window, p, (0, 1))
+        g = backward(forward(window, p, (0, 1)), p)
         stepped = sgd_step(p, g, 0.1)
         npt.assert_allclose(stepped.w_query, p.w_query - 0.1 * g.w_query, rtol=1e-15)
         # inputs untouched
@@ -481,6 +474,19 @@ class TestTrainEpoch:
             seen.update(plan.retained)
         assert len(seen) > 4  # more variates than one fixed set of reps
 
+    def test_metrics_match_plan_batch(self):
+        batches = make_batches(sigma=1.0)  # noisy enough that groups vary by batch
+        p0 = initialize_params(48, 8, 16, 8, seed=28)
+        cfg = TrainSettings(k=3, epsilon=24, gs=1, lr=0.02, seed=28, vardrop_on=True)
+        _, metrics = train_epoch(batches, p0, cfg, epoch=2)
+        plans = [plan_batch(batch, cfg, 2, i) for i, batch in enumerate(batches)]
+        assert [m.tokens_used for m in metrics] == [len(p.retained) for p in plans]
+        assert [m.delta for m in metrics] == [p.delta for p in plans]
+        assert len({m.tokens_used for m in metrics}) > 1
+        # the first step starts from p0, so its loss pins the retained set too
+        first = [forward(w, p0, plans[0].retained).loss for w in batches[0].windows]
+        assert metrics[0].loss == sum(first) / batches[0].size
+
     def test_requires_horizons(self):
         table = synth_redundant(4, 2, 200, 0.0, seed=23)
         windows = sliding_windows(table, 48, 0, 16)
@@ -502,6 +508,16 @@ class TestPredictFull:
         p = initialize_params(16, 4, 8, 4, seed=24)
         trace = forward(window, p, range(5))
         npt.assert_array_equal(predict_full(window, p), trace.predictions)
+
+    def test_equals_dense_forward_on_table_views(self):
+        # predict_full embeds the window's strided view of the table; forward
+        # embeds a gathered copy. Both must give the same bits.
+        table = synth_redundant(7, 3, 120, 0.1, seed=29)
+        p = initialize_params(32, 4, 8, 4, seed=29)
+        for window in sliding_windows(table, 32, 4, 20):
+            assert not window.data.flags.c_contiguous
+            dense = forward(window, p, range(7)).predictions
+            npt.assert_array_equal(predict_full(window, p), dense)
 
     def test_no_horizon_needed(self):
         rng = np.random.default_rng(25)
