@@ -74,14 +74,10 @@ from .reduction import (
     stratified_sample,
 )
 from .spectral import (
-    DominantSet,
     HashValue,
-    MeanSpectrum,
-    amplitude_spectrum,
     batch_mean_spectrum,
     dominant_frequencies,
     kdfh,
-    low_pass,
     reconstruction_error,
 )
 
@@ -104,11 +100,7 @@ __all__ = [
     "synth_redundant",
     "synth_redundant_detail",
     # spectral
-    "MeanSpectrum",
-    "DominantSet",
     "HashValue",
-    "amplitude_spectrum",
-    "low_pass",
     "batch_mean_spectrum",
     "dominant_frequencies",
     "kdfh",

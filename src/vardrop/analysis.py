@@ -9,7 +9,7 @@ how do the reduction knobs k and gs trade tokens for accuracy (sweep).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -201,21 +201,20 @@ def sensitivity_sweep(
     val_batches: list[WindowBatch],
     ks: Sequence[int],
     gss: Sequence[int],
+    settings: TrainSettings,
     *,
     epochs: int,
-    lr: float,
-    epsilon: int,
     embed_dim: int,
     attn_dim: int,
-    seed: int,
-    normalize_windows: bool = False,
 ) -> SweepResult:
     """Train one model per (k, gs) cell and record mean delta and val loss.
 
-    Every cell starts from the same seeded initialization and sees the same
-    batches, so cells differ only in the reduction knobs. Mean delta is
-    averaged over every batch of every epoch; the loss is the dense
-    validation MSE of the final parameters. Deterministic given the seed.
+    Each cell runs ``settings`` with its own ``k`` and ``gs`` and reduction
+    on. Every cell starts from the same initialization, seeded by
+    ``settings.seed``, and sees the same batches, so cells differ only in the
+    reduction knobs. Mean delta is averaged over every batch of every epoch;
+    the loss is the dense validation MSE of the final parameters.
+    Deterministic given the seed.
     """
     if epochs < 1:
         raise ParameterError(f"epochs must be >= 1, got {epochs}")
@@ -231,16 +230,10 @@ def sensitivity_sweep(
     records = []
     for k in ks:
         for gs in gss:
-            config = TrainSettings(
-                k=int(k),
-                epsilon=epsilon,
-                gs=int(gs),
-                lr=lr,
-                seed=seed,
-                vardrop_on=True,
-                normalize_windows=normalize_windows,
+            config = replace(settings, k=int(k), gs=int(gs), vardrop_on=True)
+            params = initialize_params(
+                lookback, horizon, embed_dim, attn_dim, settings.seed
             )
-            params = initialize_params(lookback, horizon, embed_dim, attn_dim, seed)
             deltas = []
             for epoch in range(epochs):
                 params, metrics = train_epoch(train_batches, params, config, epoch)

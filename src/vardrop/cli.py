@@ -158,6 +158,9 @@ def validate_config(raw: dict[str, str]) -> RunConfig:
             values[f.name] = _parse_scalar("VARDROP_SEED", "int", env_seed)
 
     c = RunConfig(**values)
+    _require(
+        "delimiter", len(c.delimiter) == 1, "one-character strings", repr(c.delimiter)
+    )
     _require("T", c.T >= 2, "[2, inf)", c.T)
     _require("H", c.H >= 0, "[0, inf)", c.H)
     _require("B", c.B >= 1, "[1, inf)", c.B)
@@ -175,6 +178,7 @@ def validate_config(raw: dict[str, str]) -> RunConfig:
     _require("d_k", c.d_k >= 1, "[1, inf)", c.d_k)
     _require("lr", c.lr > 0, "(0, inf)", c.lr)
     _require("epochs", c.epochs >= 1, "[1, inf)", c.epochs)
+    _require("seed", c.seed >= 0, "[0, inf)", c.seed)
     _require("synth_n", c.synth_n >= 1, "[1, inf)", c.synth_n)
     _require(
         "synth_g",
@@ -524,13 +528,10 @@ def _cmd_sweep(config: RunConfig, out: Path) -> None:
         val_batches,
         ks,
         gss,
+        _settings(config),
         epochs=config.epochs,
-        lr=config.lr,
-        epsilon=config.epsilon,
         embed_dim=config.d,
         attn_dim=config.d_k,
-        seed=config.seed,
-        normalize_windows=config.normalize_windows,
     )
     _write_csv_rows(
         out / "sweep.csv",

@@ -4,8 +4,9 @@ Variates sharing a dominant-frequency hash form a group; a batch keeps at
 most ``gs`` members per group, drawn uniformly without replacement. The
 token reduction ratio is ``delta = 1 - |retained| / N``, always below 1
 because every group keeps at least one member. Sampling is deterministic
-per (seed, group key): each group draws from its own generator, so plans
-replay exactly and no two groups share a random stream.
+per (seed, group key): a group larger than ``gs`` draws from its own
+generator, so plans replay exactly and no two groups share a random stream;
+a smaller group is kept whole without drawing.
 """
 
 from __future__ import annotations
@@ -94,21 +95,23 @@ class ReductionPlan:
 def stratified_sample(table: GroupTable, gs: int, seed: int) -> ReductionPlan:
     """Keep ``min(|G_i|, gs)`` members of each group, uniformly at random.
 
-    A group of size at most ``gs`` is kept whole; a larger group contributes
-    ``gs`` members sampled without replacement from a generator seeded by
-    sha256 over ``"{seed}:{group key}"``. Retained indices are sorted.
+    A group of size at most ``gs`` is kept whole, with no generator; a larger
+    group contributes ``gs`` members sampled without replacement from a
+    generator seeded by sha256 over ``"{seed}:{group key}"``. Retained
+    indices are sorted.
     """
     if gs < 1:
         raise ParameterError(f"gs must be >= 1, got {gs}")
     per_group: dict[HashValue, tuple[int, ...]] = {}
     retained: list[int] = []
     for key, idx in table.groups.items():
-        take = min(len(idx), gs)
-        rng = np.random.default_rng(derive_seed(seed, key.text))
-        chosen = rng.choice(np.array(idx, dtype=np.int64), size=take, replace=False)
-        chosen_sorted = tuple(int(i) for i in np.sort(chosen))
-        per_group[key] = chosen_sorted
-        retained.extend(chosen_sorted)
+        chosen = tuple(idx)
+        if len(idx) > gs:
+            rng = np.random.default_rng(derive_seed(seed, key.text))
+            drawn = rng.choice(np.array(idx, dtype=np.int64), size=gs, replace=False)
+            chosen = tuple(int(i) for i in np.sort(drawn))
+        per_group[key] = chosen
+        retained.extend(chosen)
     retained_sorted = tuple(sorted(retained))
     delta = 1.0 - len(retained_sorted) / table.n_variates
     return ReductionPlan(

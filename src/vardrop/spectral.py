@@ -3,7 +3,9 @@
 A variate's hash is the ordered tuple of its k strongest frequency bins,
 computed from the one-sided amplitude spectrum of its lookback window
 (averaged over a batch of windows) after a low-pass cut at bin ``epsilon``.
-Two variates with the same hash are treated as redundant downstream.
+Two variates with the same hash are treated as redundant downstream. The
+stages pass plain arrays: batch_mean_spectrum gives ``N x epsilon``
+amplitudes, dominant_frequencies ``N x k`` bins, kdfh one HashValue per row.
 
 Conventions fixed here and relied on throughout:
 
@@ -24,41 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import WindowBatch
+from .dataset import MultivariateWindow, WindowBatch
 from .errors import ParameterError
 
 __all__ = [
-    "MeanSpectrum",
-    "DominantSet",
     "HashValue",
-    "amplitude_spectrum",
-    "low_pass",
     "batch_mean_spectrum",
     "dominant_frequencies",
     "kdfh",
     "reconstruction_error",
 ]
-
-
-@dataclass(frozen=True)
-class MeanSpectrum:
-    """Batch-averaged amplitudes (``N x F``) at the bins ``bin_freqs``."""
-
-    amps: np.ndarray
-    bin_freqs: tuple[int, ...]
-    batch_size: int
-
-
-@dataclass(frozen=True)
-class DominantSet:
-    """Per-variate top bins (``N x k``), strongest first, with their amplitudes."""
-
-    bins: np.ndarray
-    amps: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.bins.shape[1]
 
 
 @dataclass(frozen=True)
@@ -80,80 +57,47 @@ class HashValue:
         return self.text
 
 
-def amplitude_spectrum(window_row: np.ndarray) -> np.ndarray:
-    """One-sided amplitude spectrum of a T-length series, DC excluded.
-
-    Returns ``|X_f|`` for bins ``1 .. floor(T/2)`` (unnormalized, so a
-    sinusoid of amplitude A at integer bin f below Nyquist shows A*T/2).
-    """
-    row = np.asarray(window_row, dtype=np.float64)
-    if row.ndim != 1:
-        raise ParameterError(f"expected a 1-D series, got shape {row.shape}")
-    if row.shape[0] < 2:
-        raise ParameterError(f"series length must be >= 2, got {row.shape[0]}")
-    return np.abs(np.fft.rfft(row))[1:]
+def _lookbacks(batch: np.ndarray | WindowBatch) -> list[np.ndarray] | np.ndarray:
+    # A WindowBatch's window views as they are, or a B x N x T tensor's slices.
+    if isinstance(batch, WindowBatch):
+        return [np.asarray(w.data, dtype=np.float64) for w in batch.windows]
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.ndim != 3 or batch.shape[0] < 1:
+        raise ParameterError(f"expected a B x N x T tensor, got shape {batch.shape}")
+    return batch
 
 
-def low_pass(spectrum: np.ndarray, epsilon: int) -> np.ndarray:
-    """Keep the ``epsilon`` lowest positive-frequency bins (bins 1..epsilon)."""
-    spectrum = np.asarray(spectrum, dtype=np.float64)
-    if spectrum.ndim != 1:
-        raise ParameterError(f"expected a 1-D spectrum, got shape {spectrum.shape}")
-    if not 1 <= epsilon <= spectrum.shape[0]:
-        raise ParameterError(
-            f"low-pass cut must satisfy 1 <= epsilon <= {spectrum.shape[0]}, "
-            f"got {epsilon}"
-        )
-    return spectrum[:epsilon]
-
-
-def _instance_amplitudes(data: np.ndarray) -> np.ndarray:
-    # Batched form of amplitude_spectrum over the rows of one N x T instance.
-    return np.abs(np.fft.rfft(data, axis=1))[:, 1:]
-
-
-def batch_mean_spectrum(
-    batch: np.ndarray | WindowBatch, epsilon: int
-) -> MeanSpectrum:
+def batch_mean_spectrum(batch: np.ndarray | WindowBatch, epsilon: int) -> np.ndarray:
     """Low-passed amplitude spectra averaged over the windows of a batch.
 
-    Accepts a WindowBatch or a ``B x N x T`` tensor. Accumulation runs in
-    ascending instance order so the result is bit-stable.
+    Returns an ``N x epsilon`` array whose column ``j`` holds bin ``j + 1``.
+    Accepts a WindowBatch, whose window views are read in place, or a
+    ``B x N x T`` tensor. Accumulation runs in ascending window order so the
+    result is bit-stable.
     """
-    if isinstance(batch, WindowBatch):
-        batch = batch.data_tensor()
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 3:
-        raise ParameterError(f"expected a B x N x T tensor, got shape {batch.shape}")
-    b, _, lookback = batch.shape
-    if lookback < 2:
-        raise ParameterError(f"window length must be >= 2, got {lookback}")
+    lookbacks = _lookbacks(batch)
+    n, lookback = lookbacks[0].shape
     top = lookback // 2
     if not 1 <= epsilon <= top:
         raise ParameterError(
             f"low-pass cut must satisfy 1 <= epsilon <= {top}, got {epsilon}"
         )
-    acc = np.zeros((batch.shape[1], epsilon), dtype=np.float64)
-    for j in range(b):
-        acc += _instance_amplitudes(batch[j])[:, :epsilon]
-    return MeanSpectrum(
-        amps=acc / b, bin_freqs=tuple(range(1, epsilon + 1)), batch_size=b
-    )
+    acc = np.zeros((n, epsilon), dtype=np.float64)
+    for data in lookbacks:
+        acc += np.abs(np.fft.rfft(data, axis=1)[:, 1 : epsilon + 1])
+    return acc / len(lookbacks)
 
 
-def dominant_frequencies(mean: MeanSpectrum, k: int) -> DominantSet:
-    """Top-k bins per variate, ordered by descending mean amplitude.
+def dominant_frequencies(amps: np.ndarray, k: int) -> np.ndarray:
+    """Top-k bins per variate (``N x k``), ordered by descending amplitude.
 
-    Ties break toward the lower bin index: ``bin_freqs`` ascend, so a stable
-    sort that keeps tied columns in order does exactly that.
+    ``amps`` is a batch_mean_spectrum result, so column ``j`` is bin ``j + 1``.
+    Ties break toward the lower bin: a stable sort keeps tied columns in order.
     """
-    amps = mean.amps
     n_bins = amps.shape[1]
     if not 1 <= k <= n_bins:
         raise ParameterError(f"need 1 <= k <= {n_bins} available bins, got k={k}")
-    freqs = np.asarray(mean.bin_freqs, dtype=np.int64)
-    order = np.argsort(-amps, axis=1, kind="stable")[:, :k]
-    return DominantSet(bins=freqs[order], amps=np.take_along_axis(amps, order, axis=1))
+    return np.argsort(-amps, axis=1, kind="stable")[:, :k] + 1
 
 
 def kdfh(
@@ -164,22 +108,20 @@ def kdfh(
 ) -> list[HashValue]:
     """Hash every variate of a window batch by its k dominant frequencies.
 
-    Composition of amplitude_spectrum, low_pass, batch_mean_spectrum and
-    dominant_frequencies; returns one HashValue per variate. With
-    ``normalize`` each window row is z-scored over time first (the spectra
-    see normalized values; callers keep the raw data).
+    Composition of batch_mean_spectrum and dominant_frequencies; returns one
+    HashValue per variate. With ``normalize`` each window row is z-scored
+    over time first (the spectra see normalized values; callers keep the
+    raw data).
     """
-    if isinstance(batch, WindowBatch):
-        batch = batch.data_tensor()
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 3:
-        raise ParameterError(f"expected a B x N x T tensor, got shape {batch.shape}")
     if normalize:
-        mean = batch.mean(axis=2, keepdims=True)
-        std = batch.std(axis=2, keepdims=True)
-        batch = (batch - mean) / np.maximum(std, 1e-12)
-    dominant = dominant_frequencies(batch_mean_spectrum(batch, epsilon), k)
-    return [HashValue(key=tuple(row)) for row in dominant.bins]
+        scaled = []
+        for data in _lookbacks(batch):
+            mean = data.mean(axis=1, keepdims=True)
+            std = data.std(axis=1, keepdims=True)
+            scaled.append(MultivariateWindow((data - mean) / np.maximum(std, 1e-12)))
+        batch = WindowBatch(tuple(scaled))
+    bins = dominant_frequencies(batch_mean_spectrum(batch, epsilon), k)
+    return [HashValue(key=tuple(row)) for row in bins]
 
 
 def reconstruction_error(signal: np.ndarray, k: int) -> tuple[float, float]:
@@ -203,10 +145,9 @@ def reconstruction_error(signal: np.ndarray, k: int) -> tuple[float, float]:
     n_bins = positive.shape[0]
     if not 0 <= k <= n_bins:
         raise ParameterError(f"need 0 <= k <= {n_bins} positive bins, got k={k}")
-    bins = np.arange(1, n_bins + 1)
-    order = np.lexsort((bins, -positive))
-    kept = bins[order[:k]]
-    dropped = bins[order[k:]]
+    ranked = np.argsort(-positive, kind="stable") + 1
+    kept = ranked[:k]
+    dropped = ranked[k:]
 
     masked = np.zeros_like(coeffs)
     masked[0] = coeffs[0]

@@ -281,7 +281,9 @@ def test_a09_noise_margin_invariance():
             clean += a * np.sin(2 * np.pi * b * t / length + p)
         noise = rng.uniform(0.005, 0.02) * rng.standard_normal(length)
         dominant_floor = amps.min() * length / 2.0
-        noise_ceiling = float(np.max(vd.amplitude_spectrum(noise)[:epsilon]))
+        noise_ceiling = float(
+            np.max(vd.batch_mean_spectrum(noise[None, None], epsilon)[0])
+        )
         if dominant_floor < 2.0 * noise_ceiling:
             continue  # margin condition violated; trial does not qualify
         trials += 1

@@ -8,6 +8,7 @@ from vardrop import (
     MultivariateWindow,
     ParameterError,
     SeriesTable,
+    TrainSettings,
     batch_windows,
     correlation_shift,
     pearson_matrix,
@@ -187,20 +188,25 @@ def sweep_batches(seed=10):
     return train, train
 
 
+def sweep_settings(seed):
+    # k and gs are the sweep's own; the other knobs are shared by every cell
+    return TrainSettings(epsilon=24, lr=0.01, seed=seed)
+
+
 class TestSensitivitySweep:
     def test_generous_gs_zero_deltas(self):
         train, val = sweep_batches()
         result = sensitivity_sweep(
-            train, val, ks=[2, 3], gss=[16],
-            epochs=1, lr=0.01, epsilon=24, embed_dim=8, attn_dim=4, seed=10,
+            train, val, [2, 3], [16], sweep_settings(10),
+            epochs=1, embed_dim=8, attn_dim=4,
         )
         assert all(cell.delta == 0.0 for cell in result.records)
 
     def test_delta_monotone_in_gs(self):
         train, val = sweep_batches()
         result = sensitivity_sweep(
-            train, val, ks=[3], gss=[1, 5],
-            epochs=1, lr=0.01, epsilon=24, embed_dim=8, attn_dim=4, seed=10,
+            train, val, [3], [1, 5], sweep_settings(10),
+            epochs=1, embed_dim=8, attn_dim=4,
         )
         assert result.records[0].delta > result.records[1].delta
         by_gs = {cell.gs: cell.delta for cell in result.records}
@@ -211,8 +217,8 @@ class TestSensitivitySweep:
         ks = [2, 3, 4, 5]
         gss = list(range(1, 16))
         result = sensitivity_sweep(
-            train, val, ks=ks, gss=gss,
-            epochs=1, lr=0.01, epsilon=24, embed_dim=8, attn_dim=4, seed=10,
+            train, val, ks, gss, sweep_settings(10),
+            epochs=1, embed_dim=8, attn_dim=4,
         )
         assert len(result.records) == 60
         # grid order: k-major, gs within
@@ -225,23 +231,20 @@ class TestSensitivitySweep:
 
     def test_deterministic(self):
         train, val = sweep_batches()
-        kwargs = dict(
-            ks=[3], gss=[2], epochs=2, lr=0.01, epsilon=24,
-            embed_dim=8, attn_dim=4, seed=11,
-        )
-        a = sensitivity_sweep(train, val, **kwargs)
-        b = sensitivity_sweep(train, val, **kwargs)
+        kwargs = dict(epochs=2, embed_dim=8, attn_dim=4)
+        a = sensitivity_sweep(train, val, [3], [2], sweep_settings(11), **kwargs)
+        b = sensitivity_sweep(train, val, [3], [2], sweep_settings(11), **kwargs)
         assert a == b
 
     def test_validation(self):
         train, val = sweep_batches()
         with pytest.raises(ParameterError):
             sensitivity_sweep(
-                train, val, ks=[], gss=[1],
-                epochs=1, lr=0.01, epsilon=24, embed_dim=8, attn_dim=4, seed=0,
+                train, val, [], [1], sweep_settings(0),
+                epochs=1, embed_dim=8, attn_dim=4,
             )
         with pytest.raises(ParameterError):
             sensitivity_sweep(
-                train, val, ks=[3], gss=[1],
-                epochs=0, lr=0.01, epsilon=24, embed_dim=8, attn_dim=4, seed=0,
+                train, val, [3], [1], sweep_settings(0),
+                epochs=0, embed_dim=8, attn_dim=4,
             )

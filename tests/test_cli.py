@@ -358,6 +358,26 @@ class TestExitCodes:
         assert code == 3
         assert "error [validation]:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", ["synth", "hash", "reduce", "analyze", "train", "sweep"]
+    )
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys, command):
+        code = main([command, "-o", str(tmp_path / "o"), "--seed=-1"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error [validation]: seed:")
+
+    def test_negative_env_seed_is_validation_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("VARDROP_SEED", "-1")
+        code = main(["synth", "-o", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error [validation]: seed:")
+
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_delimiter_must_be_one_character(self, tmp_path, capsys, delimiter):
+        code = main(["synth", "-o", str(tmp_path / "o"), f"--delimiter={delimiter}"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error [validation]: delimiter:")
+
     def test_short_split_is_validation_error(self, tmp_path, capsys):
         code = main([
             "train", "-o", str(tmp_path / "o"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vardrop.reduction as reduction
 from vardrop import (
     GroupTable,
     HashValue,
@@ -163,6 +164,21 @@ class TestStratifiedSample:
     def test_gs_validation(self):
         with pytest.raises(ParameterError):
             stratified_sample(table_of([3]), gs=0, seed=0)
+
+    def test_only_groups_above_gs_seed_a_generator(self, monkeypatch):
+        tags = []
+
+        def counting(base_seed, tag):
+            tags.append(tag)
+            return derive_seed(base_seed, tag)
+
+        monkeypatch.setattr(reduction, "derive_seed", counting)
+        plan = stratified_sample(table_of([1] * 40), gs=1, seed=4)
+        assert tags == []
+        assert plan.retained == tuple(range(40))
+        assert plan.delta == 0.0
+        stratified_sample(table_of([3, 2, 5, 1]), gs=2, seed=4)
+        assert tags == [key(1).text, key(3).text]
 
     @settings(max_examples=100, deadline=None)
     @given(

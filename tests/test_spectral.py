@@ -8,13 +8,14 @@ from vardrop import (
     HashValue,
     MultivariateWindow,
     ParameterError,
+    SeriesTable,
     WindowBatch,
-    amplitude_spectrum,
     batch_mean_spectrum,
+    batch_windows,
     dominant_frequencies,
     kdfh,
-    low_pass,
     reconstruction_error,
+    sliding_windows,
 )
 
 from helpers import (
@@ -33,6 +34,11 @@ def sines(length, bins, amps, phases=None):
     for b, a, p in zip(bins, amps, phases):
         out += a * np.sin(2.0 * np.pi * b * t / length + p)
     return out
+
+
+def amplitude_spectrum(x):
+    """Bins 1..floor(T/2) of one series, as a one-window, one-variate batch."""
+    return batch_mean_spectrum(x[None, None], len(x) // 2)[0]
 
 
 class TestAmplitudeSpectrum:
@@ -97,28 +103,21 @@ class TestAmplitudeSpectrum:
 
 
 class TestLowPass:
-    def test_identity_at_full_width(self):
-        spec = np.arange(1.0, 49.0)
-        npt.assert_array_equal(low_pass(spec, 48), spec)
-
     def test_truncates(self):
-        spec = amplitude_spectrum(sines(96, [30], [5.0]))
-        kept = low_pass(spec, 25)
+        kept = batch_mean_spectrum(sines(96, [30], [5.0])[None, None], 25)[0]
         assert kept.shape == (25,)
         # the only energy sat at bin 30, above the cut
         assert np.max(kept) < 1e-9
 
     def test_keeps_low_bins(self):
-        spec = amplitude_spectrum(sines(96, [4, 30], [3.0, 5.0]))
-        kept = low_pass(spec, 25)
+        kept = batch_mean_spectrum(sines(96, [4, 30], [3.0, 5.0])[None, None], 25)[0]
         assert abs(kept[3] - 144.0) < 1e-9
 
     def test_range_validation(self):
-        spec = np.zeros(48)
         with pytest.raises(ParameterError):
-            low_pass(spec, 0)
+            batch_mean_spectrum(np.zeros((1, 1, 96)), 0)
         with pytest.raises(ParameterError):
-            low_pass(spec, 49)
+            batch_mean_spectrum(np.zeros((1, 1, 96)), 49)
 
 
 class TestBatchMeanSpectrum:
@@ -126,21 +125,18 @@ class TestBatchMeanSpectrum:
         rng = np.random.default_rng(3)
         tensor = rng.normal(size=(1, 3, 32))
         mean = batch_mean_spectrum(tensor, 10)
-        assert mean.batch_size == 1
-        assert mean.bin_freqs == tuple(range(1, 11))
+        assert mean.shape == (3, 10)
         for i in range(3):
-            npt.assert_array_equal(
-                mean.amps[i], low_pass(amplitude_spectrum(tensor[0, i]), 10)
-            )
+            npt.assert_array_equal(mean[i], np.abs(np.fft.rfft(tensor[0, i]))[1:11])
 
     def test_two_windows_elementwise_mean(self):
         rng = np.random.default_rng(4)
         tensor = rng.normal(size=(2, 2, 24))
         mean = batch_mean_spectrum(tensor, 12)
         for i in range(2):
-            a = low_pass(amplitude_spectrum(tensor[0, i]), 12)
-            b = low_pass(amplitude_spectrum(tensor[1, i]), 12)
-            npt.assert_allclose(mean.amps[i], (a + b) / 2.0, rtol=1e-12)
+            a = amplitude_spectrum(tensor[0, i])[:12]
+            b = amplitude_spectrum(tensor[1, i])[:12]
+            npt.assert_allclose(mean[i], (a + b) / 2.0, rtol=1e-12)
 
     def test_bulk_against_loop_oracle(self):
         rng = np.random.default_rng(5)
@@ -150,14 +146,14 @@ class TestBatchMeanSpectrum:
             acc = np.zeros(20)
             for j in range(8):
                 acc = acc + dft_amps_matrix(tensor[j, i])[:20]
-            npt.assert_allclose(mean.amps[i], acc / 8.0, rtol=1e-10, atol=1e-10)
+            npt.assert_allclose(mean[i], acc / 8.0, rtol=1e-10, atol=1e-10)
 
     def test_accepts_window_batch(self):
         rng = np.random.default_rng(6)
         data = rng.normal(size=(3, 16))
         batch = WindowBatch((MultivariateWindow(data, start=0),))
         mean = batch_mean_spectrum(batch, 8)
-        npt.assert_array_equal(mean.amps, batch_mean_spectrum(data[None], 8).amps)
+        npt.assert_array_equal(mean, batch_mean_spectrum(data[None], 8))
 
     def test_epsilon_bound_is_half_window(self):
         with pytest.raises(ParameterError):
@@ -169,28 +165,22 @@ class TestDominantFrequencies:
     def test_orders_by_amplitude(self):
         tensor = sines(96, [4, 8, 12], [3.0, 1.0, 2.0])[None, None]
         mean = batch_mean_spectrum(tensor, 25)
-        dom = dominant_frequencies(mean, 3)
-        npt.assert_array_equal(dom.bins[0], [4, 12, 8])
-        npt.assert_allclose(dom.amps[0], [144.0, 96.0, 48.0], atol=1e-9)
+        bins = dominant_frequencies(mean, 3)
+        npt.assert_array_equal(bins[0], [4, 12, 8])
+        npt.assert_allclose(mean[0, bins[0] - 1], [144.0, 96.0, 48.0], atol=1e-9)
 
     def test_tie_breaks_to_lower_bin(self):
         mean = batch_mean_spectrum(np.zeros((1, 1, 96)), 25)
-        dom = dominant_frequencies(mean, 2)
-        npt.assert_array_equal(dom.bins[0], [1, 2])
+        npt.assert_array_equal(dominant_frequencies(mean, 2)[0], [1, 2])
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
+            # arbitrary mean amplitudes, not only those a spectrum produces
             amps = rng.uniform(size=25)
-            tensor = rng.normal(size=(1, 1, 96))
-            mean = batch_mean_spectrum(tensor, 25)
-            # overwrite the mean amplitudes directly to hit arbitrary values
-            mean = type(mean)(
-                amps=amps[None], bin_freqs=mean.bin_freqs, batch_size=1
-            )
             k = int(rng.integers(1, 6))
-            dom = dominant_frequencies(mean, k)
-            assert tuple(dom.bins[0]) == topk_bins_sorted(amps, k)
+            bins = dominant_frequencies(amps[None], k)
+            assert tuple(bins[0]) == topk_bins_sorted(amps, k)
 
     def test_k_validation(self):
         mean = batch_mean_spectrum(np.zeros((1, 1, 32)), 10)
@@ -207,7 +197,37 @@ class TestDominantFrequencies:
         swapped = dominant_frequencies(
             batch_mean_spectrum(tensor[:, perm], 16), 3
         )
-        npt.assert_array_equal(swapped.bins, base.bins[perm])
+        npt.assert_array_equal(swapped, base[perm])
+
+
+class TestHashFromWindowViews:
+    @pytest.fixture
+    def views_and_tensor(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        values = rng.normal(scale=50.0, size=(9, 300))
+        table = SeriesTable(names=tuple("abcdefghi"), values=values)
+        batch = batch_windows(sliding_windows(table, 40, 0, 7), 6)[1]
+        assert not batch.windows[0].data.flags.c_contiguous  # strided table views
+        tensor = batch.data_tensor()
+
+        def no_stacking(self):
+            raise AssertionError("hashing stacked the window views")
+
+        monkeypatch.setattr(WindowBatch, "data_tensor", no_stacking)
+        return batch, tensor
+
+    def test_mean_spectrum_equals_tensor_path(self, views_and_tensor):
+        batch, tensor = views_and_tensor
+        npt.assert_array_equal(
+            batch_mean_spectrum(batch, 20), batch_mean_spectrum(tensor, 20)
+        )
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_kdfh_equals_tensor_path(self, views_and_tensor, normalize):
+        batch, tensor = views_and_tensor
+        assert kdfh(batch, 4, 20, normalize=normalize) == kdfh(
+            tensor, 4, 20, normalize=normalize
+        )
 
 
 class TestKdfh:
@@ -233,9 +253,7 @@ class TestKdfh:
         fused = kdfh(tensor, k, epsilon)
         staged = [
             HashValue(key=tuple(row))
-            for row in dominant_frequencies(
-                batch_mean_spectrum(tensor, epsilon), k
-            ).bins
+            for row in dominant_frequencies(batch_mean_spectrum(tensor, epsilon), k)
         ]
         assert fused == staged
 
