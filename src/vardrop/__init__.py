@@ -57,6 +57,7 @@ from .model import (
     count_flops,
     embed,
     forward,
+    hash_groups,
     initialize_params,
     plan_batch,
     predict_full,
@@ -127,6 +128,7 @@ __all__ = [
     "backward",
     "sgd_step",
     "count_flops",
+    "hash_groups",
     "plan_batch",
     "train_epoch",
     "predict_full",

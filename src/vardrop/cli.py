@@ -48,13 +48,13 @@ from .errors import ParameterError, ParseError, PipelineIOError, VardropError
 from .model import (
     TrainSettings,
     count_flops,
+    hash_groups,
     initialize_params,
     plan_batch,
     train_epoch,
     validation_loss,
 )
-from .reduction import GroupTable, group_by_hash, reduction_report
-from .spectral import kdfh
+from .reduction import GroupTable, reduction_report
 
 __all__ = ["RunConfig", "validate_config", "parse_config_file", "main"]
 
@@ -331,12 +331,15 @@ def _split_batches(table: SeriesTable, config: RunConfig):
 
 def _write_hashes(config: RunConfig, batch: WindowBatch, out: Path) -> GroupTable:
     """Hash one batch, group it, and write ``hashes.json``; returns the groups."""
-    hashes = kdfh(batch, config.k, config.epsilon, normalize=config.normalize_windows)
-    groups = group_by_hash(hashes)
+    groups = hash_groups(batch, _settings(config))
+    hashes = [""] * batch.n_variates
+    for key, idx in groups.groups.items():
+        for i in idx:
+            hashes[i] = key.text
     payload = {
         "k": config.k,
         "epsilon": config.epsilon,
-        "hashes": [h.text for h in hashes],
+        "hashes": hashes,
         "groups": {key.text: list(idx) for key, idx in groups.groups.items()},
     }
     _write_text(out / "hashes.json", canonical_json(payload))

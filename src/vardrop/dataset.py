@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,9 +118,14 @@ class MultivariateWindow:
 
 @dataclass(frozen=True)
 class WindowBatch:
-    """A dimension-consistent batch of windows sharing ``N``, ``T`` and ``H``."""
+    """A dimension-consistent batch of windows sharing ``N``, ``T`` and ``H``.
+
+    ``memo`` holds results derived from the window data, keyed by their
+    settings; only ``frozen`` batches may keep them.
+    """
 
     windows: tuple[MultivariateWindow, ...]
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.windows) < 1:
@@ -150,6 +155,23 @@ class WindowBatch:
     @property
     def horizon_length(self) -> int:
         return self.windows[0].horizon_length
+
+    @property
+    def frozen(self) -> bool:
+        """True when no window's data can change: read-only down to its owner.
+
+        A read-only view of a writable array can still change under it, so
+        every array in the chain of bases must be read-only too.
+        """
+        for w in self.windows:
+            array = w.data
+            while True:
+                if not isinstance(array, np.ndarray) or array.flags.writeable:
+                    return False
+                if array.base is None:
+                    break
+                array = array.base
+        return True
 
     def data_tensor(self) -> np.ndarray:
         """Stack lookbacks into a ``B x N x T`` array."""

@@ -23,7 +23,13 @@ import numpy as np
 
 from .dataset import MultivariateWindow, WindowBatch
 from .errors import NumericError, ParameterError
-from .reduction import ReductionPlan, derive_seed, group_by_hash, stratified_sample
+from .reduction import (
+    GroupTable,
+    ReductionPlan,
+    derive_seed,
+    group_by_hash,
+    stratified_sample,
+)
 from .spectral import kdfh
 
 __all__ = [
@@ -40,6 +46,7 @@ __all__ = [
     "backward",
     "sgd_step",
     "count_flops",
+    "hash_groups",
     "plan_batch",
     "train_epoch",
     "predict_full",
@@ -215,7 +222,9 @@ def forward(
 
     Loss is the MSE between predictions and the horizon rows of the retained
     variates only. Only here are the retained indices checked and gathered;
-    the trace carries the gathered rows and targets on to ``backward``.
+    the trace carries the gathered rows and targets on to ``backward``. When
+    every variate is kept in order, the window's own arrays are passed on
+    uncopied: the values are the same, so the results are too.
     """
     if window.horizon_length < 1:
         raise ParameterError("forward needs a window with a horizon")
@@ -225,8 +234,10 @@ def forward(
             f"{params.horizon}"
         )
     idx = _check_retained(retained, window.n_variates)
-    rows = window.data[idx]
-    target = window.horizon[idx]
+    if idx == list(range(window.n_variates)):
+        rows, target = window.data, window.horizon
+    else:
+        rows, target = window.data[idx], window.horizon[idx]
     tokens, frag, predictions = _predict(rows, params)
     with np.errstate(over="ignore"):
         loss = float(np.mean((predictions - target) ** 2))
@@ -401,17 +412,36 @@ def _mean_gradients(grads: list[ModelParams]) -> ModelParams:
     return _combine(lambda *arrays: sum(arrays) / n, *grads)
 
 
+def hash_groups(batch: WindowBatch, config: TrainSettings) -> GroupTable:
+    """The batch's hash groups under ``config``'s k, epsilon and normalization.
+
+    The one composition of ``kdfh`` and ``group_by_hash``. A frozen batch
+    keeps the table in its memo, keyed by ``(k, epsilon, normalize_windows)``,
+    so later epochs and sweep cells with those settings reuse it. A batch
+    whose data could change is rehashed on every call.
+    """
+    key = ("hash_groups", config.k, config.epsilon, config.normalize_windows)
+    frozen = batch.frozen
+    if frozen and key in batch.memo:
+        return batch.memo[key]
+    hashes = kdfh(batch, config.k, config.epsilon, normalize=config.normalize_windows)
+    groups = group_by_hash(hashes)
+    if frozen:
+        batch.memo[key] = groups
+    return groups
+
+
 def plan_batch(
     batch: WindowBatch, config: TrainSettings, epoch: int, batch_index: int
 ) -> ReductionPlan:
     """Choose the variates one batch keeps: hash, group, sample.
 
     The sampling seed is derived from ``seed:epoch:batch``, so every batch of
-    every epoch redraws its representatives. ``vardrop_on`` is not consulted.
+    every epoch redraws its representatives from the same hash groups.
+    ``vardrop_on`` is not consulted.
     """
     seed = derive_seed(config.seed, f"{epoch}:{batch_index}")
-    hashes = kdfh(batch, config.k, config.epsilon, normalize=config.normalize_windows)
-    return stratified_sample(group_by_hash(hashes), config.gs, seed)
+    return stratified_sample(hash_groups(batch, config), config.gs, seed)
 
 
 def train_epoch(

@@ -248,6 +248,24 @@ class TestMain:
         assert off_report["reduction"]["mean_delta"] == 0.0
         assert on_report["flops"]["total"] < off_report["flops"]["total"]
 
+    def test_train_hashes_each_batch_once(self, tmp_path, monkeypatch):
+        # hashes.json and every epoch share one hash of each training batch;
+        # every hash, whoever asks for it, takes one batch spectrum
+        import vardrop.spectral as spectral
+
+        calls = []
+        real = spectral.batch_mean_spectrum
+
+        def counting(batch, *args, **kwargs):
+            calls.append(id(batch))
+            return real(batch, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "batch_mean_spectrum", counting)
+        assert main(["train", "-o", str(tmp_path / "o")] + TINY_TRAIN) == 0
+        rows = (tmp_path / "o" / "metrics.csv").read_text().splitlines()[1:]
+        n_batches = len({row.split(",")[1] for row in rows})
+        assert len(calls) == len(set(calls)) == n_batches
+
     def test_train_runs_are_byte_identical(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

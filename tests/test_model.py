@@ -1,6 +1,7 @@
 """Embedding, attention, gradients, FLOP accounting, and the training loop."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -13,6 +14,7 @@ from vardrop import (
     ParameterError,
     SplitSpec,
     TrainSettings,
+    WindowBatch,
     attention,
     backward,
     batch_windows,
@@ -20,9 +22,11 @@ from vardrop import (
     count_flops,
     embed,
     forward,
+    hash_groups,
     initialize_params,
     plan_batch,
     predict_full,
+    sensitivity_sweep,
     sgd_step,
     sliding_windows,
     synth_redundant,
@@ -263,6 +267,25 @@ class TestForward:
         with pytest.raises(ParameterError):
             forward(window, p, (0, 3))
 
+    def test_keeping_all_in_order_passes_window_through(self):
+        table = synth_redundant(7, 3, 120, 0.1, seed=30)
+        p = initialize_params(32, 4, 8, 4, seed=30)
+        for window in sliding_windows(table, 32, 4, 20):
+            trace = forward(window, p, range(7))
+            assert np.shares_memory(trace.rows, window.data)
+            assert np.shares_memory(trace.target, window.horizon)
+            npt.assert_array_equal(trace.predictions, predict_full(window, p))
+
+    def test_permutation_of_all_still_gathers(self):
+        table = synth_redundant(7, 3, 120, 0.1, seed=31)
+        p = initialize_params(32, 4, 8, 4, seed=31)
+        window = sliding_windows(table, 32, 4, 20)[0]
+        order = [6, 5, 4, 3, 2, 1, 0]
+        trace = forward(window, p, order)
+        assert not np.shares_memory(trace.rows, window.data)
+        npt.assert_array_equal(trace.rows, window.data[order])
+        npt.assert_array_equal(trace.target, window.horizon[order])
+
 
 class TestBackward:
     def test_zero_loss_zero_gradients(self):
@@ -499,6 +522,125 @@ class TestTrainEpoch:
         p0 = initialize_params(48, 8, 8, 4, seed=0)
         with pytest.raises(ParameterError):
             train_epoch([], p0, TrainSettings(epsilon=24))
+
+
+def writable_copy(batch):
+    """The same windows over fresh writable arrays, so the batch is not frozen."""
+    return WindowBatch(tuple(
+        MultivariateWindow(
+            np.array(w.data, copy=True), w.start, np.array(w.horizon, copy=True)
+        )
+        for w in batch.windows
+    ))
+
+
+@pytest.fixture
+def kdfh_calls(monkeypatch):
+    """Count the kdfh calls hash_groups makes through model's globals."""
+    import vardrop.model as model
+
+    calls = []
+    real = model.kdfh
+
+    def counting(batch, *args, **kwargs):
+        calls.append(batch)
+        return real(batch, *args, **kwargs)
+
+    monkeypatch.setattr(model, "kdfh", counting)
+    return calls
+
+
+class TestHashGroups:
+    def test_table_views_hash_once_per_batch(self, kdfh_calls):
+        batches = make_batches()
+        assert all(b.frozen for b in batches)
+        params = initialize_params(48, 8, 16, 8, seed=32)
+        cfg = TrainSettings(k=3, epsilon=24, gs=2, lr=0.02, seed=32)
+        for epoch in range(3):
+            params, _ = train_epoch(batches, params, cfg, epoch)
+        assert len(kdfh_calls) == len(batches)
+        assert [id(b) for b in kdfh_calls] == [id(b) for b in batches]
+
+    def test_only_hash_settings_rehash(self, kdfh_calls):
+        batches = make_batches()
+        cfg = TrainSettings(k=3, epsilon=24, gs=2, lr=0.02, seed=33)
+
+        def plan_all(config):
+            before = len(kdfh_calls)
+            for i, batch in enumerate(batches):
+                plan_batch(batch, config, 0, i)
+            return len(kdfh_calls) - before
+
+        assert plan_all(cfg) == len(batches)
+        for same in (replace(cfg, gs=1), replace(cfg, seed=34), replace(cfg, lr=0.5)):
+            assert plan_all(same) == 0
+        for other in (
+            replace(cfg, k=2),
+            replace(cfg, epsilon=20),
+            replace(cfg, normalize_windows=True),
+        ):
+            assert plan_all(other) == len(batches)
+            assert plan_all(other) == 0
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("gs", [2, 16])
+    def test_memo_gives_the_same_bits(self, normalize, gs):
+        # gs=16 keeps every variate, so forward passes the views through
+        views = make_batches()
+        copies = [writable_copy(b) for b in views]
+        assert not any(b.frozen for b in copies)
+        cfg = TrainSettings(k=3, epsilon=24, gs=gs, lr=0.02, seed=35,
+                            normalize_windows=normalize)
+        runs = []
+        for batches in (views, copies):
+            params = initialize_params(48, 8, 16, 8, seed=35)
+            metrics = []
+            for epoch in range(3):
+                params, m = train_epoch(batches, params, cfg, epoch)
+                metrics.extend(m)
+            runs.append((params, metrics))
+        (p_views, m_views), (p_copies, m_copies) = runs
+        for f in fields(p_views):
+            npt.assert_array_equal(getattr(p_views, f.name), getattr(p_copies, f.name))
+        assert m_views == m_copies
+        assert all(b.memo for b in views)
+        assert not any(b.memo for b in copies)
+
+    def test_writable_batch_follows_its_data(self, kdfh_calls):
+        batch = writable_copy(make_batches()[0])
+        cfg = TrainSettings(k=3, epsilon=24, gs=1, lr=0.02, seed=36)
+        before = plan_batch(batch, cfg, 0, 0)
+        assert len(before.retained) == 4  # four prototype groups, one kept each
+        # give every variate its own dominant bin: all singletons, all kept
+        steps = np.arange(batch.lookback)
+        for w in batch.windows:
+            for i in range(batch.n_variates):
+                w.data[i] = np.sin(2 * np.pi * (i + 1) * steps / batch.lookback)
+        after = plan_batch(batch, cfg, 0, 0)
+        assert after.retained == tuple(range(batch.n_variates))
+        assert len(kdfh_calls) == 2
+
+    def test_read_only_view_of_writable_data_is_not_frozen(self, kdfh_calls):
+        rng = np.random.default_rng(37)
+        base = rng.normal(size=(6, 16))
+        view = base.view()
+        view.flags.writeable = False
+        batch = WindowBatch((MultivariateWindow(view),))
+        assert not batch.frozen
+        cfg = TrainSettings(k=2, epsilon=8)
+        hash_groups(batch, cfg)
+        hash_groups(batch, cfg)
+        assert len(kdfh_calls) == 2
+        assert batch.memo == {}
+
+    def test_sweep_hashes_once_per_batch(self, kdfh_calls):
+        batches = make_batches()
+        sensitivity_sweep(
+            batches[:-1], batches[-1:], ks=[3], gss=[1, 2],
+            settings=TrainSettings(epsilon=24, lr=0.02, seed=38),
+            epochs=2, embed_dim=16, attn_dim=8,
+        )
+        assert len(kdfh_calls) == len(batches) - 1
 
 
 class TestPredictFull:
