@@ -13,9 +13,19 @@ run the parent first, even seeds the change. Each side then runs once with
 so an interrupted comparison resumes where it stopped.
 
 The file holds, per workload and gated metric, each side's samples, median
-and quartiles, the change/parent ratio of every pair and how many pairs the
-change won; then each side's traced per-layer metrics and the environment
-the change ran in.
+and quartiles, the change/parent ratio of every pair, how many pairs the
+change won and a verdict; then each side's traced per-layer metrics and the
+environment the change ran in. The verdict is the first that holds of:
+
+- ``gain``: the change wins at least 9 of 10 pairs (ties count for neither
+  side), and its median beats the parent's by more than the parent's
+  interquartile range.
+- ``unresolved``: either side's interquartile range, relative to its median,
+  is wider than the metric's bound, and not every change run beats every
+  parent run.
+- ``no_worse``: the change's median is no worse than the parent's by more
+  than the bound.
+- ``regressed``: none of the above.
 """
 
 from __future__ import annotations
@@ -46,6 +56,24 @@ def run(checkout: Path, seed: int, seconds: float, trace: int, out: Path) -> dic
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "samples": values}
+
+
+def verdict(parent: dict, change: dict, wins: int, pairs: int, gate: dict) -> str:
+    """Judge one metric from each side's ``spread`` and the pairs the change won."""
+    # sign turns "lower is better" into "higher is better"
+    sign = 1 if gate["better"] == "higher" else -1
+    gap = sign * (change["median"] - parent["median"])
+    if 10 * wins >= 9 * pairs and gap > parent["q3"] - parent["q1"]:
+        return "gain"
+    wide = any((s["q3"] - s["q1"]) > gate["bound"] * abs(s["median"]) for s in (parent, change))
+    separated = min(sign * v for v in change["samples"]) > max(
+        sign * v for v in parent["samples"]
+    )
+    if wide and not separated:
+        return "unresolved"
+    if gap >= -gate["bound"] * abs(parent["median"]):
+        return "no_worse"
+    return "regressed"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -81,13 +109,16 @@ def main(argv: list[str] | None = None) -> int:
             sides = {s: [r["metrics"][key]["value"] for r in results[s]] for s in SIDES}
             ratios = [c / p for p, c in zip(sides["parent"], sides["change"])]
             higher = gate["better"] == "higher"
+            spreads = {s: spread(sides[s]) for s in SIDES}
+            wins = sum(r > 1 if higher else r < 1 for r in ratios)
             metrics[gate["name"]] = {
                 "unit": gate["unit"],
                 "better": gate["better"],
                 "bound": gate["bound"],
-                **{s: spread(sides[s]) for s in SIDES},
+                **spreads,
                 "ratios": ratios,
-                "change_wins": sum(r > 1 if higher else r < 1 for r in ratios),
+                "change_wins": wins,
+                "verdict": verdict(spreads["parent"], spreads["change"], wins, len(seeds), gate),
             }
         detail = json.loads(
             (checkouts["change"] / ".bench_out" / f"{name}-seed{seeds[0]}-trace1.json").read_text()
@@ -108,6 +139,8 @@ def main(argv: list[str] | None = None) -> int:
         "order": "odd seeds run the parent first, even seeds the change",
         "quartiles": "statistics.quantiles(n=4, method='inclusive')",
         "ratio": "change / parent, one per seed",
+        "verdict": "first of gain, unresolved, no_worse, regressed that holds; "
+        "see scripts/bench_pairs.py",
         "trace_seed": seeds[0],
         "failed": {s: sum(r["failed"] for r in results[s] + [traces[s]]) for s in SIDES},
         "workloads": workloads,

@@ -194,52 +194,122 @@ class SplitSpec:
             raise ParameterError(f"split fractions must sum to 1, got {sum(fracs)!r}")
 
 
+_TIMESTAMP_HEADERS = ("date", "time", "timestamp", "datetime")
+# numpy's reader refuses these as delimiters (TypeError), so only the row
+# parser can read them.
+_ROW_PARSER_DELIMITERS = ('"', "\n", "\r")
+
+
 def load_csv(path: str, delimiter: str = ",") -> SeriesTable:
     """Read a variates-in-columns CSV into a SeriesTable.
 
-    A row whose first cell starts with ``#`` is a comment, whatever else it
-    holds. The first non-comment row is the header of variate names. A leading
-    timestamp column is dropped: one headed ``date``, ``time``, ``timestamp``
-    or ``datetime`` (any case), or whose first data cell is non-numeric. Any
-    NaN/Inf or non-numeric cell aborts the load with the offending row/column
-    named; imputation is deliberately not attempted.
+    The file is UTF-8, with or without a byte-order mark; any other bytes
+    raise ParseError. A row whose first cell starts with ``#`` is a comment,
+    whatever else it holds. The first non-comment row is the header of
+    variate names. A leading timestamp column is dropped: one headed
+    ``date``, ``time``, ``timestamp`` or ``datetime`` (any case), or whose
+    first data cell is non-numeric. Any NaN/Inf or non-numeric cell aborts
+    the load with the offending row/column named; imputation is deliberately
+    not attempted.
+
+    The body is parsed by numpy's C reader. Whatever that reader cannot take
+    as a whole (a comment row after the header, a bad cell, an odd
+    delimiter) goes to the row-by-row parser, which returns the same table
+    or raises the error that names the row and column.
     """
+    table = _load_body(path, delimiter)
+    return table if table is not None else _load_rows(path, delimiter)
+
+
+def _records(handle, delimiter: str):
+    """Yield ``(row, line_num)`` for every row that is neither blank nor a comment."""
+    reader = csv.reader(handle, delimiter=delimiter)
+    for row in reader:
+        if row and not row[0].lstrip().startswith("#"):
+            yield row, reader.line_num
+
+
+def _columns(header: list[str], first_row: list[str]) -> tuple[list[str], bool]:
+    """Apply the timestamp rule: the variate names and whether column 0 is dropped."""
+    header = [c.strip() for c in header]
+    drop_first = header[0].lower() in _TIMESTAMP_HEADERS
     try:
-        handle = open(path, "r", encoding="utf-8", newline="")
+        float(first_row[0])
+    except ValueError:
+        drop_first = True
+    return (header[1:] if drop_first else header), drop_first
+
+
+def _timestamp_cell(cell: str) -> float:
+    # A comment row must reach the row parser, which skips it.
+    if cell.lstrip().startswith("#"):
+        raise ValueError(f"comment row in the body: {cell!r}")
+    return 0.0
+
+
+def _load_body(path: str, delimiter: str) -> SeriesTable | None:
+    """Parse the body with ``np.loadtxt``; None when only ``_load_rows`` can decide.
+
+    ``csv.reader`` reads the leading comments, the header and the first data
+    row, so the timestamp rule is the row parser's. numpy then reads every
+    physical line after the header. ``usecols`` is not used because it would
+    ignore the extra cells of a ragged row.
+    """
+    if delimiter in _ROW_PARSER_DELIMITERS:
+        return None
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+            records = _records(handle, delimiter)
+            (header, skip), (first_row, _) = next(records), next(records)
+        names, drop_first = _columns(header, first_row)
+        if not names:
+            return None
+        values = np.loadtxt(
+            path,
+            delimiter=delimiter,
+            skiprows=skip,
+            comments=None,
+            quotechar='"',
+            ndmin=2,
+            dtype=np.float64,
+            encoding="utf-8-sig",
+            converters={0: _timestamp_cell} if drop_first else None,
+        )
+    except (OSError, ValueError, StopIteration, csv.Error):
+        return None
+    if values.shape[1] != len(header) or not np.all(np.isfinite(values)):
+        return None
+    return SeriesTable(
+        names=tuple(names), values=(values[:, 1:] if drop_first else values).T
+    )
+
+
+def _load_rows(path: str, delimiter: str) -> SeriesTable:
+    """Parse cell by cell with ``float``: the reference, and the path that
+    names the row and column of the first bad cell."""
+    try:
+        handle = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise PipelineIOError(f"cannot open {path}: {exc}") from exc
 
     with handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        header: list[str] | None = None
-        rows: list[list[str]] = []
-        line_nums: list[int] = []
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                header = [c.strip() for c in row]
-                continue
-            rows.append(row)
-            line_nums.append(reader.line_num)
+        try:
+            records = list(_records(handle, delimiter))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
-    if header is None:
+    if not records:
         raise EmptyInputError(f"{path}: no header row found")
-    if not rows:
+    if len(records) < 2:
         raise EmptyInputError(f"{path}: header but no data rows")
 
-    drop_first = header[0].lower() in ("date", "time", "timestamp", "datetime")
-    try:
-        float(rows[0][0])
-    except (ValueError, IndexError):
-        drop_first = True
-
-    names = header[1:] if drop_first else header
+    rows = records[1:]
+    names, drop_first = _columns(records[0][0], rows[0][0])
     if not names:
         raise EmptyInputError(f"{path}: no variate columns after dropping timestamp")
 
     parsed = np.empty((len(rows), len(names)), dtype=np.float64)
-    for r, (row, line_num) in enumerate(zip(rows, line_nums)):
+    for r, (row, line_num) in enumerate(rows):
         cells = row[1:] if drop_first else row
         if len(cells) != len(names):
             raise ParseError(

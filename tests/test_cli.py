@@ -345,6 +345,23 @@ class TestExitCodes:
         assert code == 2
         assert "error [parse]:" in capsys.readouterr().err
 
+    def test_invalid_utf8_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"a,b\n1,2\n\xff,4\n")
+        code = main(["hash", "-o", str(tmp_path / "o"), f"--data={bad}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error [parse]: {bad}: not UTF-8 text (invalid start byte)\n"
+
+    def test_quote_delimiter_is_parse_error(self, tmp_path, capsys):
+        # numpy's reader refuses '"' as a delimiter; the row parser decides
+        data = tmp_path / "d.csv"
+        data.write_text("a,b\n1,2\n3,4\n")
+        code = main(["hash", "-o", str(tmp_path / "o"), f"--data={data}", '--delimiter="'])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error [parse]: {data}: no variate columns after dropping timestamp\n"
+
     def test_io_error(self, tmp_path, capsys):
         code = main([
             "hash", "-o", str(tmp_path / "o"), "--data=/nonexistent/x.csv",

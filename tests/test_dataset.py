@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vardrop import dataset
 from vardrop import (
     EmptyInputError,
     InsufficientLengthError,
@@ -56,6 +57,79 @@ class TestSeriesTable:
     def test_rejects_1d(self):
         with pytest.raises(ParameterError):
             SeriesTable(("a",), np.zeros(5))
+
+
+def _outcome(load, path, delimiter):
+    """A table as (names, shape, bytes), or an error as (type, message)."""
+    try:
+        table = load(str(path), delimiter)
+    except Exception as exc:  # both parsers must fail alike, whatever they raise
+        return type(exc), str(exc)
+    return table.names, table.values.shape, table.values.tobytes()
+
+
+WELL_FORMED = {
+    "plain": "a,b\n1,2\n3,4\n",
+    "iso_date": "date,a,b\n2024-01-01,1,2\n2024-01-02,3,4\n",
+    "numeric_date": "Date,a,b\n20240101,1,2\n20240102,3,4\n",
+    "leading_comments": "# source: meter\n# units, kW\na,b\n1,2\n3,4\n",
+    "crlf": "a,b\r\n1,2\r\n3,4\r\n",
+}
+
+# Cells either parser may stumble on: quoting, underscores, non-finite
+# values, comment markers, quoted newlines, non-ASCII digits.
+_AWKWARD_CELLS = [
+    "", " ", " 3 ", "+4", "1_0", "nan", "inf", "-inf", '"5"', '"6"7', '8""', '"#q"',
+    "#c", " #c", "x", "2024-01-01", '"a\nb"', "\u0661", "\x0c2", "1e400",
+]
+
+
+@st.composite
+def csv_files(draw):
+    """CSV bytes and delimiter: comments anywhere, blank and whitespace rows,
+    three line endings, ragged and awkward rows, timestamp columns, a BOM
+    and now and then an invalid UTF-8 byte."""
+    delimiter = draw(st.sampled_from([",", ";", "\t", " "]))
+    width = draw(st.integers(1, 4))
+    number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-999, 999).map(str),
+    )
+    first = st.one_of(number, st.sampled_from(["2024-01-01", "2024-01-01 00:30"]))
+    # rows may all be one cell wider or narrower than the header
+    cells = draw(st.sampled_from([width, width, width, width + 1, max(1, width - 1)]))
+    clean = st.builds(
+        lambda a, rest: delimiter.join([a, *rest]),
+        first,
+        st.lists(number, min_size=cells - 1, max_size=cells - 1),
+    )
+    awkward = st.lists(
+        st.one_of(st.sampled_from(_AWKWARD_CELLS), number), min_size=1, max_size=width + 1
+    ).map(delimiter.join)
+    odd = st.one_of(
+        st.sampled_from(["", "  ", "\t", "# note", f"#{delimiter}1"]),
+        clean.map(lambda row: "#" + row),
+        clean.map(lambda row: " #" + row),
+    )
+    body = draw(
+        st.one_of(
+            st.lists(clean, min_size=1, max_size=6),
+            st.lists(st.one_of(clean, odd), max_size=6),
+            st.lists(st.one_of(clean, awkward, odd), max_size=6),
+        )
+    )
+    comments = draw(
+        st.lists(st.sampled_from(["#", f"# a{delimiter}b", f'#{delimiter}"open']), max_size=2)
+    )
+    head = draw(st.sampled_from(["date", " Time ", "timestamp", "DATETIME", "a", "#h", ""]))
+    header = delimiter.join([head] + [f"v{i}" for i in range(1, width)])
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join([*comments, header, *body]) + draw(st.sampled_from([newline, ""]))
+    data = (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode()
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, delimiter
 
 
 class TestLoadCsv(object):
@@ -137,6 +211,49 @@ class TestLoadCsv(object):
         back = load_csv(path)
         assert back.names == table.names
         npt.assert_allclose(back.values, table.values, rtol=1e-10)
+
+
+    @pytest.mark.parametrize("middle", [b"", b"# forces the row parser\n"])
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, middle):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfdate,a,b\n2020,1,2\n" + middle + b"2021,3,4\n")
+        table = load_csv(str(path))
+        assert table.names == ("a", "b")
+        npt.assert_array_equal(table.values, [[1.0, 3.0], [2.0, 4.0]])
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"\xffa,b\n1,2\n", b"a,b\n\xff,2\n", b"a,b\n" + b"1,2\n" * 5000 + b"3,\xff\n"],
+        ids=["header", "first_row", "deep_in_body"],
+    )
+    def test_invalid_utf8_is_a_parse_error_naming_the_path(self, tmp_path, data):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        for load in (load_csv, dataset._load_rows):
+            with pytest.raises(ParseError, match=r"latin1\.csv: not UTF-8 text"):
+                load(str(path), ",")
+
+    @pytest.mark.parametrize("text", WELL_FORMED.values(), ids=list(WELL_FORMED))
+    def test_well_formed_files_never_reach_the_row_parser(self, tmp_path, monkeypatch, text):
+        def refuse(path, delimiter):
+            raise AssertionError(f"row parser called for {path}")
+
+        monkeypatch.setattr(dataset, "_load_rows", refuse)
+        path = tmp_path / "ok.csv"
+        path.write_bytes(text.encode())
+        table = load_csv(str(path))
+        assert table.names == ("a", "b")
+        npt.assert_array_equal(table.values, [[1.0, 3.0], [2.0, 4.0]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=csv_files())
+    def test_fast_path_agrees_with_row_parser(self, tmp_path_factory, case):
+        data, delimiter = case
+        path = tmp_path_factory.getbasetemp() / "agree.csv"
+        path.write_bytes(data)
+        assert _outcome(load_csv, path, delimiter) == _outcome(
+            dataset._load_rows, path, delimiter
+        )
 
 
 class TestSlidingWindows:
