@@ -221,12 +221,19 @@ def load_csv(path: str, delimiter: str = ",") -> SeriesTable:
     return table if table is not None else _load_rows(path, delimiter)
 
 
-def _records(handle, delimiter: str):
-    """Yield ``(row, line_num)`` for every row that is neither blank nor a comment."""
+def _records(handle, delimiter: str, path: str):
+    """Yield ``(row, line_num)`` for every row that is neither blank nor a comment.
+
+    A row ``csv`` cannot read (a field over its size limit) raises ParseError
+    naming ``path`` and the line.
+    """
     reader = csv.reader(handle, delimiter=delimiter)
-    for row in reader:
-        if row and not row[0].lstrip().startswith("#"):
-            yield row, reader.line_num
+    try:
+        for row in reader:
+            if row and not row[0].lstrip().startswith("#"):
+                yield row, reader.line_num
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _columns(header: list[str], first_row: list[str]) -> tuple[list[str], bool]:
@@ -259,7 +266,7 @@ def _load_body(path: str, delimiter: str) -> SeriesTable | None:
         return None
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-            records = _records(handle, delimiter)
+            records = _records(handle, delimiter, path)
             (header, skip), (first_row, _) = next(records), next(records)
         names, drop_first = _columns(header, first_row)
         if not names:
@@ -275,7 +282,7 @@ def _load_body(path: str, delimiter: str) -> SeriesTable | None:
             encoding="utf-8-sig",
             converters={0: _timestamp_cell} if drop_first else None,
         )
-    except (OSError, ValueError, StopIteration, csv.Error):
+    except (OSError, ValueError, StopIteration, ParseError):
         return None
     if values.shape[1] != len(header) or not np.all(np.isfinite(values)):
         return None
@@ -294,7 +301,7 @@ def _load_rows(path: str, delimiter: str) -> SeriesTable:
 
     with handle:
         try:
-            records = list(_records(handle, delimiter))
+            records = list(_records(handle, delimiter, path))
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 

@@ -1,8 +1,8 @@
 """Shared test oracles.
 
 Every oracle here is deliberately naive: direct definition evaluation,
-full sorts, triple loops, central differences.  None of them share code
-with the library under test.
+full sorts, triple loops, central differences, one window at a time.
+None of them share arithmetic with the library under test.
 """
 
 import cmath
@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from vardrop.model import ModelParams, forward
+from vardrop.model import BatchMetrics, ModelParams, count_flops, forward, plan_batch
 
 
 def dft_amps_loop(signal):
@@ -99,23 +99,109 @@ PARAM_FIELDS = (
 )
 
 
-def numeric_gradients(window, params, retained, step=1e-5):
-    """Central-difference gradients of the forward loss w.r.t. every array."""
+def numeric_gradients(windows, params, retained, step=1e-5):
+    """Central-difference gradients of each window's forward loss.
+
+    ``windows`` is a stack; every returned array has a leading window axis,
+    like ``backward``'s, and ``grad[i]`` differentiates ``losses[i]``.
+    """
     out = {}
     for name in PARAM_FIELDS:
         base = getattr(params, name)
-        grad = np.zeros_like(base)
+        grad = np.zeros((len(windows),) + base.shape)
         flat = base.ravel()
         for idx in range(flat.size):
             orig = flat[idx]
             bumped = base.copy()
             bumped.ravel()[idx] = orig + step
-            hi = forward(window, replace(params, **{name: bumped}), retained).loss
+            hi = forward(windows, replace(params, **{name: bumped}), retained).losses
             bumped.ravel()[idx] = orig - step
-            lo = forward(window, replace(params, **{name: bumped}), retained).loss
-            grad.ravel()[idx] = (hi - lo) / (2.0 * step)
+            lo = forward(windows, replace(params, **{name: bumped}), retained).losses
+            grad.reshape(len(windows), -1)[:, idx] = (hi - lo) / (2.0 * step)
         out[name] = grad
     return out
+
+
+def _window_loss_and_gradients(rows, target, p):
+    """One window's MSE and its analytic gradients, on 2-D arrays."""
+    tokens = rows @ p.w_embed + p.b_embed
+    queries = tokens @ p.w_query
+    keys = tokens @ p.w_key
+    values = tokens @ p.w_value
+    scores = queries @ keys.T / math.sqrt(p.attn_dim)
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    expo = np.exp(shifted)
+    weights = expo / expo.sum(axis=1, keepdims=True)
+    context = weights @ values
+    predictions = (context @ p.w_out) @ p.w_head + p.b_head
+    loss = float(np.mean((predictions - target) ** 2))
+
+    d_pred = 2.0 * (predictions - target) / predictions.size
+    mixed = context @ p.w_out
+    d_mixed = d_pred @ p.w_head.T
+    d_context = d_mixed @ p.w_out.T
+    d_weights = d_context @ values.T
+    d_values = weights.T @ d_context
+    inner = np.sum(d_weights * weights, axis=1, keepdims=True)
+    d_scores = weights * (d_weights - inner)
+    scale = 1.0 / math.sqrt(p.attn_dim)
+    d_queries = d_scores @ keys * scale
+    d_keys = d_scores.T @ queries * scale
+    d_tokens = d_queries @ p.w_query.T + d_keys @ p.w_key.T + d_values @ p.w_value.T
+    grads = {
+        "w_embed": rows.T @ d_tokens,
+        "b_embed": d_tokens.sum(axis=0),
+        "w_query": tokens.T @ d_queries,
+        "w_key": tokens.T @ d_keys,
+        "w_value": tokens.T @ d_values,
+        "w_out": context.T @ d_mixed,
+        "w_head": mixed.T @ d_pred,
+        "b_head": d_pred.sum(axis=0),
+    }
+    return loss, grads
+
+
+def reference_train_epoch(batches, params, config, epoch=0):
+    """``train_epoch`` one window at a time, on 2-D arrays.
+
+    Each window's gradients go into a list, the step uses their
+    ``sum() / n`` mean, and the batch loss is the running sum of window
+    losses over the batch size. Only the retained set comes from the
+    library (``plan_batch``), so this checks the step's arithmetic.
+    """
+    metrics = []
+    for batch_index, batch in enumerate(batches):
+        if config.vardrop_on:
+            plan = plan_batch(batch, config, epoch, batch_index)
+            retained, delta = list(plan.retained), plan.delta
+        else:
+            retained, delta = list(range(batch.n_variates)), 0.0
+        window_grads = []
+        loss_sum = 0.0
+        for window in batch.windows:
+            loss, grads = _window_loss_and_gradients(
+                window.data[retained], window.horizon[retained], params
+            )
+            window_grads.append(grads)
+            loss_sum += loss
+        params = ModelParams(**{
+            name: getattr(params, name)
+            - config.lr * (sum(g[name] for g in window_grads) / len(window_grads))
+            for name in PARAM_FIELDS
+        })
+        ledger = count_flops(
+            len(retained), batch.lookback, params.embed_dim, params.attn_dim,
+            batch.horizon_length,
+        )
+        metrics.append(BatchMetrics(
+            epoch=epoch,
+            batch_index=batch_index,
+            loss=loss_sum / batch.size,
+            tokens_used=len(retained),
+            delta=delta,
+            flops=batch.size * ledger.total,
+        ))
+    return params, metrics
 
 
 def max_rel_error(analytic, numeric):

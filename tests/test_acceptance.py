@@ -165,10 +165,10 @@ def test_a06_gradient_check():
         )
         params = vd.initialize_params(16, 4, 8, 4, seed=seed)
         retained = (0, 1, 2, 3, 4)
-        trace = vd.forward(window, params, retained)
+        trace = vd.forward((window,), params, retained)
         grads = vd.backward(trace, params)
         analytic = {name: getattr(grads, name) for name in PARAM_FIELDS}
-        numeric = numeric_gradients(window, params, retained)
+        numeric = numeric_gradients((window,), params, retained)
         worst = max(worst, max_rel_error(analytic, numeric))
     elapsed = time.perf_counter() - started
     verdict(
@@ -391,8 +391,8 @@ def _determinism_digest():
         horizon=np.random.default_rng(43).normal(size=(5, 4)),
     )
     params = vd.initialize_params(16, 4, 8, 4, seed=42)
-    grads = vd.backward(vd.forward(window, params, range(5)), params)
-    pieces["gradients"] = {"w_embed": grads.w_embed, "b_head": grads.b_head}
+    grads = vd.backward(vd.forward((window,), params, range(5)), params)
+    pieces["gradients"] = {"w_embed": grads.w_embed[0], "b_head": grads.b_head[0]}
 
     table = vd.synth_redundant(16, 4, 800, 0.05, seed=7)
     batches = vd.batch_windows(vd.sliding_windows(table, 96, 16, 32), 8)

@@ -353,6 +353,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error [parse]: {bad}: not UTF-8 text (invalid start byte)\n"
 
+    def test_oversized_field_is_parse_error(self, tmp_path, capsys):
+        # numpy's reader takes the 200,000-digit cell, then stops at the bad
+        # cell, so the row parser runs and meets csv's field size limit first
+        bad = tmp_path / "wide.csv"
+        bad.write_text("a,b\n1,2\n" + "0" * 200_000 + ",1\n3,x\n")
+        code = main(["hash", "-o", str(tmp_path / "o"), f"--data={bad}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error [parse]: {bad}:3: field larger than field limit (131072)\n"
+
     def test_quote_delimiter_is_parse_error(self, tmp_path, capsys):
         # numpy's reader refuses '"' as a delimiter; the row parser decides
         data = tmp_path / "d.csv"

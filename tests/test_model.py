@@ -6,12 +6,17 @@ from dataclasses import fields, replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import vardrop.model as model
 
 from vardrop import (
     ModelParams,
     MultivariateWindow,
     NumericError,
     ParameterError,
+    SeriesTable,
     SplitSpec,
     TrainSettings,
     WindowBatch,
@@ -34,7 +39,7 @@ from vardrop import (
     validation_loss,
 )
 
-from helpers import matmul_loops, max_rel_error, numeric_gradients
+from helpers import matmul_loops, max_rel_error, numeric_gradients, reference_train_epoch
 
 
 def make_window(rng, n=6, lookback=16, horizon=4):
@@ -97,14 +102,14 @@ class TestEmbed:
         p = initialize_params(8, 2, 4, 2, seed=0)
         p = sgd_step(p, _zero_grads_like(p), 1.0)  # no-op, keeps types honest
         window = MultivariateWindow(np.zeros((3, 8)), start=0)
-        bias = embed(window.data[[0, 1, 2]], p)
-        npt.assert_array_equal(bias, np.tile(p.b_embed, (3, 1)))
+        bias = embed(window.data[None, [0, 1, 2]], p)
+        npt.assert_array_equal(bias, np.tile(p.b_embed, (1, 3, 1)))
 
     def test_matches_loop_matmul(self):
         rng = np.random.default_rng(2)
         p = initialize_params(8, 2, 4, 2, seed=2)
         window = MultivariateWindow(rng.normal(size=(5, 8)), start=0)
-        got = embed(window.data[[0, 2, 4]], p)
+        got = embed(window.data[None, [0, 2, 4]], p)[0]
         want = matmul_loops(window.data[[0, 2, 4]], p.w_embed) + p.b_embed
         npt.assert_allclose(got, want, rtol=1e-12)
 
@@ -112,17 +117,24 @@ class TestEmbed:
         rng = np.random.default_rng(3)
         p = initialize_params(8, 2, 4, 2, seed=3)
         window = MultivariateWindow(rng.normal(size=(6, 8)), start=0)
-        dense = embed(window.data, p)
-        sub = embed(window.data[[1, 4]], p)
-        npt.assert_array_equal(sub, dense[[1, 4]])
+        dense = embed(window.data[None], p)
+        sub = embed(window.data[None, [1, 4]], p)
+        npt.assert_array_equal(sub, dense[:, [1, 4]])
 
     def test_lookback_mismatch(self):
         p = initialize_params(8, 2, 4, 2, seed=0)
         window = MultivariateWindow(np.zeros((3, 9)), start=0)
         with pytest.raises(ParameterError):
-            embed(window.data[[0]], p)
+            embed(window.data[None, [0]], p)
         with pytest.raises(ParameterError):
-            embed(np.zeros(8), p)  # one row, not an N' x T matrix
+            embed(np.zeros(8), p)  # one row, not a c x N' x T stack
+        with pytest.raises(ParameterError):
+            embed(np.zeros((3, 8)), p)  # one window's rows, not a stack of one
+
+
+def _first_window(grads):
+    """The first window's gradients out of a per-window gradient stack."""
+    return ModelParams(**{f.name: getattr(grads, f.name)[0] for f in fields(grads)})
 
 
 def _zero_grads_like(params):
@@ -138,17 +150,17 @@ class TestAttention:
     def test_single_token(self):
         p = initialize_params(8, 2, 4, 2, seed=4)
         rng = np.random.default_rng(4)
-        tokens = rng.normal(size=(1, 4))
+        tokens = rng.normal(size=(1, 1, 4))
         frag = attention(tokens, p)
-        npt.assert_array_equal(frag.weights, [[1.0]])
+        npt.assert_array_equal(frag.weights, [[[1.0]]])
         npt.assert_allclose(frag.context, frag.values, rtol=1e-15)
 
     def test_identical_tokens_uniform_weights(self):
         p = initialize_params(8, 2, 4, 2, seed=5)
         token = np.random.default_rng(5).normal(size=4)
-        tokens = np.tile(token, (5, 1))
+        tokens = np.tile(token, (1, 5, 1))
         frag = attention(tokens, p)
-        npt.assert_allclose(frag.weights, np.full((5, 5), 0.2), rtol=1e-12)
+        npt.assert_allclose(frag.weights, np.full((1, 5, 5), 0.2), rtol=1e-12)
         npt.assert_allclose(frag.context, frag.values, rtol=1e-12)
 
     def test_hand_computed_scores(self):
@@ -160,16 +172,16 @@ class TestAttention:
             embed_dim=2,
             attn_dim=1,
         )
-        frag = attention(np.eye(2), p)
-        npt.assert_allclose(frag.weights[0], [0.25, 0.75], rtol=1e-12)
-        npt.assert_allclose(frag.weights[1], [0.5, 0.5], rtol=1e-12)
-        npt.assert_allclose(frag.context, [[17.5], [15.0]], rtol=1e-12)
+        frag = attention(np.eye(2)[None], p)
+        npt.assert_allclose(frag.weights[0, 0], [0.25, 0.75], rtol=1e-12)
+        npt.assert_allclose(frag.weights[0, 1], [0.5, 0.5], rtol=1e-12)
+        npt.assert_allclose(frag.context, [[[17.5], [15.0]]], rtol=1e-12)
 
     def test_rows_sum_to_one(self):
         p = initialize_params(8, 2, 16, 8, seed=6)
-        tokens = np.random.default_rng(6).normal(size=(12, 16)) * 10.0
+        tokens = np.random.default_rng(6).normal(size=(3, 12, 16)) * 10.0
         frag = attention(tokens, p)
-        npt.assert_allclose(frag.weights.sum(axis=1), np.ones(12), atol=1e-9)
+        npt.assert_allclose(frag.weights.sum(axis=2), np.ones((3, 12)), atol=1e-9)
         assert np.all(frag.weights >= 0.0)
 
     def test_score_scale(self):
@@ -182,25 +194,27 @@ class TestAttention:
             attn_dim=2,
         )
         tokens = np.array([[3.0, 0.0], [0.0, 2.0]])
-        frag = attention(tokens, p)
+        frag = attention(tokens[None], p)
         raw = tokens @ tokens.T / math.sqrt(2.0)
         shifted = raw - raw.max(axis=1, keepdims=True)
         want = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-        npt.assert_allclose(frag.weights, want, rtol=1e-12)
+        npt.assert_allclose(frag.weights[0], want, rtol=1e-12)
 
     def test_non_finite_tokens_rejected(self):
         p = initialize_params(8, 2, 4, 2, seed=7)
-        tokens = np.zeros((3, 4))
-        tokens[1, 2] = np.inf
+        tokens = np.zeros((1, 3, 4))
+        tokens[0, 1, 2] = np.inf
         with pytest.raises(NumericError):
             attention(tokens, p)
 
     def test_shape_validation(self):
         p = initialize_params(8, 2, 4, 2, seed=7)
         with pytest.raises(ParameterError):
-            attention(np.zeros((3, 5)), p)
+            attention(np.zeros((1, 3, 5)), p)
         with pytest.raises(ParameterError):
             attention(np.zeros(4), p)
+        with pytest.raises(ParameterError):
+            attention(np.zeros((3, 4)), p)  # one window's tokens, not a stack
 
 
 class TestForward:
@@ -218,73 +232,73 @@ class TestForward:
             w_head=np.zeros_like(p.w_head),
             b_head=np.array([1.5, -2.0, 0.25]),
         )
-        trace = forward(window, zeroed, (0, 1, 2, 3))
-        npt.assert_array_equal(trace.predictions, np.tile([1.5, -2.0, 0.25], (4, 1)))
+        trace = forward((window,), zeroed, (0, 1, 2, 3))
+        npt.assert_array_equal(trace.predictions, np.tile([1.5, -2.0, 0.25], (1, 4, 1)))
 
     def test_loss_matches_recompute(self):
         rng = np.random.default_rng(9)
         window = make_window(rng)
         p = initialize_params(16, 4, 8, 4, seed=9)
         retained = (0, 2, 3)
-        trace = forward(window, p, retained)
+        trace = forward((window,), p, retained)
         # straight-line recompute from the public pieces
-        tokens = embed(window.data[list(retained)], p)
+        tokens = embed(window.data[None, list(retained)], p)
         frag = attention(tokens, p)
         preds = (frag.context @ p.w_out) @ p.w_head + p.b_head
         npt.assert_allclose(trace.predictions, preds, rtol=1e-15)
         target = window.horizon[[0, 2, 3]]
-        assert abs(trace.loss - np.mean((preds - target) ** 2)) < 1e-15
+        assert abs(trace.losses[0] - np.mean((preds[0] - target) ** 2)) < 1e-15
 
     def test_perfect_predictions_zero_loss(self):
         rng = np.random.default_rng(10)
         base = make_window(rng, n=3, lookback=8, horizon=2)
         p = initialize_params(8, 2, 4, 2, seed=10)
-        trace = forward(base, p, (0, 1, 2))
-        window = MultivariateWindow(base.data, start=0, horizon=trace.predictions)
-        again = forward(window, p, (0, 1, 2))
-        assert again.loss == 0.0
+        trace = forward((base,), p, (0, 1, 2))
+        window = MultivariateWindow(base.data, start=0, horizon=trace.predictions[0])
+        again = forward((window,), p, (0, 1, 2))
+        assert again.losses[0] == 0.0
 
     def test_requires_horizon(self):
         p = initialize_params(8, 2, 4, 2, seed=0)
         window = MultivariateWindow(np.zeros((2, 8)), start=0)
         with pytest.raises(ParameterError):
-            forward(window, p, (0, 1))
+            forward((window,), p, (0, 1))
 
     def test_horizon_width_mismatch(self):
         rng = np.random.default_rng(11)
         window = make_window(rng, n=2, lookback=8, horizon=5)
         p = initialize_params(8, 2, 4, 2, seed=0)
         with pytest.raises(ParameterError):
-            forward(window, p, (0, 1))
+            forward((window,), p, (0, 1))
 
     def test_retained_validation(self):
         p = initialize_params(8, 2, 4, 2, seed=0)
         window = MultivariateWindow(np.zeros((3, 8)), start=0, horizon=np.zeros((3, 2)))
         with pytest.raises(ParameterError):
-            forward(window, p, ())
+            forward((window,), p, ())
         with pytest.raises(ParameterError):
-            forward(window, p, (0, 0))
+            forward((window,), p, (0, 0))
         with pytest.raises(ParameterError):
-            forward(window, p, (0, 3))
+            forward((window,), p, (0, 3))
 
     def test_keeping_all_in_order_passes_window_through(self):
         table = synth_redundant(7, 3, 120, 0.1, seed=30)
         p = initialize_params(32, 4, 8, 4, seed=30)
         for window in sliding_windows(table, 32, 4, 20):
-            trace = forward(window, p, range(7))
+            trace = forward((window,), p, range(7))
             assert np.shares_memory(trace.rows, window.data)
             assert np.shares_memory(trace.target, window.horizon)
-            npt.assert_array_equal(trace.predictions, predict_full(window, p))
+            npt.assert_array_equal(trace.predictions[0], predict_full(window, p))
 
     def test_permutation_of_all_still_gathers(self):
         table = synth_redundant(7, 3, 120, 0.1, seed=31)
         p = initialize_params(32, 4, 8, 4, seed=31)
         window = sliding_windows(table, 32, 4, 20)[0]
         order = [6, 5, 4, 3, 2, 1, 0]
-        trace = forward(window, p, order)
+        trace = forward((window,), p, order)
         assert not np.shares_memory(trace.rows, window.data)
-        npt.assert_array_equal(trace.rows, window.data[order])
-        npt.assert_array_equal(trace.target, window.horizon[order])
+        npt.assert_array_equal(trace.rows[0], window.data[order])
+        npt.assert_array_equal(trace.target[0], window.horizon[order])
 
 
 class TestBackward:
@@ -292,9 +306,9 @@ class TestBackward:
         rng = np.random.default_rng(12)
         base = make_window(rng, n=3, lookback=8, horizon=2)
         p = initialize_params(8, 2, 4, 2, seed=12)
-        trace = forward(base, p, (0, 1, 2))
-        window = MultivariateWindow(base.data, start=0, horizon=trace.predictions)
-        grads = backward(forward(window, p, (0, 1, 2)), p)
+        trace = forward((base,), p, (0, 1, 2))
+        window = MultivariateWindow(base.data, start=0, horizon=trace.predictions[0])
+        grads = backward(forward((window,), p, (0, 1, 2)), p)
         for name in (
             "w_embed", "b_embed", "w_query", "w_key",
             "w_value", "w_out", "w_head", "b_head",
@@ -302,35 +316,43 @@ class TestBackward:
             npt.assert_array_equal(getattr(grads, name), 0.0)
 
     def test_finite_differences(self):
+        # a stack of distinct windows: each window's slice of the gradient
+        # stack must match central differences of that window's loss alone
         rng = np.random.default_rng(13)
-        window = MultivariateWindow(
-            rng.normal(size=(6, 16)), start=0, horizon=rng.normal(size=(6, 4))
+        windows = tuple(
+            MultivariateWindow(
+                rng.normal(size=(6, 16)), start=0, horizon=rng.normal(size=(6, 4))
+            )
+            for _ in range(3)
         )
         p = initialize_params(16, 4, 8, 4, seed=13)
         retained = (0, 1, 3, 4, 5)
-        trace = forward(window, p, retained)
+        trace = forward(windows, p, retained)
         grads = backward(trace, p)
         analytic = {
             name: getattr(grads, name)
             for name in numeric_gradients.__globals__["PARAM_FIELDS"]
         }
-        numeric = numeric_gradients(window, p, retained)
+        numeric = numeric_gradients(windows, p, retained)
+        assert all(a.shape[0] == 3 for a in analytic.values())
         assert max_rel_error(analytic, numeric) < 1e-4
+        for i in range(3):
+            assert not np.allclose(analytic["w_embed"][i], analytic["w_embed"][(i + 1) % 3])
 
     def test_gradients_linear_in_residual(self):
         rng = np.random.default_rng(14)
         window = make_window(rng, n=4, lookback=8, horizon=3)
         p = initialize_params(8, 3, 4, 2, seed=14)
         retained = (0, 1, 2, 3)
-        trace = forward(window, p, retained)
+        trace = forward((window,), p, retained)
         g1 = backward(trace, p)
         # move the targets so the residual exactly doubles
         stretched = MultivariateWindow(
             window.data,
             start=0,
-            horizon=2.0 * window.horizon - trace.predictions,
+            horizon=2.0 * window.horizon - trace.predictions[0],
         )
-        g2 = backward(forward(stretched, p, retained), p)
+        g2 = backward(forward((stretched,), p, retained), p)
         for name in ("w_embed", "w_query", "w_out", "b_head"):
             npt.assert_allclose(
                 getattr(g2, name), 2.0 * getattr(g1, name), rtol=1e-12, atol=1e-15
@@ -354,7 +376,7 @@ class TestSgdStep:
         rng = np.random.default_rng(17)
         p = initialize_params(8, 2, 4, 2, seed=17)
         window = make_window(rng, n=3, lookback=8, horizon=2)
-        g = backward(forward(window, p, (0, 1)), p)
+        g = _first_window(backward(forward((window,), p, (0, 1)), p))
         stepped = sgd_step(p, g, 0.1)
         npt.assert_allclose(stepped.w_query, p.w_query - 0.1 * g.w_query, rtol=1e-15)
         # inputs untouched
@@ -391,11 +413,11 @@ class TestCountFlops:
         window = make_window(rng, n=5, lookback=16, horizon=4)
         p = initialize_params(16, 4, 8, 4, seed=18)
         retained = (0, 1, 2, 4)
-        trace = forward(window, p, retained)
-        n, d = trace.tokens.shape
-        dk = trace.queries.shape[1]
+        trace = forward((window,), p, retained)
+        _, n, d = trace.tokens.shape
+        dk = trace.queries.shape[2]
         t = window.lookback
-        h = trace.predictions.shape[1]
+        h = trace.predictions.shape[2]
         ledger = count_flops(n, t, d, dk, h)
         assert ledger.embed == 2 * n * t * d + n * d
         assert ledger.qkv == 3 * (2 * n * d * dk)
@@ -507,7 +529,7 @@ class TestTrainEpoch:
         assert [m.delta for m in metrics] == [p.delta for p in plans]
         assert len({m.tokens_used for m in metrics}) > 1
         # the first step starts from p0, so its loss pins the retained set too
-        first = [forward(w, p0, plans[0].retained).loss for w in batches[0].windows]
+        first = [forward((w,), p0, plans[0].retained).losses[0] for w in batches[0].windows]
         assert metrics[0].loss == sum(first) / batches[0].size
 
     def test_requires_horizons(self):
@@ -522,6 +544,134 @@ class TestTrainEpoch:
         p0 = initialize_params(48, 8, 8, 4, seed=0)
         with pytest.raises(ParameterError):
             train_epoch([], p0, TrainSettings(epsilon=24))
+
+
+def assert_same_run(got, want):
+    """Bit-identical parameters and batch metrics."""
+    (p_got, m_got), (p_want, m_want) = got, want
+    for f in fields(p_got):
+        npt.assert_array_equal(getattr(p_got, f.name), getattr(p_want, f.name))
+    assert m_got == m_want
+
+
+@pytest.fixture
+def forward_sizes(monkeypatch):
+    """Record the stack size of every forward call train_epoch makes."""
+    sizes = []
+    real = model.forward
+
+    def recording(windows, *args):
+        sizes.append(len(windows))
+        return real(windows, *args)
+
+    monkeypatch.setattr(model, "forward", recording)
+    return sizes
+
+
+class TestChunkedStep:
+    def test_stack_matches_windows_one_at_a_time(self):
+        batch = make_batches()[0]
+        p = initialize_params(48, 8, 16, 8, seed=40)
+        retained = (0, 3, 5, 6, 9, 15)
+        stacked = forward(batch.windows, p, retained)
+        grads = backward(stacked, p)
+        assert stacked.predictions.shape == (batch.size, 6, 8)
+        for i, window in enumerate(batch.windows):
+            alone = forward((window,), p, retained)
+            npt.assert_array_equal(stacked.predictions[i], alone.predictions[0])
+            assert stacked.losses[i] == alone.losses[0]
+            single = backward(alone, p)
+            for f in fields(grads):
+                npt.assert_array_equal(getattr(grads, f.name)[i], getattr(single, f.name)[0])
+
+    def test_stack_validation(self):
+        rng = np.random.default_rng(41)
+        p = initialize_params(16, 4, 8, 4, seed=41)
+        with pytest.raises(ParameterError):
+            forward((), p, (0,))
+        with pytest.raises(ParameterError):
+            forward((make_window(rng, n=6), make_window(rng, n=5)), p, (0, 1))
+        with pytest.raises(ParameterError):
+            forward((make_window(rng), make_window(rng, lookback=17)), p, (0, 1))
+        with pytest.raises(ParameterError):
+            forward((make_window(rng), make_window(rng, horizon=3)), p, (0, 1))
+
+    def test_one_overflowing_window_in_a_chunk_raises(self):
+        rng = np.random.default_rng(42)
+        windows = [make_window(rng) for _ in range(3)]
+        windows[1] = MultivariateWindow(
+            windows[1].data * 1e200, start=0, horizon=windows[1].horizon
+        )
+        p = initialize_params(16, 4, 8, 4, seed=42)
+        with pytest.raises(NumericError):
+            forward(windows, p, range(6))
+        batch = WindowBatch(tuple(windows))
+        assert model._chunk_size(6, p) >= batch.size
+        with pytest.raises(NumericError):
+            train_epoch([batch], p, TrainSettings(epsilon=8, vardrop_on=False))
+
+    def test_chunk_size_shrinks_to_one_as_tokens_grow(self):
+        p = initialize_params(96, 96, 64, 32, seed=0)
+        sizes = [model._chunk_size(n, p) for n in range(1, 900)]
+        assert all(a >= b >= 1 for a, b in zip(sizes, sizes[1:]))
+        assert model._chunk_size(16, p) > 1
+        assert model._chunk_size(321, p) == model._chunk_size(862, p) == 1
+
+    @pytest.mark.parametrize("vardrop_on", [False, True])
+    def test_partial_last_chunk_keeps_the_bits(self, monkeypatch, forward_sizes, vardrop_on):
+        batches = make_batches(sigma=1.0, batch=11)
+        p0 = initialize_params(48, 8, 16, 8, seed=43)
+        cfg = TrainSettings(k=3, epsilon=24, gs=1, lr=0.02, seed=43, vardrop_on=vardrop_on)
+        monkeypatch.setattr(model, "_CHUNK_BUDGET", 20_000)
+        got = train_epoch(batches, p0, cfg, epoch=1)
+        assert max(forward_sizes) > 1
+        assert any(batch.size % model._chunk_size(m.tokens_used, p0)
+                   for batch, m in zip(batches, got[1]))
+        assert len(forward_sizes) > len(batches)
+        assert sum(forward_sizes) == sum(b.size for b in batches)
+        assert_same_run(got, reference_train_epoch(batches, p0, cfg, epoch=1))
+
+    def test_chunk_of_one_keeps_the_bits(self, monkeypatch, forward_sizes):
+        batches = make_batches()
+        p0 = initialize_params(48, 8, 16, 8, seed=44)
+        cfg = TrainSettings(k=3, epsilon=24, gs=2, lr=0.02, seed=44)
+        monkeypatch.setattr(model, "_CHUNK_BUDGET", 1)
+        got = train_epoch(batches, p0, cfg)
+        assert set(forward_sizes) == {1}
+        assert_same_run(got, reference_train_epoch(batches, p0, cfg))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=80),
+        groups=st.integers(min_value=1, max_value=80),
+        n_windows=st.integers(min_value=1, max_value=60),
+        batch=st.integers(min_value=1, max_value=40),
+        lookback=st.integers(min_value=10, max_value=40),
+        horizon=st.integers(min_value=1, max_value=16),
+        embed_dim=st.integers(min_value=1, max_value=12),
+        attn_dim=st.integers(min_value=1, max_value=8),
+        gs=st.integers(min_value=1, max_value=4),
+        vardrop_on=st.booleans(),
+        budget=st.one_of(st.just(1), st.integers(1, 50_000), st.just(model._CHUNK_BUDGET)),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_matches_the_window_loop(self, n, groups, n_windows, batch, lookback, horizon,
+                                     embed_dim, attn_dim, gs, vardrop_on, budget, seed):
+        stride = 3
+        rng = np.random.default_rng(seed)
+        length = lookback + horizon + stride * (n_windows - 1)
+        # variates repeat noisy copies of a few random prototypes, so hashing
+        # finds groups of several members and gs thins them
+        prototypes = rng.normal(size=(min(groups, n), length))
+        values = prototypes[np.arange(n) % len(prototypes)] + 0.1 * rng.normal(size=(n, length))
+        table = SeriesTable(tuple(f"v{i}" for i in range(n)), values)
+        batches = batch_windows(sliding_windows(table, lookback, horizon, stride), batch)
+        p0 = initialize_params(lookback, horizon, embed_dim, attn_dim, seed=seed)
+        cfg = TrainSettings(k=2, epsilon=5, gs=gs, lr=1e-3, seed=seed, vardrop_on=vardrop_on)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_CHUNK_BUDGET", budget)
+            got = train_epoch(batches, p0, cfg, epoch=seed % 3)
+        assert_same_run(got, reference_train_epoch(batches, p0, cfg, epoch=seed % 3))
 
 
 def writable_copy(batch):
@@ -648,8 +798,8 @@ class TestPredictFull:
         rng = np.random.default_rng(24)
         window = make_window(rng, n=5, lookback=16, horizon=4)
         p = initialize_params(16, 4, 8, 4, seed=24)
-        trace = forward(window, p, range(5))
-        npt.assert_array_equal(predict_full(window, p), trace.predictions)
+        trace = forward((window,), p, range(5))
+        npt.assert_array_equal(predict_full(window, p), trace.predictions[0])
 
     def test_equals_dense_forward_on_table_views(self):
         # predict_full embeds the window's strided view of the table; forward
@@ -658,7 +808,7 @@ class TestPredictFull:
         p = initialize_params(32, 4, 8, 4, seed=29)
         for window in sliding_windows(table, 32, 4, 20):
             assert not window.data.flags.c_contiguous
-            dense = forward(window, p, range(7)).predictions
+            dense = forward((window,), p, range(7)).predictions[0]
             npt.assert_array_equal(predict_full(window, p), dense)
 
     def test_no_horizon_needed(self):
