@@ -75,7 +75,6 @@ from .reduction import (
     stratified_sample,
 )
 from .spectral import (
-    HashValue,
     batch_mean_spectrum,
     dominant_frequencies,
     kdfh,
@@ -101,7 +100,6 @@ __all__ = [
     "synth_redundant",
     "synth_redundant_detail",
     # spectral
-    "HashValue",
     "batch_mean_spectrum",
     "dominant_frequencies",
     "kdfh",

@@ -54,7 +54,7 @@ from .model import (
     train_epoch,
     validation_loss,
 )
-from .reduction import GroupTable, reduction_report
+from .reduction import GroupTable, ReductionSummary, reduction_report
 
 __all__ = ["RunConfig", "validate_config", "parse_config_file", "main"]
 
@@ -335,12 +335,12 @@ def _write_hashes(config: RunConfig, batch: WindowBatch, out: Path) -> GroupTabl
     hashes = [""] * batch.n_variates
     for key, idx in groups.groups.items():
         for i in idx:
-            hashes[i] = key.text
+            hashes[i] = key
     payload = {
         "k": config.k,
         "epsilon": config.epsilon,
         "hashes": hashes,
-        "groups": {key.text: list(idx) for key, idx in groups.groups.items()},
+        "groups": {key: list(idx) for key, idx in groups.groups.items()},
     }
     _write_text(out / "hashes.json", canonical_json(payload))
     return groups
@@ -382,10 +382,10 @@ def _cmd_reduce(config: RunConfig, out: Path) -> None:
         "seed": first.seed,
         "retained": list(first.retained),
         "delta": first.delta,
-        "per_group": {key.text: list(idx) for key, idx in first.per_group.items()},
+        "per_group": {key: list(idx) for key, idx in first.per_group.items()},
     }
     _write_text(out / "report.json", canonical_json(payload))
-    summary = reduction_report(plans)
+    summary = reduction_report([len(p.retained) for p in plans], [p.delta for p in plans])
     print(
         f"reduce: {summary.n_plans} iterations, mean tokens "
         f"{_fmt(summary.mean_tokens)} +- {_fmt(summary.std_tokens)}, "
@@ -437,6 +437,10 @@ def _cmd_analyze(config: RunConfig, out: Path) -> None:
     )
 
 
+def _reduction_summary(metrics) -> ReductionSummary:
+    return reduction_report([m.tokens_used for m in metrics], [m.delta for m in metrics])
+
+
 def _cmd_train(config: RunConfig, out: Path) -> None:
     table = _load_table(config)
     train_batches, val_batches = _split_batches(table, config)
@@ -453,14 +457,13 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
         elapsed = time.perf_counter() - started
         all_metrics.extend(metrics)
         mean_loss = float(np.mean([m.loss for m in metrics]))
-        mean_tokens = float(np.mean([m.tokens_used for m in metrics]))
-        mean_delta = float(np.mean([m.delta for m in metrics]))
+        summary = _reduction_summary(metrics)
         epoch_rows.append(
             {
                 "epoch": epoch,
                 "mean_loss": mean_loss,
-                "mean_tokens": mean_tokens,
-                "mean_delta": mean_delta,
+                "mean_tokens": summary.mean_tokens,
+                "mean_delta": summary.mean_delta,
             }
         )
         per_iter = elapsed / len(metrics)
@@ -468,8 +471,8 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
             f"epoch {epoch}: {elapsed:.3f} s ({per_iter:.4f} s/iteration)"
         )
         print(
-            f"epoch {epoch}: loss={_fmt(mean_loss)} tokens={_fmt(mean_tokens)} "
-            f"delta={_fmt(mean_delta)} ({elapsed:.3f} s)"
+            f"epoch {epoch}: loss={_fmt(mean_loss)} tokens={_fmt(summary.mean_tokens)} "
+            f"delta={_fmt(summary.mean_delta)} ({elapsed:.3f} s)"
         )
 
     _write_csv_rows(
@@ -485,15 +488,7 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
         ["iteration", "tokens_used", "delta"],
         [[i, m.tokens_used, m.delta] for i, m in enumerate(all_metrics)],
     )
-
-    tokens = np.array([m.tokens_used for m in all_metrics], dtype=np.float64)
-    deltas = np.array([m.delta for m in all_metrics], dtype=np.float64)
-    attention_total = 0
-    for m in all_metrics:
-        batch_size = train_batches[m.batch_index].size
-        attention_total += batch_size * count_flops(
-            m.tokens_used, config.T, config.d, config.d_k, config.H
-        ).attention
+    summary = _reduction_summary(all_metrics)
     val_loss = validation_loss(params, val_batches)
 
     arrays = {f.name: getattr(params, f.name) for f in fields(params)}
@@ -501,13 +496,13 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
     report = {
         "epochs": epoch_rows,
         "reduction": {
-            "mean_tokens": float(tokens.mean()),
-            "std_tokens": float(tokens.std()),
-            "mean_delta": float(deltas.mean()),
+            "mean_tokens": summary.mean_tokens,
+            "std_tokens": summary.std_tokens,
+            "mean_delta": summary.mean_delta,
         },
         "flops": {
-            "total": int(sum(m.flops for m in all_metrics)),
-            "attention": int(attention_total),
+            "total": sum(m.flops for m in all_metrics),
+            "attention": sum(m.attention_flops for m in all_metrics),
         },
         "val_loss": val_loss,
         "checkpoint": {"shapes": shapes, "seed": config.seed},

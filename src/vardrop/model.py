@@ -436,7 +436,11 @@ class TrainSettings:
 
 @dataclass(frozen=True)
 class BatchMetrics:
-    """Per-batch training record: loss on kept tokens plus reduction stats."""
+    """Per-batch training record: loss on kept tokens plus reduction stats.
+
+    ``flops`` and ``attention_flops`` are the batch's forward and attention
+    FLOPs from one ``count_flops`` ledger at the kept token count.
+    """
 
     epoch: int
     batch_index: int
@@ -444,6 +448,7 @@ class BatchMetrics:
     tokens_used: int
     delta: float
     flops: int
+    attention_flops: int
 
 
 def hash_groups(batch: WindowBatch, config: TrainSettings) -> GroupTable:
@@ -458,8 +463,8 @@ def hash_groups(batch: WindowBatch, config: TrainSettings) -> GroupTable:
     frozen = batch.frozen
     if frozen and key in batch.memo:
         return batch.memo[key]
-    hashes = kdfh(batch, config.k, config.epsilon, normalize=config.normalize_windows)
-    groups = group_by_hash(hashes)
+    bins = kdfh(batch, config.k, config.epsilon, normalize=config.normalize_windows)
+    groups = group_by_hash(bins)
     if frozen:
         batch.memo[key] = groups
     return groups
@@ -514,7 +519,8 @@ def train_epoch(
     from 0 as ``sum()`` starts, so every chunk size gives the same bits as
     one window at a time. With reduction off every variate is kept and
     delta is 0, through the same code path.
-    Reported FLOPs are the forward cost of the batch at the kept token count.
+    Reported FLOPs are the forward and attention cost of the batch at the
+    kept token count.
     """
     if not batches:
         raise ParameterError("training needs at least one batch")
@@ -558,6 +564,7 @@ def train_epoch(
                 tokens_used=len(retained),
                 delta=delta,
                 flops=batch.size * ledger.total,
+                attention_flops=batch.size * ledger.attention,
             )
         )
     return params, metrics

@@ -6,7 +6,8 @@ token reduction ratio is ``delta = 1 - |retained| / N``, always below 1
 because every group keeps at least one member. Sampling is deterministic
 per (seed, group key): a group larger than ``gs`` draws from its own
 generator, so plans replay exactly and no two groups share a random stream;
-a smaller group is kept whole without drawing.
+a smaller group is kept whole without drawing. A group key is the hash's
+text, its bins joined by ``-`` (``"4-12-8"``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .spectral import HashValue
 
 __all__ = [
     "GroupTable",
@@ -39,16 +39,20 @@ def derive_seed(base_seed: int, tag: str) -> int:
 
 @dataclass(frozen=True)
 class GroupTable:
-    """Partition of variate indices by hash, in lexicographic key order."""
+    """Partition of variate indices by hash text, in lexicographic bin order."""
 
-    groups: dict[HashValue, tuple[int, ...]]
+    groups: dict[str, tuple[int, ...]]
 
     def __post_init__(self) -> None:
+        if not self.groups:
+            raise ParameterError("a group table needs at least one group")
         seen: set[int] = set()
         total = 0
         for key, idx in self.groups.items():
+            if not idx:
+                raise ParameterError(f"group {key} has no members")
             if tuple(sorted(idx)) != tuple(idx):
-                raise ParameterError(f"group {key.text} members not ascending")
+                raise ParameterError(f"group {key} members not ascending")
             seen.update(idx)
             total += len(idx)
         if seen != set(range(total)):
@@ -62,23 +66,31 @@ class GroupTable:
     def n_variates(self) -> int:
         return sum(len(idx) for idx in self.groups.values())
 
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(idx) for idx in self.groups.values())
 
+def group_by_hash(bins: np.ndarray) -> GroupTable:
+    """Group variate indices by identical rows of an ``N x k`` int bins array.
 
-def group_by_hash(hashes: list[HashValue]) -> GroupTable:
-    """Group variate indices by identical hash value.
-
-    Groups iterate in lexicographic key order; members ascend. Every variate
-    lands in exactly one group.
+    Each group is keyed by its row's text, bins joined by ``-``. Groups
+    iterate in ``np.unique``'s lexicographic row order; members ascend, as
+    a stable argsort of the row labels keeps them. Every variate lands in
+    exactly one group.
     """
-    if not hashes:
-        raise ParameterError("cannot group an empty hash list")
-    collected: dict[HashValue, list[int]] = {}
-    for i, h in enumerate(hashes):
-        collected.setdefault(h, []).append(i)
-    ordered = sorted(collected.items(), key=lambda item: item[0].key)
-    return GroupTable(groups={k: tuple(v) for k, v in ordered})
+    bins = np.asarray(bins)
+    if bins.ndim != 2 or bins.size == 0 or not np.issubdtype(bins.dtype, np.integer):
+        raise ParameterError(
+            f"expected a non-empty N x k int bins array, got {bins.dtype} {bins.shape}"
+        )
+    rows, inverse, counts = np.unique(
+        bins, axis=0, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(inverse.reshape(-1), kind="stable")
+    members = np.split(order, np.cumsum(counts)[:-1])
+    return GroupTable(
+        groups={
+            "-".join(map(str, row)): tuple(idx.tolist())
+            for row, idx in zip(rows.tolist(), members)
+        }
+    )
 
 
 @dataclass(frozen=True)
@@ -86,7 +98,7 @@ class ReductionPlan:
     """Which variates survive sampling and the per-group draws that chose them."""
 
     retained: tuple[int, ...]
-    per_group: dict[HashValue, tuple[int, ...]]
+    per_group: dict[str, tuple[int, ...]]
     gs: int
     delta: float
     seed: int
@@ -102,12 +114,12 @@ def stratified_sample(table: GroupTable, gs: int, seed: int) -> ReductionPlan:
     """
     if gs < 1:
         raise ParameterError(f"gs must be >= 1, got {gs}")
-    per_group: dict[HashValue, tuple[int, ...]] = {}
+    per_group: dict[str, tuple[int, ...]] = {}
     retained: list[int] = []
     for key, idx in table.groups.items():
         chosen = tuple(idx)
         if len(idx) > gs:
-            rng = np.random.default_rng(derive_seed(seed, key.text))
+            rng = np.random.default_rng(derive_seed(seed, key))
             drawn = rng.choice(np.array(idx, dtype=np.int64), size=gs, replace=False)
             chosen = tuple(int(i) for i in np.sort(drawn))
         per_group[key] = chosen
@@ -134,15 +146,18 @@ class ReductionSummary:
     n_plans: int
 
 
-def reduction_report(plans: Sequence[ReductionPlan]) -> ReductionSummary:
-    """Mean/stddev of retained counts and mean delta across plans."""
-    if not plans:
-        raise ParameterError("reduction report needs at least one plan")
-    tokens = np.array([len(p.retained) for p in plans], dtype=np.float64)
-    deltas = np.array([p.delta for p in plans], dtype=np.float64)
+def reduction_report(tokens: Sequence[int], deltas: Sequence[float]) -> ReductionSummary:
+    """Mean/stddev of retained-token counts and mean delta, one entry per plan."""
+    if len(tokens) == 0 or len(tokens) != len(deltas):
+        raise ParameterError(
+            f"reduction report needs equal, non-zero counts of tokens and deltas, "
+            f"got {len(tokens)} and {len(deltas)}"
+        )
+    counts = np.array(tokens, dtype=np.float64)
+    ratios = np.array(deltas, dtype=np.float64)
     return ReductionSummary(
-        mean_tokens=float(tokens.mean()),
-        std_tokens=float(tokens.std()),
-        mean_delta=float(deltas.mean()),
-        n_plans=len(plans),
+        mean_tokens=float(counts.mean()),
+        std_tokens=float(counts.std()),
+        mean_delta=float(ratios.mean()),
+        n_plans=len(counts),
     )

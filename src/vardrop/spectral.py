@@ -1,11 +1,12 @@
 """Dominant-frequency hashing of variates and its reconstruction bound.
 
-A variate's hash is the ordered tuple of its k strongest frequency bins,
+A variate's hash is the ordered row of its k strongest frequency bins,
 computed from the one-sided amplitude spectrum of its lookback window
 (averaged over a batch of windows) after a low-pass cut at bin ``epsilon``.
 Two variates with the same hash are treated as redundant downstream. The
 stages pass plain arrays: batch_mean_spectrum gives ``N x epsilon``
-amplitudes, dominant_frequencies ``N x k`` bins, kdfh one HashValue per row.
+amplitudes, dominant_frequencies and kdfh an ``N x k`` int array of bins.
+Row ``i`` is variate ``i``'s hash, written as text ``"4-12-8"``.
 
 Conventions fixed here and relied on throughout:
 
@@ -22,39 +23,17 @@ Conventions fixed here and relied on throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import MultivariateWindow, WindowBatch
 from .errors import ParameterError
 
 __all__ = [
-    "HashValue",
     "batch_mean_spectrum",
     "dominant_frequencies",
     "kdfh",
     "reconstruction_error",
 ]
-
-
-@dataclass(frozen=True)
-class HashValue:
-    """An ordered dominant-bin tuple; order matters, so (4,12,8) != (12,4,8)."""
-
-    key: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.key) < 1:
-            raise ParameterError("hash must contain at least one bin")
-        object.__setattr__(self, "key", tuple(int(b) for b in self.key))
-
-    @property
-    def text(self) -> str:
-        return "-".join(str(b) for b in self.key)
-
-    def __str__(self) -> str:
-        return self.text
 
 
 def _lookbacks(batch: np.ndarray | WindowBatch) -> list[np.ndarray] | np.ndarray:
@@ -105,13 +84,13 @@ def kdfh(
     k: int,
     epsilon: int,
     normalize: bool = False,
-) -> list[HashValue]:
+) -> np.ndarray:
     """Hash every variate of a window batch by its k dominant frequencies.
 
-    Composition of batch_mean_spectrum and dominant_frequencies; returns one
-    HashValue per variate. With ``normalize`` each window row is z-scored
-    over time first (the spectra see normalized values; callers keep the
-    raw data).
+    Composition of batch_mean_spectrum and dominant_frequencies; returns the
+    ``N x k`` int bins array, one row per variate. With ``normalize`` each
+    window row is z-scored over time first (the spectra see normalized
+    values; callers keep the raw data).
     """
     if normalize:
         scaled = []
@@ -120,8 +99,7 @@ def kdfh(
             std = data.std(axis=1, keepdims=True)
             scaled.append(MultivariateWindow((data - mean) / np.maximum(std, 1e-12)))
         batch = WindowBatch(tuple(scaled))
-    bins = dominant_frequencies(batch_mean_spectrum(batch, epsilon), k)
-    return [HashValue(key=tuple(row)) for row in bins]
+    return dominant_frequencies(batch_mean_spectrum(batch, epsilon), k)
 
 
 def reconstruction_error(signal: np.ndarray, k: int) -> tuple[float, float]:

@@ -200,6 +200,7 @@ def reference_train_epoch(batches, params, config, epoch=0):
             tokens_used=len(retained),
             delta=delta,
             flops=batch.size * ledger.total,
+            attention_flops=batch.size * ledger.attention,
         ))
     return params, metrics
 
@@ -252,3 +253,17 @@ def pearson_pair(x, y):
     if vx == 0.0 or vy == 0.0:
         return 0.0
     return cov / math.sqrt(vx * vy)
+
+
+def dict_grouping(bins):
+    """Reference grouping: a dict of row tuples, sorted by tuple key.
+
+    Returns ``(text, members)`` pairs, text being the bins joined by ``-``.
+    """
+    collected = {}
+    for i, row in enumerate(np.asarray(bins).tolist()):
+        collected.setdefault(tuple(row), []).append(i)
+    return [
+        ("-".join(str(b) for b in key), tuple(members))
+        for key, members in sorted(collected.items())
+    ]

@@ -1,0 +1,38 @@
+"""The benchmark's hashing checks hold on the package as it is.
+
+perfbench drives the package through its public names and checks the first
+batch's hash groups against its generator's labels. Running one short
+repeat here means a change to those names or their return types fails the
+test suite, not only a benchmark run.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("gen"), importlib.import_module("pipeline")
+
+
+def test_hashing_checks_pass_on_a_short_redundant_table(perfbench, tmp_path):
+    gen, pipeline = perfbench
+    spec = {"data": "redundant", "n": 64, "prototypes": 8, "sigma": 0.05}
+    csv_path = str(tmp_path / "table.csv")
+    labels = gen.generate(spec, pipeline.COMMON["length"], 3, csv_path)
+
+    wl = pipeline.Workload("redundant_reduced", 3, csv_path, list(labels))
+    rec = wl.repeat()
+    wl.verify_hashing(rec["first_batch"])
+    wl.verify(rec)
+
+    checks = {c["name"]: c for c in wl.checks}
+    assert {"groups_equal_labels", "delta_formula", "reduced_keeps_gs_per_group"} <= set(
+        checks
+    )
+    assert wl.failed == 0, [c for c in wl.checks if not c["ok"]]

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import vardrop.reduction as reduction
 from vardrop import (
     GroupTable,
-    HashValue,
     ParameterError,
     derive_seed,
     group_by_hash,
@@ -18,9 +18,7 @@ from vardrop import (
     synth_redundant_detail,
 )
 
-
-def key(*bins):
-    return HashValue(key=tuple(bins))
+from helpers import dict_grouping
 
 
 def table_of(sizes):
@@ -28,7 +26,7 @@ def table_of(sizes):
     groups = {}
     cursor = 0
     for g, size in enumerate(sizes):
-        groups[key(g + 1)] = tuple(range(cursor, cursor + size))
+        groups[str(g + 1)] = tuple(range(cursor, cursor + size))
         cursor += size
     return GroupTable(groups=groups)
 
@@ -48,57 +46,83 @@ class TestDeriveSeed:
 
 class TestGroupByHash:
     def test_shared_and_solo(self):
-        hashes = [key(1, 2), key(3, 4), key(1, 2)]
-        table = group_by_hash(hashes)
+        table = group_by_hash(np.array([[1, 2], [3, 4], [1, 2]]))
         assert table.G == 2
-        assert table.groups[key(1, 2)] == (0, 2)
-        assert table.groups[key(3, 4)] == (1,)
+        assert table.groups["1-2"] == (0, 2)
+        assert table.groups["3-4"] == (1,)
 
     def test_all_distinct(self):
-        hashes = [key(i) for i in range(5)]
-        table = group_by_hash(hashes)
+        table = group_by_hash(np.arange(5)[:, None])
         assert table.G == 5
-        assert table.sizes() == (1, 1, 1, 1, 1)
+        assert [len(idx) for idx in table.groups.values()] == [1] * 5
 
     def test_lexicographic_key_order(self):
-        hashes = [key(9, 1), key(2, 7), key(2, 3), key(9, 1)]
-        table = group_by_hash(hashes)
-        assert [k.key for k in table.groups] == [(2, 3), (2, 7), (9, 1)]
+        # integer order, not text order: "10-1" sorts after "9-1"
+        table = group_by_hash(np.array([[9, 1], [2, 7], [2, 3], [9, 1], [10, 1]]))
+        assert list(table.groups) == ["2-3", "2-7", "9-1", "10-1"]
 
     def test_synthetic_eight_groups(self):
         detail = synth_redundant_detail(64, 8, 384, 0.0, seed=21, period=96)
         batch = detail.table.values[:, :96][None]
         table = group_by_hash(kdfh(batch, k=3, epsilon=25))
         assert table.G == 8
-        assert table.sizes() == (8,) * 8
+        assert [len(idx) for idx in table.groups.values()] == [8] * 8
         # members of each group share one synthetic label
         for members in table.groups.values():
             labels = {detail.labels[i] for i in members}
             assert len(labels) == 1
 
     def test_empty_rejected(self):
+        for bins in (np.zeros((0, 3), dtype=np.int64), np.zeros((4, 0), dtype=np.int64)):
+            with pytest.raises(ParameterError):
+                group_by_hash(bins)
+
+    @pytest.mark.parametrize(
+        "bins",
+        [np.array([1, 2, 3]), np.ones((2, 2, 2), dtype=np.int64), np.array([[1.0, 2.0]])],
+    )
+    def test_rejects_non_2d_or_non_int(self, bins):
         with pytest.raises(ParameterError):
-            group_by_hash([])
+            group_by_hash(bins)
 
     @settings(max_examples=100, deadline=None)
     @given(assignment=st.lists(st.integers(0, 4), min_size=1, max_size=40))
     def test_partitions_indices(self, assignment):
-        hashes = [key(a) for a in assignment]
-        table = group_by_hash(hashes)
+        table = group_by_hash(np.array(assignment)[:, None])
         combined = sorted(i for idx in table.groups.values() for i in idx)
         assert combined == list(range(len(assignment)))
         for k_, members in table.groups.items():
-            assert all(assignment[i] == k_.key[0] for i in members)
+            assert all(str(assignment[i]) == k_ for i in members)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bins=arrays(
+            np.int64,
+            st.tuples(st.integers(1, 400), st.integers(1, 3)),
+            elements=st.integers(1, 4),
+        )
+    )
+    def test_matches_dict_grouping(self, bins):
+        table = group_by_hash(bins)
+        assert list(table.groups.items()) == dict_grouping(bins)
 
 
 class TestGroupTableValidation:
     def test_rejects_unsorted_members(self):
         with pytest.raises(ParameterError):
-            GroupTable(groups={key(1): (2, 0, 1)})
+            GroupTable(groups={"1": (2, 0, 1)})
 
     def test_rejects_non_partition(self):
         with pytest.raises(ParameterError):
-            GroupTable(groups={key(1): (0,), key(2): (2,)})
+            GroupTable(groups={"1": (0,), "2": (2,)})
+
+    def test_rejects_no_groups(self):
+        with pytest.raises(ParameterError):
+            GroupTable(groups={})
+
+    def test_rejects_empty_group(self):
+        with pytest.raises(ParameterError):
+            GroupTable(groups={"1": (0, 1), "2": ()})
 
 
 class TestStratifiedSample:
@@ -178,7 +202,7 @@ class TestStratifiedSample:
         assert plan.retained == tuple(range(40))
         assert plan.delta == 0.0
         stratified_sample(table_of([3, 2, 5, 1]), gs=2, seed=4)
-        assert tags == [key(1).text, key(3).text]
+        assert tags == ["1", "3"]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -195,10 +219,14 @@ class TestStratifiedSample:
         assert all(len(v) >= 1 for v in plan.per_group.values())
 
 
+def report_of(plans):
+    return reduction_report([len(p.retained) for p in plans], [p.delta for p in plans])
+
+
 class TestReductionReport:
     def test_identical_plans_zero_std(self):
         plans = [stratified_sample(table_of([6, 6]), 2, seed=s) for s in range(4)]
-        summary = reduction_report(plans)
+        summary = report_of(plans)
         assert summary.mean_tokens == 4.0
         assert summary.std_tokens == 0.0
         assert summary.n_plans == 4
@@ -209,7 +237,7 @@ class TestReductionReport:
             stratified_sample(table_of([118]), 118, seed=0),
             stratified_sample(table_of([119]), 119, seed=0),
         ]
-        summary = reduction_report(plans)
+        summary = report_of(plans)
         assert summary.mean_tokens == 118.0
         # population stddev of {117, 118, 119}
         assert abs(summary.std_tokens - np.sqrt(2.0 / 3.0)) < 1e-12
@@ -223,11 +251,13 @@ class TestReductionReport:
         counts = [len(p.retained) for p in plans]
         mean = sum(counts) / len(counts)
         var = sum((c - mean) ** 2 for c in counts) / len(counts)
-        summary = reduction_report(plans)
+        summary = report_of(plans)
         assert abs(summary.mean_tokens - mean) < 1e-12
         assert abs(summary.std_tokens - np.sqrt(var)) < 1e-12
         assert abs(summary.mean_delta - sum(p.delta for p in plans) / 50) < 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
-            reduction_report([])
+            reduction_report([], [])
+        with pytest.raises(ParameterError):
+            reduction_report([4, 5], [0.5])

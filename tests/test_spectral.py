@@ -5,7 +5,6 @@ import numpy.testing as npt
 import pytest
 
 from vardrop import (
-    HashValue,
     MultivariateWindow,
     ParameterError,
     SeriesTable,
@@ -13,6 +12,7 @@ from vardrop import (
     batch_mean_spectrum,
     batch_windows,
     dominant_frequencies,
+    group_by_hash,
     kdfh,
     reconstruction_error,
     sliding_windows,
@@ -225,8 +225,9 @@ class TestHashFromWindowViews:
     @pytest.mark.parametrize("normalize", [False, True])
     def test_kdfh_equals_tensor_path(self, views_and_tensor, normalize):
         batch, tensor = views_and_tensor
-        assert kdfh(batch, 4, 20, normalize=normalize) == kdfh(
-            tensor, 4, 20, normalize=normalize
+        npt.assert_array_equal(
+            kdfh(batch, 4, 20, normalize=normalize),
+            kdfh(tensor, 4, 20, normalize=normalize),
         )
 
 
@@ -234,35 +235,34 @@ class TestKdfh:
     def test_two_variate_fixture(self):
         v0 = sines(96, [4, 8, 12], [3.0, 1.0, 2.0])
         v1 = sines(96, [4, 8, 12], [2.0, 1.0, 3.0])
-        hashes = kdfh(np.stack([v0, v1])[None], k=3, epsilon=25)
-        assert hashes[0].text == "4-12-8"
-        assert hashes[1].text == "12-4-8"
-        assert hashes[0] != hashes[1]
+        bins = kdfh(np.stack([v0, v1])[None], k=3, epsilon=25)
+        npt.assert_array_equal(bins, [[4, 12, 8], [12, 4, 8]])
+        # order matters: the same bins in another order are another hash
+        assert list(group_by_hash(bins).groups) == ["4-12-8", "12-4-8"]
 
     def test_identical_rows_identical_hashes(self):
         rng = np.random.default_rng(9)
         row = rng.normal(size=64)
         tensor = np.stack([row, row, row])[None]
-        hashes = kdfh(tensor, k=4, epsilon=20)
-        assert hashes[0] == hashes[1] == hashes[2]
+        bins = kdfh(tensor, k=4, epsilon=20)
+        assert bins.shape == (3, 4)
+        npt.assert_array_equal(bins, np.repeat(bins[:1], 3, axis=0))
 
     def test_equals_composition_of_stages(self):
         rng = np.random.default_rng(10)
         tensor = rng.normal(size=(5, 7, 96))
         k, epsilon = 3, 25
         fused = kdfh(tensor, k, epsilon)
-        staged = [
-            HashValue(key=tuple(row))
-            for row in dominant_frequencies(batch_mean_spectrum(tensor, epsilon), k)
-        ]
-        assert fused == staged
+        staged = dominant_frequencies(batch_mean_spectrum(tensor, epsilon), k)
+        npt.assert_array_equal(fused, staged)
 
     def test_matches_brute_oracle(self):
         rng = np.random.default_rng(11)
         tensor = rng.normal(size=(4, 5, 48))
-        hashes = kdfh(tensor, k=3, epsilon=20)
+        bins = kdfh(tensor, k=3, epsilon=20)
+        assert np.issubdtype(bins.dtype, np.integer)
         keys = oracle_hash_keys(tensor, k=3, epsilon=20)
-        assert [h.key for h in hashes] == keys
+        assert [tuple(row) for row in bins.tolist()] == keys
 
     def test_normalize_flag(self):
         # scaling a row must not change its normalized hash
@@ -271,12 +271,11 @@ class TestKdfh:
         tensor = np.stack([row, 1000.0 * row])[None]
         plain = kdfh(tensor, k=3, epsilon=25)
         scaled = kdfh(tensor, k=3, epsilon=25, normalize=True)
-        assert plain[0].key == scaled[0].key == scaled[1].key
+        npt.assert_array_equal(scaled, plain[[0, 0]])
 
     def test_hash_text_format(self):
-        value = HashValue(key=(4, 12, 8))
-        assert value.text == "4-12-8"
-        assert str(value) == "4-12-8"
+        table = group_by_hash(np.array([[4, 12, 8]]))
+        assert list(table.groups) == ["4-12-8"]
 
     def test_noise_margin_invariance(self):
         # dominant bins at >= 2x the strongest noise bin never flip the hash
@@ -293,7 +292,7 @@ class TestKdfh:
             assert 2.0 * 96 / 2 >= 2.0 * noise_amp  # margin condition holds
             a = kdfh(clean[None, None], k=3, epsilon=25)
             b = kdfh((clean + noise)[None, None], k=3, epsilon=25)
-            assert a == b
+            npt.assert_array_equal(a, b)
 
 
 class TestReconstructionError:
