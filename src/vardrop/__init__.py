@@ -21,7 +21,6 @@ from .analysis import (
     sensitivity_sweep,
 )
 from .dataset import (
-    MultivariateWindow,
     Prototype,
     SeriesTable,
     SplitSpec,
@@ -87,7 +86,6 @@ __all__ = [
     "__version__",
     # dataset
     "SeriesTable",
-    "MultivariateWindow",
     "WindowBatch",
     "SplitSpec",
     "Prototype",

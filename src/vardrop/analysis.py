@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import MultivariateWindow, SeriesTable, WindowBatch
+from .dataset import SeriesTable, WindowBatch
 from .errors import ParameterError
 from .model import (
     TrainSettings,
@@ -71,13 +71,14 @@ class CorrelationMatrix:
         return self.rho.shape[0]
 
 
-def pearson_matrix(window: MultivariateWindow) -> CorrelationMatrix:
-    """Pairwise Pearson correlation of the window's variate rows.
+def pearson_matrix(data: np.ndarray) -> CorrelationMatrix:
+    """Pairwise Pearson correlation of the rows of an ``N x T`` window.
 
     Standard centered product-moment formula. Exactly-constant rows are
     degenerate: they correlate 0 with everything, diagonal included.
     """
-    data = window.data
+    if data.ndim != 2:
+        raise ParameterError(f"expected an N x T window, got shape {data.shape}")
     centered = data - data.mean(axis=1, keepdims=True)
     ssq = np.sum(centered * centered, axis=1)
     degenerate = ssq == 0.0
@@ -155,12 +156,7 @@ def correlation_shift(
                 f"window [{s}, {s + lookback}) outside table of length {table.length}"
             )
     mats = np.stack(
-        [
-            pearson_matrix(
-                MultivariateWindow(data=table.values[:, s : s + lookback], start=s)
-            ).rho
-            for s in starts
-        ]
+        [pearson_matrix(table.values[:, s : s + lookback]).rho for s in starts]
     )
     pair_shift = mats.max(axis=0) - mats.min(axis=0)
     if len(starts) > 1:

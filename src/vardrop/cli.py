@@ -401,8 +401,7 @@ def _cmd_analyze(config: RunConfig, out: Path) -> None:
         raise ParameterError(
             f"T: training split of length {train.length} is shorter than T={config.T}"
         )
-    windows = sliding_windows(train, config.T, 0, 1)
-    matrix = pearson_matrix(windows[-1])
+    matrix = pearson_matrix(train.values[:, -config.T :])
     _write_csv_rows(
         out / "corr_matrix.csv",
         list(table.names),

@@ -1,11 +1,12 @@
 """Series ingestion, sliding windows, chronological splits, synthetic data.
 
-The unit of work downstream is the lookback window: an ``N x T`` slice of a
-longer ``N x L`` table of variates, optionally paired with the ``N x H``
-horizon that immediately follows it. This module owns loading tables from
-CSV, cutting them into windows and batches, splitting them chronologically,
-and generating seeded synthetic tables with a known redundancy structure
-(``G`` latent prototypes shared by ``N`` variates).
+The unit of work downstream is the window batch: ``B`` lookback windows
+held as one read-only ``B x N x T`` view of a longer ``N x L`` table of
+variates, optionally paired with the ``B x N x H`` view of the horizons that
+immediately follow them. This module owns loading tables from CSV, cutting
+them into window batches, splitting them chronologically, and generating
+seeded synthetic tables with a known redundancy structure (``G`` latent
+prototypes shared by ``N`` variates).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import (
 
 __all__ = [
     "SeriesTable",
-    "MultivariateWindow",
     "WindowBatch",
     "SplitSpec",
     "Prototype",
@@ -84,98 +84,62 @@ class SeriesTable:
 
 
 @dataclass(frozen=True)
-class MultivariateWindow:
-    """One lookback slice (``N x T``) plus its optional ``N x H`` horizon."""
-
-    data: np.ndarray
-    start: int = 0
-    horizon: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.data.ndim != 2:
-            raise ParameterError(f"window data must be 2-D, got shape {self.data.shape}")
-        if self.data.shape[1] < 2:
-            raise ParameterError("window length must be at least 2")
-        if self.start < 0:
-            raise ParameterError("window start must be nonnegative")
-        if self.horizon is not None and self.horizon.shape[0] != self.data.shape[0]:
-            raise ParameterError(
-                f"horizon has {self.horizon.shape[0]} rows for {self.data.shape[0]} variates"
-            )
-
-    @property
-    def n_variates(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def lookback(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def horizon_length(self) -> int:
-        return 0 if self.horizon is None else self.horizon.shape[1]
-
-
-@dataclass(frozen=True)
 class WindowBatch:
-    """A dimension-consistent batch of windows sharing ``N``, ``T`` and ``H``.
+    """``B`` windows sharing ``N``, ``T`` and ``H``, held as two arrays.
 
-    ``memo`` holds results derived from the window data, keyed by their
-    settings; only ``frozen`` batches may keep them.
+    ``data`` is the ``B x N x T`` lookbacks; ``horizon`` is the ``B x N x H``
+    horizons that follow them, or None when ``H = 0``. ``memo`` holds results
+    derived from ``data``, keyed by their settings; only ``frozen`` batches
+    may keep them.
     """
 
-    windows: tuple[MultivariateWindow, ...]
+    data: np.ndarray
+    horizon: np.ndarray | None = None
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.windows) < 1:
-            raise ParameterError("batch must contain at least one window")
-        first = self.windows[0]
-        for w in self.windows[1:]:
-            if (
-                w.n_variates != first.n_variates
-                or w.lookback != first.lookback
-                or w.horizon_length != first.horizon_length
-            ):
-                raise ParameterError("batch windows have inconsistent dimensions")
-        object.__setattr__(self, "windows", tuple(self.windows))
+        shape = self.data.shape
+        if len(shape) != 3 or shape[0] < 1 or shape[2] < 2:
+            raise ParameterError(
+                f"batch data must be B x N x T with B >= 1 and T >= 2, got shape {shape}"
+            )
+        horizon = self.horizon
+        if horizon is not None and (horizon.ndim != 3 or horizon.shape[:2] != shape[:2]):
+            raise ParameterError(f"horizon of shape {horizon.shape} for data of shape {shape}")
 
     @property
     def size(self) -> int:
-        return len(self.windows)
+        return self.data.shape[0]
 
     @property
     def n_variates(self) -> int:
-        return self.windows[0].n_variates
+        return self.data.shape[1]
 
     @property
     def lookback(self) -> int:
-        return self.windows[0].lookback
+        return self.data.shape[2]
 
     @property
     def horizon_length(self) -> int:
-        return self.windows[0].horizon_length
+        return 0 if self.horizon is None else self.horizon.shape[2]
 
     @property
     def frozen(self) -> bool:
-        """True when no window's data can change: read-only down to its owner.
+        """True when ``data`` cannot change: read-only down to its owner.
 
         A read-only view of a writable array can still change under it, so
         every array in the chain of bases must be read-only too.
         """
-        for w in self.windows:
-            array = w.data
-            while True:
-                if not isinstance(array, np.ndarray) or array.flags.writeable:
-                    return False
-                if array.base is None:
-                    break
-                array = array.base
-        return True
+        array = self.data
+        while isinstance(array, np.ndarray) and not array.flags.writeable:
+            if array.base is None:
+                return True
+            array = array.base
+        return False
 
     def data_tensor(self) -> np.ndarray:
-        """Stack lookbacks into a ``B x N x T`` array."""
-        return np.stack([w.data for w in self.windows])
+        """The ``B x N x T`` lookbacks."""
+        return self.data
 
 
 @dataclass(frozen=True)
@@ -354,12 +318,13 @@ def write_csv(table: SeriesTable, path: str, delimiter: str = ",") -> None:
 
 def sliding_windows(
     table: SeriesTable, lookback: int, horizon: int = 0, stride: int = 1
-) -> list[MultivariateWindow]:
+) -> WindowBatch:
     """Cut the table into lookback/horizon windows ordered by start offset.
 
-    Produces ``floor((L - T - H) / stride) + 1`` windows; each horizon is the
-    ``H`` columns immediately following its lookback. Windows share storage
-    with the (immutable) table.
+    Returns one batch of ``floor((L - T - H) / stride) + 1`` windows; window
+    ``b`` starts at column ``b * stride`` and its horizon is the ``H`` columns
+    immediately following its lookback. Both arrays are read-only strided
+    views of the (immutable) table: no value is copied.
     """
     if lookback < 2:
         raise ParameterError(f"lookback must be >= 2, got {lookback}")
@@ -367,33 +332,40 @@ def sliding_windows(
         raise ParameterError(f"horizon must be >= 0, got {horizon}")
     if stride < 1:
         raise ParameterError(f"stride must be >= 1, got {stride}")
+    values = table.values
     length = table.length
     if length < lookback + horizon:
         raise InsufficientLengthError(
             f"need at least {lookback + horizon} timestamps, table has {length}"
         )
     count = (length - lookback - horizon) // stride + 1
-    windows = []
-    for i in range(count):
-        s = i * stride
-        hor = table.values[:, s + lookback : s + lookback + horizon] if horizon else None
-        windows.append(
-            MultivariateWindow(data=table.values[:, s : s + lookback], start=s, horizon=hor)
+    row, col = values.strides
+
+    # np.ndarray over the table's buffer keeps table.values as the view's
+    # base, so WindowBatch.frozen sees a read-only chain.
+    def view(first: int, width: int) -> np.ndarray:
+        return np.ndarray(
+            (count, table.n_variates, width),
+            np.float64,
+            buffer=values,
+            offset=first * col,
+            strides=(stride * col, row, col),
         )
-    return windows
+
+    return WindowBatch(view(0, lookback), view(lookback, horizon) if horizon else None)
 
 
-def batch_windows(
-    windows: list[MultivariateWindow], batch_size: int
-) -> list[WindowBatch]:
-    """Chunk windows into consecutive batches; the final batch may be short."""
+def batch_windows(windows: WindowBatch, batch_size: int) -> list[WindowBatch]:
+    """Slice windows into consecutive batches; the final batch may be short."""
     if batch_size < 1:
         raise ParameterError(f"batch size must be >= 1, got {batch_size}")
-    if not windows:
-        raise ParameterError("no windows to batch")
+    horizon = windows.horizon
     return [
-        WindowBatch(windows=tuple(windows[i : i + batch_size]))
-        for i in range(0, len(windows), batch_size)
+        WindowBatch(
+            windows.data[i : i + batch_size],
+            None if horizon is None else horizon[i : i + batch_size],
+        )
+        for i in range(0, windows.size, batch_size)
     ]
 
 

@@ -6,9 +6,9 @@ across variates, and projects each mixed token to its forecast horizon.
 Loss is MSE on the retained variates only: dropped variates have no tokens
 in the batch and contribute nothing, gradients included.
 
-Every stage works on a stack of windows, ``c x N' x T``; one window is a
-stack of one. A batch shares its retained set, so ``train_epoch`` runs it in
-chunks of ``c`` windows, with ``c`` chosen from ``N'`` and the parameter
+Every stage works on a stack of windows, ``c x N' x T``, cut from a batch's
+``B x N x T`` array. A batch shares its retained set, so ``train_epoch`` runs
+it in chunks of ``c`` windows, with ``c`` chosen from ``N'`` and the parameter
 count so that one chunk fits a core's cache. The arithmetic per window is
 the same as one window at a time: stacked ``np.matmul`` runs one gemm per
 window, each window's loss is the mean of its own slice, and the batch
@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dataset import MultivariateWindow, WindowBatch
+from .dataset import WindowBatch
 from .errors import NumericError, ParameterError
 from .reduction import (
     GroupTable,
@@ -244,39 +244,27 @@ def _predict(
 
 
 def forward(
-    windows: Sequence[MultivariateWindow], params: ModelParams, retained: Sequence[int]
+    data: np.ndarray, horizon: np.ndarray, params: ModelParams, retained: Sequence[int]
 ) -> ForwardTrace:
     """Embed retained variates, attend, project to horizons, score each window.
 
-    ``windows`` is a stack sharing one retained set; one window is a stack of
-    one. Each window's loss is the MSE between its predictions and the
-    horizon rows of its retained variates only. Only here are the retained
-    indices checked and gathered; the trace carries the ``c x N' x T`` rows
-    and ``c x N' x H`` targets on to ``backward``. A single window that keeps
-    every variate in order is passed on as a view of its own arrays: the
-    values are the same, so the results are too.
+    ``data`` is a ``c x N x T`` stack of lookbacks sharing one retained set
+    and ``horizon`` its ``c x N x H`` horizons. Each window's loss is the MSE
+    between its predictions and the horizon rows of its retained variates
+    only. Only here are the retained indices checked and gathered; the trace
+    carries the ``c x N' x T`` rows and ``c x N' x H`` targets on to
+    ``backward``. A retained set that keeps every variate in order is passed
+    on as a view of the stack: the values are the same, so the results are too.
     """
-    if not windows:
-        raise ParameterError("forward needs at least one window")
-    first = windows[0]
-    for window in windows:
-        if window.horizon_length < 1:
-            raise ParameterError("forward needs a window with a horizon")
-        if window.horizon_length != params.horizon:
-            raise ParameterError(
-                f"window horizon {window.horizon_length} does not match head output "
-                f"{params.horizon}"
-            )
-        if (window.n_variates, window.lookback) != (first.n_variates, first.lookback):
-            raise ParameterError("stacked windows differ in variate count or lookback")
-    idx = _check_retained(retained, first.n_variates)
-    keep_all = idx == list(range(first.n_variates))
-    if keep_all and len(windows) == 1:
-        rows, target = first.data[None], first.horizon[None]
-    else:
-        pick = slice(None) if keep_all else idx
-        rows = np.stack([w.data[pick] for w in windows])
-        target = np.stack([w.horizon[pick] for w in windows])
+    if data.ndim != 3 or data.shape[0] < 1:
+        raise ParameterError(f"expected a c x N x T stack, got shape {data.shape}")
+    want = (*data.shape[:2], params.horizon)
+    if horizon is None or horizon.shape != want:
+        got = None if horizon is None else horizon.shape
+        raise ParameterError(f"forward needs horizons of shape {want}, got {got}")
+    idx = _check_retained(retained, data.shape[1])
+    pick = slice(None) if idx == list(range(data.shape[1])) else idx
+    rows, target = data[:, pick], horizon[:, pick]
     tokens, frag, predictions = _predict(rows, params)
     with np.errstate(over="ignore"):
         squares = (predictions - target) ** 2
@@ -538,7 +526,8 @@ def train_epoch(
         grad_sums = {f.name: 0 for f in fields(ModelParams)}
         loss_sum = 0.0
         for start in range(0, batch.size, chunk):
-            trace = forward(batch.windows[start : start + chunk], params, retained)
+            window = slice(start, start + chunk)
+            trace = forward(batch.data[window], batch.horizon[window], params, retained)
             grads = backward(trace, params)
             for i, loss in enumerate(trace.losses.tolist()):
                 loss_sum += loss
@@ -570,16 +559,20 @@ def train_epoch(
     return params, metrics
 
 
-def predict_full(window: MultivariateWindow, params: ModelParams) -> np.ndarray:
-    """Dense ``N x H`` forecast over all variates; no reduction, no horizon needed.
+def predict_full(data: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Dense ``N x H`` forecast of one ``N x T`` window; no reduction, no horizon.
 
-    The window goes through ``_predict`` as a stack of one, a view of its data.
+    The window goes through ``_predict`` as a stack of one, a view of ``data``.
     """
-    return _predict(window.data[None], params)[2][0]
+    return _predict(data[None], params)[2][0]
 
 
 def validation_loss(params: ModelParams, batches: list[WindowBatch]) -> float:
-    """Dense MSE over all variates of all windows (sum of squares / count)."""
+    """Dense MSE over all variates of all windows (sum of squares / count).
+
+    Windows are predicted one at a time, so only one window's ``N x N``
+    attention weights are alive at once.
+    """
     if not batches:
         raise ParameterError("validation needs at least one batch")
     sq_sum = 0.0
@@ -587,8 +580,8 @@ def validation_loss(params: ModelParams, batches: list[WindowBatch]) -> float:
     for batch in batches:
         if batch.horizon_length < 1:
             raise ParameterError("validation batches must carry horizons")
-        for window in batch.windows:
-            preds = predict_full(window, params)
-            sq_sum += float(np.sum((preds - window.horizon) ** 2))
+        for data, horizon in zip(batch.data, batch.horizon):
+            preds = predict_full(data, params)
+            sq_sum += float(np.sum((preds - horizon) ** 2))
             count += preds.size
     return sq_sum / count

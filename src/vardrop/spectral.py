@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import MultivariateWindow, WindowBatch
+from .dataset import WindowBatch
 from .errors import ParameterError
 
 __all__ = [
@@ -36,10 +36,10 @@ __all__ = [
 ]
 
 
-def _lookbacks(batch: np.ndarray | WindowBatch) -> list[np.ndarray] | np.ndarray:
-    # A WindowBatch's window views as they are, or a B x N x T tensor's slices.
+def _tensor(batch: np.ndarray | WindowBatch) -> np.ndarray:
+    # A WindowBatch's B x N x T lookbacks as they are, or a checked tensor.
     if isinstance(batch, WindowBatch):
-        return [np.asarray(w.data, dtype=np.float64) for w in batch.windows]
+        return batch.data
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 3 or batch.shape[0] < 1:
         raise ParameterError(f"expected a B x N x T tensor, got shape {batch.shape}")
@@ -50,12 +50,12 @@ def batch_mean_spectrum(batch: np.ndarray | WindowBatch, epsilon: int) -> np.nda
     """Low-passed amplitude spectra averaged over the windows of a batch.
 
     Returns an ``N x epsilon`` array whose column ``j`` holds bin ``j + 1``.
-    Accepts a WindowBatch, whose window views are read in place, or a
+    Accepts a WindowBatch, whose lookbacks are read in place, or a
     ``B x N x T`` tensor. Accumulation runs in ascending window order so the
     result is bit-stable.
     """
-    lookbacks = _lookbacks(batch)
-    n, lookback = lookbacks[0].shape
+    lookbacks = _tensor(batch)
+    _, n, lookback = lookbacks.shape
     top = lookback // 2
     if not 1 <= epsilon <= top:
         raise ParameterError(
@@ -93,12 +93,9 @@ def kdfh(
     values; callers keep the raw data).
     """
     if normalize:
-        scaled = []
-        for data in _lookbacks(batch):
-            mean = data.mean(axis=1, keepdims=True)
-            std = data.std(axis=1, keepdims=True)
-            scaled.append(MultivariateWindow((data - mean) / np.maximum(std, 1e-12)))
-        batch = WindowBatch(tuple(scaled))
+        data = _tensor(batch)
+        mean = data.mean(axis=2, keepdims=True)
+        batch = (data - mean) / np.maximum(data.std(axis=2, keepdims=True), 1e-12)
     return dominant_frequencies(batch_mean_spectrum(batch, epsilon), k)
 
 

@@ -99,25 +99,28 @@ PARAM_FIELDS = (
 )
 
 
-def numeric_gradients(windows, params, retained, step=1e-5):
+def numeric_gradients(data, horizon, params, retained, step=1e-5):
     """Central-difference gradients of each window's forward loss.
 
-    ``windows`` is a stack; every returned array has a leading window axis,
-    like ``backward``'s, and ``grad[i]`` differentiates ``losses[i]``.
+    ``data`` and ``horizon`` are ``c x N x T`` and ``c x N x H`` stacks; every
+    returned array has a leading window axis, like ``backward``'s, and
+    ``grad[i]`` differentiates ``losses[i]``.
     """
     out = {}
+    count = len(data)
     for name in PARAM_FIELDS:
         base = getattr(params, name)
-        grad = np.zeros((len(windows),) + base.shape)
+        grad = np.zeros((count,) + base.shape)
         flat = base.ravel()
         for idx in range(flat.size):
             orig = flat[idx]
             bumped = base.copy()
             bumped.ravel()[idx] = orig + step
-            hi = forward(windows, replace(params, **{name: bumped}), retained).losses
+            bumped_params = replace(params, **{name: bumped})
+            hi = forward(data, horizon, bumped_params, retained).losses
             bumped.ravel()[idx] = orig - step
-            lo = forward(windows, replace(params, **{name: bumped}), retained).losses
-            grad.reshape(len(windows), -1)[:, idx] = (hi - lo) / (2.0 * step)
+            lo = forward(data, horizon, bumped_params, retained).losses
+            grad.reshape(count, -1)[:, idx] = (hi - lo) / (2.0 * step)
         out[name] = grad
     return out
 
@@ -178,9 +181,9 @@ def reference_train_epoch(batches, params, config, epoch=0):
             retained, delta = list(range(batch.n_variates)), 0.0
         window_grads = []
         loss_sum = 0.0
-        for window in batch.windows:
+        for data, horizon in zip(batch.data, batch.horizon):
             loss, grads = _window_loss_and_gradients(
-                window.data[retained], window.horizon[retained], params
+                data[retained], horizon[retained], params
             )
             window_grads.append(grads)
             loss_sum += loss

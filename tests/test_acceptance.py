@@ -155,15 +155,14 @@ def test_a06_gradient_check():
     worst = 0.0
     for seed in range(10):
         rng = np.random.default_rng(200 + seed)
-        window = vd.MultivariateWindow(
-            rng.normal(size=(5, 16)), start=0, horizon=rng.normal(size=(5, 4))
-        )
+        data = rng.normal(size=(1, 5, 16))
+        horizon = rng.normal(size=(1, 5, 4))
         params = vd.initialize_params(16, 4, 8, 4, seed=seed)
         retained = (0, 1, 2, 3, 4)
-        trace = vd.forward((window,), params, retained)
+        trace = vd.forward(data, horizon, params, retained)
         grads = vd.backward(trace, params)
         analytic = {name: getattr(grads, name) for name in PARAM_FIELDS}
-        numeric = numeric_gradients((window,), params, retained)
+        numeric = numeric_gradients(data, horizon, params, retained)
         worst = max(worst, max_rel_error(analytic, numeric))
     elapsed = time.perf_counter() - started
     verdict(
@@ -381,13 +380,10 @@ def _determinism_digest():
         ],
     }
 
-    window = vd.MultivariateWindow(
-        np.random.default_rng(42).normal(size=(5, 16)),
-        start=0,
-        horizon=np.random.default_rng(43).normal(size=(5, 4)),
-    )
+    data = np.random.default_rng(42).normal(size=(1, 5, 16))
+    horizon = np.random.default_rng(43).normal(size=(1, 5, 4))
     params = vd.initialize_params(16, 4, 8, 4, seed=42)
-    grads = vd.backward(vd.forward((window,), params, range(5)), params)
+    grads = vd.backward(vd.forward(data, horizon, params, range(5)), params)
     pieces["gradients"] = {"w_embed": grads.w_embed[0], "b_head": grads.b_head[0]}
 
     table = vd.synth_redundant(16, 4, 800, 0.05, seed=7)

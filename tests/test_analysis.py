@@ -5,7 +5,6 @@ import numpy.testing as npt
 import pytest
 
 from vardrop import (
-    MultivariateWindow,
     ParameterError,
     SeriesTable,
     TrainSettings,
@@ -25,7 +24,7 @@ class TestPearsonMatrix:
     def test_self_correlation(self):
         rng = np.random.default_rng(0)
         v = rng.normal(size=32)
-        window = MultivariateWindow(np.stack([v, v.copy()]), start=0)
+        window = np.stack([v, v.copy()])
         matrix = pearson_matrix(window)
         npt.assert_allclose(matrix.rho, np.ones((2, 2)), rtol=1e-12)
 
@@ -33,14 +32,14 @@ class TestPearsonMatrix:
         rng = np.random.default_rng(1)
         v = rng.normal(size=32)
         w = -v + 17.0
-        matrix = pearson_matrix(MultivariateWindow(np.stack([v, w]), start=0))
+        matrix = pearson_matrix(np.stack([v, w]))
         assert abs(matrix.rho[0, 1] + 1.0) < 1e-12
         assert abs(matrix.rho[1, 0] + 1.0) < 1e-12
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(2)
         data = rng.normal(size=(3, 40))
-        matrix = pearson_matrix(MultivariateWindow(data, start=0))
+        matrix = pearson_matrix(data)
         for i in range(3):
             for j in range(3):
                 want = pearson_pair(data[i], data[j])
@@ -49,7 +48,7 @@ class TestPearsonMatrix:
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(3)
         data = rng.normal(size=(6, 25))
-        rho = pearson_matrix(MultivariateWindow(data, start=0)).rho
+        rho = pearson_matrix(data).rho
         npt.assert_allclose(rho, rho.T, atol=1e-15)
         assert np.all(np.abs(rho) <= 1.0 + 1e-12)
         npt.assert_allclose(np.diag(rho), 1.0, atol=1e-15)
@@ -57,7 +56,7 @@ class TestPearsonMatrix:
     def test_constant_variate_degenerate(self):
         rng = np.random.default_rng(4)
         data = np.vstack([rng.normal(size=20), np.full(20, 3.5)])
-        matrix = pearson_matrix(MultivariateWindow(data, start=0))
+        matrix = pearson_matrix(data)
         assert matrix.degenerate == (False, True)
         npt.assert_array_equal(matrix.rho[1], 0.0)
         npt.assert_array_equal(matrix.rho[:, 1], 0.0)
@@ -67,8 +66,8 @@ class TestPearsonMatrix:
         rng = np.random.default_rng(5)
         data = rng.normal(size=(5, 30))
         perm = rng.permutation(5)
-        base = pearson_matrix(MultivariateWindow(data, start=0)).rho
-        swapped = pearson_matrix(MultivariateWindow(data[perm], start=0)).rho
+        base = pearson_matrix(data).rho
+        swapped = pearson_matrix(data[perm]).rho
         npt.assert_allclose(swapped, base[np.ix_(perm, perm)], atol=1e-14)
 
     def test_affine_invariance(self):
@@ -76,8 +75,8 @@ class TestPearsonMatrix:
         data = rng.normal(size=(4, 30))
         scaled = data.copy()
         scaled[2] = 3.7 * scaled[2] - 12.0
-        base = pearson_matrix(MultivariateWindow(data, start=0)).rho
-        after = pearson_matrix(MultivariateWindow(scaled, start=0)).rho
+        base = pearson_matrix(data).rho
+        after = pearson_matrix(scaled).rho
         npt.assert_allclose(after, base, atol=1e-12)
 
 
@@ -86,7 +85,7 @@ class TestRedundancyProfile:
         rng = np.random.default_rng(7)
         # near-orthogonal noise rows correlate weakly
         data = rng.normal(size=(5, 4000))
-        matrix = pearson_matrix(MultivariateWindow(data, start=0))
+        matrix = pearson_matrix(data)
         profile = redundancy_profile(matrix, 0.9)
         assert profile.strong_frac == 0.0
         assert all(m < 0.9 for m in profile.max_corr)
@@ -94,7 +93,7 @@ class TestRedundancyProfile:
     def test_full_redundancy(self):
         v = np.arange(20.0)
         data = np.stack([v, 2 * v + 1, 0.5 * v])
-        matrix = pearson_matrix(MultivariateWindow(data, start=0))
+        matrix = pearson_matrix(data)
         profile = redundancy_profile(matrix, 0.9)
         assert profile.strong_frac == 1.0
         npt.assert_allclose(profile.max_corr, 1.0, atol=1e-12)
@@ -104,7 +103,7 @@ class TestRedundancyProfile:
         v = rng.normal(size=50)
         # two anticorrelated variates plus an independent one
         data = np.stack([v, -v, rng.normal(size=50)])
-        matrix = pearson_matrix(MultivariateWindow(data, start=0))
+        matrix = pearson_matrix(data)
         profile = redundancy_profile(matrix, 0.9)
         # anticorrelation is not redundancy: nothing clears 0.9
         assert profile.strong_frac == 0.0
@@ -112,14 +111,18 @@ class TestRedundancyProfile:
 
     def test_single_variate(self):
         matrix = pearson_matrix(
-            MultivariateWindow(np.arange(10.0).reshape(1, 10), start=0)
+            np.arange(10.0).reshape(1, 10)
         )
         profile = redundancy_profile(matrix, 0.9)
         assert profile.max_corr == (-1.0,)
         assert profile.strong_frac == 0.0
 
+    def test_rejects_a_stack_of_windows(self):
+        with pytest.raises(ParameterError):
+            pearson_matrix(np.zeros((1, 2, 10)))
+
     def test_threshold_validation(self):
-        matrix = pearson_matrix(MultivariateWindow(np.eye(2, 10) + 1.0, start=0))
+        matrix = pearson_matrix(np.eye(2, 10) + 1.0)
         with pytest.raises(ParameterError):
             redundancy_profile(matrix, 1.5)
 

@@ -10,7 +10,6 @@ from vardrop import dataset
 from vardrop import (
     EmptyInputError,
     InsufficientLengthError,
-    MultivariateWindow,
     ParameterError,
     ParseError,
     SeriesTable,
@@ -172,6 +171,17 @@ class TestLoadCsv(object):
         assert table.names == ("a", "b")
         npt.assert_array_equal(table.values, [[1.0, 3.0], [2.0, 4.0]])
 
+    def test_numeric_timestamp_under_other_header_is_a_variate(self, tmp_path):
+        # only the header names or a non-numeric first cell mark a timestamp
+        text = "unix,a,b\n1700000000,1,2\n1700003600,3,4\n1700007200,5,6\n"
+        for load in (load_csv, dataset._load_rows):
+            table = load(self._write(tmp_path, text), ",")
+            assert table.names == ("unix", "a", "b")
+            npt.assert_array_equal(
+                table.values,
+                [[1700000000.0, 1700003600.0, 1700007200.0], [1, 3, 5], [2, 4, 6]],
+            )
+
     def test_nan_cell_names_row_and_column(self, tmp_path):
         text = "a,b\n1,2\n3,nan\n"
         with pytest.raises(ParseError) as err:
@@ -260,26 +270,28 @@ class TestSlidingWindows:
     def test_count_small_example(self):
         table = SeriesTable(("a",), np.arange(10.0).reshape(1, 10))
         windows = sliding_windows(table, lookback=4, horizon=2)
-        assert len(windows) == 5
-        assert [w.start for w in windows] == [0, 1, 2, 3, 4]
-        npt.assert_array_equal(windows[0].data[0], [0, 1, 2, 3])
-        npt.assert_array_equal(windows[0].horizon[0], [4, 5])
-        npt.assert_array_equal(windows[4].data[0], [4, 5, 6, 7])
-        npt.assert_array_equal(windows[4].horizon[0], [8, 9])
+        assert windows.size == 5
+        assert windows.data[:, 0, 0].tolist() == [0, 1, 2, 3, 4]  # the starts
+        npt.assert_array_equal(windows.data[0, 0], [0, 1, 2, 3])
+        npt.assert_array_equal(windows.horizon[0, 0], [4, 5])
+        npt.assert_array_equal(windows.data[4, 0], [4, 5, 6, 7])
+        npt.assert_array_equal(windows.horizon[4, 0], [8, 9])
 
     def test_strided_starts(self):
-        table = SeriesTable(("a", "b"), np.zeros((2, 200)))
+        # each row is the identity ramp, so a window's first value is its start
+        table = SeriesTable(("a", "b"), np.tile(np.arange(200.0), (2, 1)))
         windows = sliding_windows(table, lookback=96, horizon=96, stride=7)
         # brute enumeration of admissible starts
         expected = [s for s in range(0, 200, 7) if s + 96 + 96 <= 200]
-        assert [w.start for w in windows] == expected
+        assert windows.data[:, 1, 0].tolist() == expected
         assert expected == [0, 7]
 
     def test_zero_horizon(self):
         table = SeriesTable(("a",), np.arange(6.0).reshape(1, 6))
         windows = sliding_windows(table, lookback=6, horizon=0)
-        assert len(windows) == 1
-        assert windows[0].horizon is None
+        assert windows.size == 1
+        assert windows.horizon is None
+        assert windows.horizon_length == 0
 
     def test_too_short_raises(self):
         table = SeriesTable(("a",), np.zeros((1, 10)))
@@ -310,15 +322,60 @@ class TestSlidingWindows:
                 sliding_windows(table, lookback, horizon, stride)
             return
         windows = sliding_windows(table, lookback, horizon, stride)
-        assert len(windows) == span // stride + 1
-        for w in windows:
+        assert windows.size == span // stride + 1
+        for b in range(windows.size):
             # window content is the identity ramp, so placement is checkable
+            start = b * stride
             npt.assert_array_equal(
-                w.data[0], np.arange(w.start, w.start + lookback, dtype=float)
+                windows.data[b, 0], np.arange(start, start + lookback, dtype=float)
             )
             if horizon:
-                assert w.horizon.shape == (1, horizon)
-                assert w.start + lookback + horizon <= length
+                assert windows.horizon[b].shape == (1, horizon)
+                assert start + lookback + horizon <= length
+
+
+class TestWindowViews:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=4),
+        lookback=st.integers(min_value=2, max_value=40),
+        horizon=st.integers(min_value=0, max_value=20),
+        extra=st.integers(min_value=0, max_value=90),
+        stride=st.integers(min_value=1, max_value=17),
+        batch=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_batches_are_read_only_views_of_the_table(
+        self, n, lookback, horizon, extra, stride, batch, seed
+    ):
+        length = lookback + horizon + extra
+        values = np.random.default_rng(seed).normal(size=(n, length))
+        table = SeriesTable(tuple(f"v{i}" for i in range(n)), values)
+        batches = batch_windows(sliding_windows(table, lookback, horizon, stride), batch)
+        count = (length - lookback - horizon) // stride + 1
+        assert sum(b.size for b in batches) == count
+        assert all(b.size == batch for b in batches[:-1])
+        assert 1 <= batches[-1].size <= batch
+        for i, b in enumerate(batches):
+            assert b.data.shape == (b.size, n, lookback)
+            assert not b.data.flags.writeable
+            assert np.shares_memory(b.data, table.values)
+            assert b.frozen
+            if horizon:
+                assert b.horizon.shape == (b.size, n, horizon)
+                assert not b.horizon.flags.writeable
+                assert np.shares_memory(b.horizon, table.values)
+            else:
+                assert b.horizon is None
+            for j in range(b.size):
+                s = (i * batch + j) * stride
+                npt.assert_array_equal(b.data[j], table.values[:, s : s + lookback])
+                if horizon:
+                    npt.assert_array_equal(
+                        b.horizon[j], table.values[:, s + lookback : s + lookback + horizon]
+                    )
+        with pytest.raises(ValueError):
+            batches[0].data[0, 0, 0] = 1.0
 
 
 class TestBatchWindows:
@@ -327,8 +384,8 @@ class TestBatchWindows:
         windows = sliding_windows(table, lookback=4, horizon=2)  # 15 windows
         batches = batch_windows(windows, 4)
         assert [b.size for b in batches] == [4, 4, 4, 3]
-        assert batches[0].windows[0].start == 0
-        assert batches[3].windows[-1].start == 14
+        assert batches[0].data[0, 0, 0] == 0  # the first and last starts
+        assert batches[3].data[-1, 0, 0] == 14
 
     def test_tensor_shapes(self):
         table = SeriesTable(("a", "b", "c"), np.zeros((3, 30)))
@@ -337,14 +394,25 @@ class TestBatchWindows:
         assert batch.data_tensor().shape == (5, 3, 8)
 
     def test_rejects_mixed_shapes(self):
-        w1 = MultivariateWindow(np.zeros((2, 8)), start=0)
-        w2 = MultivariateWindow(np.zeros((3, 8)), start=0)
         with pytest.raises(ParameterError):
-            WindowBatch((w1, w2))
+            WindowBatch(np.zeros((2, 3, 8)), np.zeros((2, 2, 4)))  # variate counts
+        with pytest.raises(ParameterError):
+            WindowBatch(np.zeros((2, 3, 8)), np.zeros((1, 3, 4)))  # window counts
+        with pytest.raises(ParameterError):
+            WindowBatch(np.zeros((2, 3, 8)), np.zeros((2, 3)))
+
+    def test_rejects_bad_data(self):
+        with pytest.raises(ParameterError):
+            WindowBatch(np.zeros((3, 8)))  # one window, not a batch of one
+        with pytest.raises(ParameterError):
+            WindowBatch(np.zeros((2, 3, 1)))  # lookback below 2
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
-            batch_windows([], 4)
+            WindowBatch(np.zeros((0, 2, 8)))
+        windows = sliding_windows(SeriesTable(("a",), np.zeros((1, 20))), 4)
+        with pytest.raises(ParameterError):
+            batch_windows(windows, 0)
 
 
 class TestChronologicalSplit:

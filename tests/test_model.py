@@ -13,7 +13,6 @@ import vardrop.model as model
 
 from vardrop import (
     ModelParams,
-    MultivariateWindow,
     NumericError,
     ParameterError,
     SeriesTable,
@@ -43,10 +42,9 @@ from helpers import matmul_loops, max_rel_error, numeric_gradients, reference_tr
 
 
 def make_window(rng, n=6, lookback=16, horizon=4):
-    return MultivariateWindow(
-        rng.normal(size=(n, lookback)),
-        start=0,
-        horizon=rng.normal(size=(n, horizon)),
+    """A batch of one random window."""
+    return WindowBatch(
+        rng.normal(size=(1, n, lookback)), rng.normal(size=(1, n, horizon))
     )
 
 
@@ -101,31 +99,31 @@ class TestEmbed:
     def test_zero_window_yields_bias_rows(self):
         p = initialize_params(8, 2, 4, 2, seed=0)
         p = sgd_step(p, _zero_grads_like(p), 1.0)  # no-op, keeps types honest
-        window = MultivariateWindow(np.zeros((3, 8)), start=0)
-        bias = embed(window.data[None, [0, 1, 2]], p)
+        window = np.zeros((3, 8))
+        bias = embed(window[None, [0, 1, 2]], p)
         npt.assert_array_equal(bias, np.tile(p.b_embed, (1, 3, 1)))
 
     def test_matches_loop_matmul(self):
         rng = np.random.default_rng(2)
         p = initialize_params(8, 2, 4, 2, seed=2)
-        window = MultivariateWindow(rng.normal(size=(5, 8)), start=0)
-        got = embed(window.data[None, [0, 2, 4]], p)[0]
-        want = matmul_loops(window.data[[0, 2, 4]], p.w_embed) + p.b_embed
+        window = rng.normal(size=(5, 8))
+        got = embed(window[None, [0, 2, 4]], p)[0]
+        want = matmul_loops(window[[0, 2, 4]], p.w_embed) + p.b_embed
         npt.assert_allclose(got, want, rtol=1e-12)
 
     def test_subset_matches_dense_rows(self):
         rng = np.random.default_rng(3)
         p = initialize_params(8, 2, 4, 2, seed=3)
-        window = MultivariateWindow(rng.normal(size=(6, 8)), start=0)
-        dense = embed(window.data[None], p)
-        sub = embed(window.data[None, [1, 4]], p)
+        window = rng.normal(size=(6, 8))
+        dense = embed(window[None], p)
+        sub = embed(window[None, [1, 4]], p)
         npt.assert_array_equal(sub, dense[:, [1, 4]])
 
     def test_lookback_mismatch(self):
         p = initialize_params(8, 2, 4, 2, seed=0)
-        window = MultivariateWindow(np.zeros((3, 9)), start=0)
+        window = np.zeros((3, 9))
         with pytest.raises(ParameterError):
-            embed(window.data[None, [0]], p)
+            embed(window[None, [0]], p)
         with pytest.raises(ParameterError):
             embed(np.zeros(8), p)  # one row, not a c x N' x T stack
         with pytest.raises(ParameterError):
@@ -232,7 +230,7 @@ class TestForward:
             w_head=np.zeros_like(p.w_head),
             b_head=np.array([1.5, -2.0, 0.25]),
         )
-        trace = forward((window,), zeroed, (0, 1, 2, 3))
+        trace = forward(window.data, window.horizon, zeroed, (0, 1, 2, 3))
         npt.assert_array_equal(trace.predictions, np.tile([1.5, -2.0, 0.25], (1, 4, 1)))
 
     def test_loss_matches_recompute(self):
@@ -240,65 +238,71 @@ class TestForward:
         window = make_window(rng)
         p = initialize_params(16, 4, 8, 4, seed=9)
         retained = (0, 2, 3)
-        trace = forward((window,), p, retained)
+        trace = forward(window.data, window.horizon, p, retained)
         # straight-line recompute from the public pieces
-        tokens = embed(window.data[None, list(retained)], p)
+        tokens = embed(window.data[:, list(retained)], p)
         frag = attention(tokens, p)
         preds = (frag.context @ p.w_out) @ p.w_head + p.b_head
         npt.assert_allclose(trace.predictions, preds, rtol=1e-15)
-        target = window.horizon[[0, 2, 3]]
+        target = window.horizon[0, [0, 2, 3]]
         assert abs(trace.losses[0] - np.mean((preds[0] - target) ** 2)) < 1e-15
 
     def test_perfect_predictions_zero_loss(self):
         rng = np.random.default_rng(10)
         base = make_window(rng, n=3, lookback=8, horizon=2)
         p = initialize_params(8, 2, 4, 2, seed=10)
-        trace = forward((base,), p, (0, 1, 2))
-        window = MultivariateWindow(base.data, start=0, horizon=trace.predictions[0])
-        again = forward((window,), p, (0, 1, 2))
+        trace = forward(base.data, base.horizon, p, (0, 1, 2))
+        window = WindowBatch(base.data, trace.predictions)
+        again = forward(window.data, window.horizon, p, (0, 1, 2))
         assert again.losses[0] == 0.0
 
     def test_requires_horizon(self):
         p = initialize_params(8, 2, 4, 2, seed=0)
-        window = MultivariateWindow(np.zeros((2, 8)), start=0)
         with pytest.raises(ParameterError):
-            forward((window,), p, (0, 1))
+            forward(np.zeros((1, 2, 8)), None, p, (0, 1))
 
     def test_horizon_width_mismatch(self):
         rng = np.random.default_rng(11)
         window = make_window(rng, n=2, lookback=8, horizon=5)
         p = initialize_params(8, 2, 4, 2, seed=0)
         with pytest.raises(ParameterError):
-            forward((window,), p, (0, 1))
+            forward(window.data, window.horizon, p, (0, 1))
 
     def test_retained_validation(self):
         p = initialize_params(8, 2, 4, 2, seed=0)
-        window = MultivariateWindow(np.zeros((3, 8)), start=0, horizon=np.zeros((3, 2)))
+        window = WindowBatch(np.zeros((1, 3, 8)), np.zeros((1, 3, 2)))
         with pytest.raises(ParameterError):
-            forward((window,), p, ())
+            forward(window.data, window.horizon, p, ())
         with pytest.raises(ParameterError):
-            forward((window,), p, (0, 0))
+            forward(window.data, window.horizon, p, (0, 0))
         with pytest.raises(ParameterError):
-            forward((window,), p, (0, 3))
+            forward(window.data, window.horizon, p, (0, 3))
 
     def test_keeping_all_in_order_passes_window_through(self):
         table = synth_redundant(7, 3, 120, 0.1, seed=30)
         p = initialize_params(32, 4, 8, 4, seed=30)
-        for window in sliding_windows(table, 32, 4, 20):
-            trace = forward((window,), p, range(7))
-            assert np.shares_memory(trace.rows, window.data)
-            assert np.shares_memory(trace.target, window.horizon)
-            npt.assert_array_equal(trace.predictions[0], predict_full(window, p))
+        windows = sliding_windows(table, 32, 4, 20)
+        for b in range(windows.size):
+            data, horizon = windows.data[b : b + 1], windows.horizon[b : b + 1]
+            trace = forward(data, horizon, p, range(7))
+            assert np.shares_memory(trace.rows, data)
+            assert np.shares_memory(trace.target, horizon)
+            npt.assert_array_equal(trace.predictions[0], predict_full(data[0], p))
+        # a whole stack is a view of the table too, with the same bits
+        trace = forward(windows.data, windows.horizon, p, range(7))
+        assert np.shares_memory(trace.rows, table.values)
+        for b in range(windows.size):
+            npt.assert_array_equal(trace.predictions[b], predict_full(windows.data[b], p))
 
     def test_permutation_of_all_still_gathers(self):
         table = synth_redundant(7, 3, 120, 0.1, seed=31)
         p = initialize_params(32, 4, 8, 4, seed=31)
-        window = sliding_windows(table, 32, 4, 20)[0]
+        window = batch_windows(sliding_windows(table, 32, 4, 20), 1)[0]
         order = [6, 5, 4, 3, 2, 1, 0]
-        trace = forward((window,), p, order)
+        trace = forward(window.data, window.horizon, p, order)
         assert not np.shares_memory(trace.rows, window.data)
-        npt.assert_array_equal(trace.rows[0], window.data[order])
-        npt.assert_array_equal(trace.target[0], window.horizon[order])
+        npt.assert_array_equal(trace.rows[0], window.data[0, order])
+        npt.assert_array_equal(trace.target[0], window.horizon[0, order])
 
 
 class TestBackward:
@@ -306,9 +310,9 @@ class TestBackward:
         rng = np.random.default_rng(12)
         base = make_window(rng, n=3, lookback=8, horizon=2)
         p = initialize_params(8, 2, 4, 2, seed=12)
-        trace = forward((base,), p, (0, 1, 2))
-        window = MultivariateWindow(base.data, start=0, horizon=trace.predictions[0])
-        grads = backward(forward((window,), p, (0, 1, 2)), p)
+        trace = forward(base.data, base.horizon, p, (0, 1, 2))
+        window = WindowBatch(base.data, trace.predictions)
+        grads = backward(forward(window.data, window.horizon, p, (0, 1, 2)), p)
         for name in (
             "w_embed", "b_embed", "w_query", "w_key",
             "w_value", "w_out", "w_head", "b_head",
@@ -319,21 +323,18 @@ class TestBackward:
         # a stack of distinct windows: each window's slice of the gradient
         # stack must match central differences of that window's loss alone
         rng = np.random.default_rng(13)
-        windows = tuple(
-            MultivariateWindow(
-                rng.normal(size=(6, 16)), start=0, horizon=rng.normal(size=(6, 4))
-            )
-            for _ in range(3)
-        )
+        draws = [(rng.normal(size=(6, 16)), rng.normal(size=(6, 4))) for _ in range(3)]
+        data = np.stack([x for x, _ in draws])
+        horizon = np.stack([h for _, h in draws])
         p = initialize_params(16, 4, 8, 4, seed=13)
         retained = (0, 1, 3, 4, 5)
-        trace = forward(windows, p, retained)
+        trace = forward(data, horizon, p, retained)
         grads = backward(trace, p)
         analytic = {
             name: getattr(grads, name)
             for name in numeric_gradients.__globals__["PARAM_FIELDS"]
         }
-        numeric = numeric_gradients(windows, p, retained)
+        numeric = numeric_gradients(data, horizon, p, retained)
         assert all(a.shape[0] == 3 for a in analytic.values())
         assert max_rel_error(analytic, numeric) < 1e-4
         for i in range(3):
@@ -344,15 +345,11 @@ class TestBackward:
         window = make_window(rng, n=4, lookback=8, horizon=3)
         p = initialize_params(8, 3, 4, 2, seed=14)
         retained = (0, 1, 2, 3)
-        trace = forward((window,), p, retained)
+        trace = forward(window.data, window.horizon, p, retained)
         g1 = backward(trace, p)
         # move the targets so the residual exactly doubles
-        stretched = MultivariateWindow(
-            window.data,
-            start=0,
-            horizon=2.0 * window.horizon - trace.predictions[0],
-        )
-        g2 = backward(forward((stretched,), p, retained), p)
+        stretched = WindowBatch(window.data, 2.0 * window.horizon - trace.predictions)
+        g2 = backward(forward(stretched.data, stretched.horizon, p, retained), p)
         for name in ("w_embed", "w_query", "w_out", "b_head"):
             npt.assert_allclose(
                 getattr(g2, name), 2.0 * getattr(g1, name), rtol=1e-12, atol=1e-15
@@ -376,7 +373,7 @@ class TestSgdStep:
         rng = np.random.default_rng(17)
         p = initialize_params(8, 2, 4, 2, seed=17)
         window = make_window(rng, n=3, lookback=8, horizon=2)
-        g = _first_window(backward(forward((window,), p, (0, 1)), p))
+        g = _first_window(backward(forward(window.data, window.horizon, p, (0, 1)), p))
         stepped = sgd_step(p, g, 0.1)
         npt.assert_allclose(stepped.w_query, p.w_query - 0.1 * g.w_query, rtol=1e-15)
         # inputs untouched
@@ -413,7 +410,7 @@ class TestCountFlops:
         window = make_window(rng, n=5, lookback=16, horizon=4)
         p = initialize_params(16, 4, 8, 4, seed=18)
         retained = (0, 1, 2, 4)
-        trace = forward((window,), p, retained)
+        trace = forward(window.data, window.horizon, p, retained)
         _, n, d = trace.tokens.shape
         dk = trace.queries.shape[2]
         t = window.lookback
@@ -529,7 +526,12 @@ class TestTrainEpoch:
         assert [m.delta for m in metrics] == [p.delta for p in plans]
         assert len({m.tokens_used for m in metrics}) > 1
         # the first step starts from p0, so its loss pins the retained set too
-        first = [forward((w,), p0, plans[0].retained).losses[0] for w in batches[0].windows]
+        batch = batches[0]
+        first = [
+            forward(batch.data[b : b + 1], batch.horizon[b : b + 1], p0, plans[0].retained)
+            .losses[0]
+            for b in range(batch.size)
+        ]
         assert metrics[0].loss == sum(first) / batches[0].size
 
     def test_requires_horizons(self):
@@ -560,9 +562,9 @@ def forward_sizes(monkeypatch):
     sizes = []
     real = model.forward
 
-    def recording(windows, *args):
-        sizes.append(len(windows))
-        return real(windows, *args)
+    def recording(data, *args):
+        sizes.append(len(data))
+        return real(data, *args)
 
     monkeypatch.setattr(model, "forward", recording)
     return sizes
@@ -573,11 +575,11 @@ class TestChunkedStep:
         batch = make_batches()[0]
         p = initialize_params(48, 8, 16, 8, seed=40)
         retained = (0, 3, 5, 6, 9, 15)
-        stacked = forward(batch.windows, p, retained)
+        stacked = forward(batch.data, batch.horizon, p, retained)
         grads = backward(stacked, p)
         assert stacked.predictions.shape == (batch.size, 6, 8)
-        for i, window in enumerate(batch.windows):
-            alone = forward((window,), p, retained)
+        for i in range(batch.size):
+            alone = forward(batch.data[i : i + 1], batch.horizon[i : i + 1], p, retained)
             npt.assert_array_equal(stacked.predictions[i], alone.predictions[0])
             assert stacked.losses[i] == alone.losses[0]
             single = backward(alone, p)
@@ -587,25 +589,23 @@ class TestChunkedStep:
     def test_stack_validation(self):
         rng = np.random.default_rng(41)
         p = initialize_params(16, 4, 8, 4, seed=41)
+        window = make_window(rng)
         with pytest.raises(ParameterError):
-            forward((), p, (0,))
+            forward(np.zeros((0, 6, 16)), np.zeros((0, 6, 4)), p, (0,))
         with pytest.raises(ParameterError):
-            forward((make_window(rng, n=6), make_window(rng, n=5)), p, (0, 1))
+            forward(window.data, np.zeros((1, 5, 4)), p, (0, 1))  # horizon shape
         with pytest.raises(ParameterError):
-            forward((make_window(rng), make_window(rng, lookback=17)), p, (0, 1))
-        with pytest.raises(ParameterError):
-            forward((make_window(rng), make_window(rng, horizon=3)), p, (0, 1))
+            forward(window.data, make_window(rng, horizon=3).horizon, p, (0, 1))
 
     def test_one_overflowing_window_in_a_chunk_raises(self):
         rng = np.random.default_rng(42)
         windows = [make_window(rng) for _ in range(3)]
-        windows[1] = MultivariateWindow(
-            windows[1].data * 1e200, start=0, horizon=windows[1].horizon
-        )
+        data = np.concatenate([w.data for w in windows])
+        data[1] *= 1e200
+        batch = WindowBatch(data, np.concatenate([w.horizon for w in windows]))
         p = initialize_params(16, 4, 8, 4, seed=42)
         with pytest.raises(NumericError):
-            forward(windows, p, range(6))
-        batch = WindowBatch(tuple(windows))
+            forward(batch.data, batch.horizon, p, range(6))
         assert model._chunk_size(6, p) >= batch.size
         with pytest.raises(NumericError):
             train_epoch([batch], p, TrainSettings(epsilon=8, vardrop_on=False))
@@ -676,12 +676,7 @@ class TestChunkedStep:
 
 def writable_copy(batch):
     """The same windows over fresh writable arrays, so the batch is not frozen."""
-    return WindowBatch(tuple(
-        MultivariateWindow(
-            np.array(w.data, copy=True), w.start, np.array(w.horizon, copy=True)
-        )
-        for w in batch.windows
-    ))
+    return WindowBatch(np.array(batch.data, copy=True), np.array(batch.horizon, copy=True))
 
 
 @pytest.fixture
@@ -763,19 +758,18 @@ class TestHashGroups:
         assert len(before.retained) == 4  # four prototype groups, one kept each
         # give every variate its own dominant bin: all singletons, all kept
         steps = np.arange(batch.lookback)
-        for w in batch.windows:
-            for i in range(batch.n_variates):
-                w.data[i] = np.sin(2 * np.pi * (i + 1) * steps / batch.lookback)
+        for i in range(batch.n_variates):
+            batch.data[:, i] = np.sin(2 * np.pi * (i + 1) * steps / batch.lookback)
         after = plan_batch(batch, cfg, 0, 0)
         assert after.retained == tuple(range(batch.n_variates))
         assert len(kdfh_calls) == 2
 
     def test_read_only_view_of_writable_data_is_not_frozen(self, kdfh_calls):
         rng = np.random.default_rng(37)
-        base = rng.normal(size=(6, 16))
+        base = rng.normal(size=(1, 6, 16))
         view = base.view()
         view.flags.writeable = False
-        batch = WindowBatch((MultivariateWindow(view),))
+        batch = WindowBatch(view)
         assert not batch.frozen
         cfg = TrainSettings(k=2, epsilon=8)
         hash_groups(batch, cfg)
@@ -798,22 +792,24 @@ class TestPredictFull:
         rng = np.random.default_rng(24)
         window = make_window(rng, n=5, lookback=16, horizon=4)
         p = initialize_params(16, 4, 8, 4, seed=24)
-        trace = forward((window,), p, range(5))
-        npt.assert_array_equal(predict_full(window, p), trace.predictions[0])
+        trace = forward(window.data, window.horizon, p, range(5))
+        npt.assert_array_equal(predict_full(window.data[0], p), trace.predictions[0])
 
     def test_equals_dense_forward_on_table_views(self):
         # predict_full embeds the window's strided view of the table; forward
         # embeds a gathered copy. Both must give the same bits.
         table = synth_redundant(7, 3, 120, 0.1, seed=29)
         p = initialize_params(32, 4, 8, 4, seed=29)
-        for window in sliding_windows(table, 32, 4, 20):
-            assert not window.data.flags.c_contiguous
-            dense = forward((window,), p, range(7)).predictions[0]
-            npt.assert_array_equal(predict_full(window, p), dense)
+        windows = sliding_windows(table, 32, 4, 20)
+        assert not windows.data.flags.c_contiguous
+        for b in range(windows.size):
+            data, horizon = windows.data[b : b + 1], windows.horizon[b : b + 1]
+            dense = forward(data, horizon, p, range(7)).predictions[0]
+            npt.assert_array_equal(predict_full(data[0], p), dense)
 
     def test_no_horizon_needed(self):
         rng = np.random.default_rng(25)
-        window = MultivariateWindow(rng.normal(size=(5, 16)), start=0)
+        window = rng.normal(size=(5, 16))
         p = initialize_params(16, 4, 8, 4, seed=25)
         assert predict_full(window, p).shape == (5, 4)
 
@@ -822,10 +818,8 @@ class TestPredictFull:
         window = make_window(rng, n=7, lookback=16, horizon=4)
         p = initialize_params(16, 4, 8, 4, seed=26)
         perm = rng.permutation(7)
-        permuted = MultivariateWindow(
-            window.data[perm], start=0, horizon=window.horizon[perm]
-        )
-        base = predict_full(window, p)
+        permuted = window.data[0, perm]
+        base = predict_full(window.data[0], p)
         npt.assert_allclose(predict_full(permuted, p), base[perm], rtol=1e-12)
 
 
@@ -840,8 +834,8 @@ class TestValidationLoss:
         sq = 0.0
         count = 0
         for b in batches:
-            for w in b.windows:
-                preds = predict_full(w, p)
-                sq += float(np.sum((preds - w.horizon) ** 2))
+            for data, horizon in zip(b.data, b.horizon):
+                preds = predict_full(data, p)
+                sq += float(np.sum((preds - horizon) ** 2))
                 count += preds.size
         assert abs(got - sq / count) < 1e-15
