@@ -27,7 +27,6 @@ __all__ = [
     "RedundancyProfile",
     "ShiftReport",
     "SweepCell",
-    "SweepResult",
     "pearson_matrix",
     "redundancy_profile",
     "correlation_shift",
@@ -185,13 +184,6 @@ class SweepCell:
     val_loss: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Grid of sweep cells, ordered k-major then gs."""
-
-    records: tuple[SweepCell, ...]
-
-
 def sensitivity_sweep(
     train_batches: list[WindowBatch],
     val_batches: list[WindowBatch],
@@ -202,13 +194,14 @@ def sensitivity_sweep(
     epochs: int,
     embed_dim: int,
     attn_dim: int,
-) -> SweepResult:
-    """Train one model per (k, gs) cell and record mean delta and val loss.
+) -> tuple[SweepCell, ...]:
+    """Train one model per (k, gs) cell; the cells in k-major, then gs order.
 
-    Each cell runs ``settings`` with its own ``k`` and ``gs`` and reduction
-    on. Every cell starts from the same initialization, seeded by
-    ``settings.seed``, and sees the same batches, so cells differ only in the
-    reduction knobs. Mean delta is averaged over every batch of every epoch;
+    Each cell runs a copy of ``settings`` (any TrainSettings, the CLI's
+    RunConfig included) with its own ``k`` and ``gs`` and reduction on.
+    Every cell starts from the same initialization, seeded by
+    ``settings.seed``, and sees the same batches, so cells differ only in
+    the reduction knobs. Mean delta is averaged over every batch of every epoch;
     the loss is the dense validation MSE of the final parameters.
     Deterministic given the seed.
     """
@@ -242,4 +235,4 @@ def sensitivity_sweep(
                     val_loss=validation_loss(params, val_batches),
                 )
             )
-    return SweepResult(records=tuple(records))
+    return tuple(records)

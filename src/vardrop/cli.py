@@ -44,7 +44,13 @@ from .dataset import (
     synth_redundant_detail,
     write_csv,
 )
-from .errors import ParameterError, ParseError, PipelineIOError, VardropError
+from .errors import (
+    ParameterError,
+    ParseError,
+    PipelineIOError,
+    VardropError,
+    require,
+)
 from .model import (
     TrainSettings,
     count_flops,
@@ -60,13 +66,16 @@ __all__ = ["RunConfig", "validate_config", "parse_config_file", "main"]
 
 _EXIT_CODES = {"parse": 2, "validation": 3, "numeric": 4, "io": 5}
 
+
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(TrainSettings):
     """Fully defaulted, range-checked run configuration.
 
-    Each field is one config key. Its annotation, a string under postponed
-    evaluation, names the kind validate_config parses the key as; its default
-    is the built-in default (seed's yields to VARDROP_SEED when that is set).
+    Each field is one config key. The training keys are TrainSettings' own
+    fields, defaults and checks; the keys declared here are the rest. A
+    field's annotation, a string under postponed evaluation, names the kind
+    validate_config parses the key as; its default is the built-in default
+    (seed's yields to VARDROP_SEED when that is set).
     """
 
     data: str = ""
@@ -79,16 +88,9 @@ class RunConfig:
     H: int = 96
     B: int = 32
     stride: int = 1
-    k: int = 3
-    epsilon: int = 25
-    gs: int = 10
     d: int = 64
     d_k: int = 32
-    lr: float = 0.01
     epochs: int = 10
-    seed: int = 0
-    vardrop_on: bool = True
-    normalize_windows: bool = False
     train_frac: float = 0.7
     val_frac: float = 0.1
     test_frac: float = 0.2
@@ -122,11 +124,6 @@ def _parse_scalar(key: str, kind: str, text: str):
         raise ParameterError(f"{key}: expected {kind}, got {text!r}") from None
 
 
-def _require(key: str, ok: bool, interval: str, value) -> None:
-    if not ok:
-        raise ParameterError(f"{key}: must be in {interval}, got {value}")
-
-
 def _parse_int_list(key: str, text: str) -> tuple[int, ...]:
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not items:
@@ -144,6 +141,8 @@ def validate_config(raw: dict[str, str]) -> RunConfig:
 
     Unknown keys are hard errors. Every range violation names the key and the
     permitted interval. The seed default comes from VARDROP_SEED when set.
+    Keys parse in field order, training keys first. TrainSettings checks
+    those and SplitSpec the fractions; the rest is checked here.
     """
     unknown = sorted(set(raw) - {f.name for f in fields(RunConfig)})
     if unknown:
@@ -158,59 +157,46 @@ def validate_config(raw: dict[str, str]) -> RunConfig:
             values[f.name] = _parse_scalar("VARDROP_SEED", "int", env_seed)
 
     c = RunConfig(**values)
-    _require(
+    require(
         "delimiter", len(c.delimiter) == 1, "one-character strings", repr(c.delimiter)
     )
-    _require("T", c.T >= 2, "[2, inf)", c.T)
-    _require("H", c.H >= 0, "[0, inf)", c.H)
-    _require("B", c.B >= 1, "[1, inf)", c.B)
-    _require("stride", c.stride >= 1, "[1, inf)", c.stride)
-    _require("k", c.k >= 1, "[1, inf)", c.k)
-    _require(
+    require("T", c.T >= 2, "[2, inf)", c.T)
+    require("H", c.H >= 0, "[0, inf)", c.H)
+    require("B", c.B >= 1, "[1, inf)", c.B)
+    require("stride", c.stride >= 1, "[1, inf)", c.stride)
+    require(
         "epsilon",
-        1 <= c.epsilon <= c.T // 2,
+        c.epsilon <= c.T // 2,
         f"[1, {c.T // 2}] (floor(T/2) for T={c.T})",
         c.epsilon,
     )
-    _require("k", c.k <= c.epsilon, f"[1, {c.epsilon}] (at most epsilon)", c.k)
-    _require("gs", c.gs >= 1, "[1, inf)", c.gs)
-    _require("d", c.d >= 1, "[1, inf)", c.d)
-    _require("d_k", c.d_k >= 1, "[1, inf)", c.d_k)
-    _require("lr", c.lr > 0, "(0, inf)", c.lr)
-    _require("epochs", c.epochs >= 1, "[1, inf)", c.epochs)
-    _require("seed", c.seed >= 0, "[0, inf)", c.seed)
-    _require("synth_n", c.synth_n >= 1, "[1, inf)", c.synth_n)
-    _require(
+    require("d", c.d >= 1, "[1, inf)", c.d)
+    require("d_k", c.d_k >= 1, "[1, inf)", c.d_k)
+    require("epochs", c.epochs >= 1, "[1, inf)", c.epochs)
+    require("seed", c.seed >= 0, "[0, inf)", c.seed)
+    require("synth_n", c.synth_n >= 1, "[1, inf)", c.synth_n)
+    require(
         "synth_g",
         1 <= c.synth_g <= c.synth_n,
         f"[1, {c.synth_n}] (at most synth_n)",
         c.synth_g,
     )
-    _require("synth_sigma", c.synth_sigma >= 0, "[0, inf)", c.synth_sigma)
-    _require("synth_length", c.synth_length >= 1, "[1, inf)", c.synth_length)
-    for key in ("train_frac", "val_frac", "test_frac"):
-        _require(key, 0.0 <= getattr(c, key) <= 1.0, "[0, 1]", getattr(c, key))
-    frac_sum = c.train_frac + c.val_frac + c.test_frac
-    if abs(frac_sum - 1.0) > 1e-9:
-        raise ParameterError(
-            f"train_frac/val_frac/test_frac: must sum to 1, got {frac_sum!r}"
-        )
-    _require(
-        "corr_threshold",
-        -1.0 <= c.corr_threshold <= 1.0,
-        "[-1, 1]",
-        c.corr_threshold,
+    require("synth_sigma", c.synth_sigma >= 0, "[0, inf)", c.synth_sigma)
+    require("synth_length", c.synth_length >= 1, "[1, inf)", c.synth_length)
+    _split_spec(c)  # checks the split fractions
+    require(
+        "corr_threshold", -1.0 <= c.corr_threshold <= 1.0, "[-1, 1]", c.corr_threshold
     )
-    _require("shift_count", c.shift_count >= 1, "[1, inf)", c.shift_count)
-    _require("bench_n", c.bench_n >= 1, "[1, inf)", c.bench_n)
-    _require("bench_delta", 0.0 <= c.bench_delta < 1.0, "[0, 1)", c.bench_delta)
+    require("shift_count", c.shift_count >= 1, "[1, inf)", c.shift_count)
+    require("bench_n", c.bench_n >= 1, "[1, inf)", c.bench_n)
+    require("bench_delta", 0.0 <= c.bench_delta < 1.0, "[0, 1)", c.bench_delta)
     # sweep lists are range-checked per cell at run time (k <= epsilon there);
     # here they only need to parse, and are normalized so echoes are canonical
     normalized = {}
     for key in ("sweep_ks", "sweep_gss"):
         entries = _parse_int_list(key, getattr(c, key))
         for v in entries:
-            _require(key, v >= 1, "[1, inf) per entry", v)
+            require(key, v >= 1, "[1, inf) per entry", v)
         normalized[key] = ",".join(str(v) for v in entries)
     return replace(c, **normalized)
 
@@ -303,11 +289,8 @@ def _load_table(config: RunConfig) -> SeriesTable:
     return _synth(config).table
 
 
-def _settings(config: RunConfig) -> TrainSettings:
-    # every TrainSettings field is also a config key of the same name
-    return TrainSettings(
-        **{f.name: getattr(config, f.name) for f in fields(TrainSettings)}
-    )
+def _split_spec(config: RunConfig) -> SplitSpec:
+    return SplitSpec(config.train_frac, config.val_frac, config.test_frac)
 
 
 def _lookback_batches(table: SeriesTable, config: RunConfig):
@@ -318,8 +301,7 @@ def _lookback_batches(table: SeriesTable, config: RunConfig):
 def _split_batches(table: SeriesTable, config: RunConfig):
     if config.H < 1:
         raise ParameterError("H: must be in [1, inf) for training, got 0")
-    spec = SplitSpec(config.train_frac, config.val_frac, config.test_frac)
-    train, val, _ = chronological_split(table, spec)
+    train, val, _ = chronological_split(table, _split_spec(config))
     train_batches = batch_windows(
         sliding_windows(train, config.T, config.H, config.stride), config.B
     )
@@ -331,7 +313,7 @@ def _split_batches(table: SeriesTable, config: RunConfig):
 
 def _write_hashes(config: RunConfig, batch: WindowBatch, out: Path) -> GroupTable:
     """Hash one batch, group it, and write ``hashes.json``; returns the groups."""
-    groups = hash_groups(batch, _settings(config))
+    groups = hash_groups(batch, config)
     hashes = [""] * batch.n_variates
     for key, idx in groups.groups.items():
         for i in idx:
@@ -371,9 +353,8 @@ def _cmd_hash(config: RunConfig, out: Path) -> None:
 
 def _cmd_reduce(config: RunConfig, out: Path) -> None:
     table = _load_table(config)
-    settings = _settings(config)
     batches = _lookback_batches(table, config)
-    plans = [plan_batch(batch, settings, 0, i) for i, batch in enumerate(batches)]
+    plans = [plan_batch(batch, config, 0, i) for i, batch in enumerate(batches)]
     rows = [[i, len(plan.retained), plan.delta] for i, plan in enumerate(plans)]
     _write_csv_rows(out / "reduction.csv", ["iteration", "tokens_used", "delta"], rows)
     first = plans[0]
@@ -395,8 +376,7 @@ def _cmd_reduce(config: RunConfig, out: Path) -> None:
 
 def _cmd_analyze(config: RunConfig, out: Path) -> None:
     table = _load_table(config)
-    spec = SplitSpec(config.train_frac, config.val_frac, config.test_frac)
-    train, _, _ = chronological_split(table, spec)
+    train, _, _ = chronological_split(table, _split_spec(config))
     if train.length < config.T:
         raise ParameterError(
             f"T: training split of length {train.length} is shorter than T={config.T}"
@@ -443,7 +423,6 @@ def _reduction_summary(metrics) -> ReductionSummary:
 def _cmd_train(config: RunConfig, out: Path) -> None:
     table = _load_table(config)
     train_batches, val_batches = _split_batches(table, config)
-    settings = _settings(config)
     params = initialize_params(config.T, config.H, config.d, config.d_k, config.seed)
     _write_hashes(config, train_batches[0], out)
 
@@ -452,7 +431,7 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
     timing_lines = []
     for epoch in range(config.epochs):
         started = time.perf_counter()
-        params, metrics = train_epoch(train_batches, params, settings, epoch)
+        params, metrics = train_epoch(train_batches, params, config, epoch)
         elapsed = time.perf_counter() - started
         all_metrics.extend(metrics)
         mean_loss = float(np.mean([m.loss for m in metrics]))
@@ -520,12 +499,12 @@ def _cmd_sweep(config: RunConfig, out: Path) -> None:
     train_batches, val_batches = _split_batches(table, config)
     ks = _parse_int_list("sweep_ks", config.sweep_ks)
     gss = _parse_int_list("sweep_gss", config.sweep_gss)
-    result = sensitivity_sweep(
+    cells = sensitivity_sweep(
         train_batches,
         val_batches,
         ks,
         gss,
-        _settings(config),
+        config,
         epochs=config.epochs,
         embed_dim=config.d,
         attn_dim=config.d_k,
@@ -533,9 +512,9 @@ def _cmd_sweep(config: RunConfig, out: Path) -> None:
     _write_csv_rows(
         out / "sweep.csv",
         ["k", "gs", "delta", "val_loss"],
-        [[c.k, c.gs, c.delta, c.val_loss] for c in result.records],
+        [[c.k, c.gs, c.delta, c.val_loss] for c in cells],
     )
-    print(f"sweep: {len(result.records)} cells over k={list(ks)} gs={list(gss)}")
+    print(f"sweep: {len(cells)} cells over k={list(ks)} gs={list(gss)}")
 
 
 def _cmd_bench(config: RunConfig, out: Path) -> None:

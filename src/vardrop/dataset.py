@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     PipelineIOError,
     SplitError,
+    require,
 )
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "sliding_windows",
     "batch_windows",
     "chronological_split",
-    "synth_redundant",
     "synth_redundant_detail",
 ]
 
@@ -151,11 +151,14 @@ class SplitSpec:
     test_frac: float
 
     def __post_init__(self) -> None:
-        fracs = (self.train_frac, self.val_frac, self.test_frac)
-        if any(f < 0 for f in fracs):
-            raise ParameterError(f"split fractions must be nonnegative, got {fracs}")
-        if abs(sum(fracs) - 1.0) > 1e-9:
-            raise ParameterError(f"split fractions must sum to 1, got {sum(fracs)!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            require(f.name, 0.0 <= value <= 1.0, "[0, 1]", value)
+        total = self.train_frac + self.val_frac + self.test_frac
+        if abs(total - 1.0) > 1e-9:
+            raise ParameterError(
+                f"train_frac/val_frac/test_frac: must sum to 1, got {total!r}"
+            )
 
 
 _TIMESTAMP_HEADERS = ("date", "time", "timestamp", "datetime")
@@ -188,8 +191,8 @@ def load_csv(path: str, delimiter: str = ",") -> SeriesTable:
 def _records(handle, delimiter: str, path: str):
     """Yield ``(row, line_num)`` for every row that is neither blank nor a comment.
 
-    A row ``csv`` cannot read (a field over its size limit) raises ParseError
-    naming ``path`` and the line.
+    A row ``csv`` cannot read (a field over its size limit, which only
+    ``_load_body`` keeps) raises ParseError naming ``path`` and the line.
     """
     reader = csv.reader(handle, delimiter=delimiter)
     try:
@@ -263,11 +266,16 @@ def _load_rows(path: str, delimiter: str) -> SeriesTable:
     except OSError as exc:
         raise PipelineIOError(f"cannot open {path}: {exc}") from exc
 
+    # numpy's reader has no cell-size limit; csv's limit is process-wide, so
+    # it is lifted for this read alone (2**31 - 1 fits a C long everywhere)
+    limit = csv.field_size_limit(2**31 - 1)
     with handle:
         try:
             records = list(_records(handle, delimiter, path))
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        finally:
+            csv.field_size_limit(limit)
 
     if not records:
         raise EmptyInputError(f"{path}: no header row found")
@@ -508,17 +516,3 @@ def synth_redundant_detail(
         seed=seed,
         noise_sigma=noise_sigma,
     )
-
-
-def synth_redundant(
-    n_variates: int,
-    n_prototypes: int,
-    length: int,
-    noise_sigma: float,
-    seed: int,
-    period: int = 96,
-) -> SeriesTable:
-    """Like synth_redundant_detail but returning only the table."""
-    return synth_redundant_detail(
-        n_variates, n_prototypes, length, noise_sigma, seed, period=period
-    ).table

@@ -7,6 +7,17 @@ or ``io``.
 
 from __future__ import annotations
 
+__all__ = [
+    "VardropError",
+    "ParseError",
+    "EmptyInputError",
+    "ParameterError",
+    "InsufficientLengthError",
+    "SplitError",
+    "NumericError",
+    "PipelineIOError",
+]
+
 
 class VardropError(Exception):
     """Base class for all errors raised by this package."""
@@ -48,3 +59,9 @@ class PipelineIOError(VardropError):
     """A referenced path is missing or an output location is unwritable."""
 
     category = "io"
+
+
+def require(key: str, ok: bool, interval: str, value) -> None:
+    """Raise ParameterError ``<key>: must be in <interval>, got <value>`` unless ok."""
+    if not ok:
+        raise ParameterError(f"{key}: must be in {interval}, got {value}")

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dataset import WindowBatch
-from .errors import NumericError, ParameterError
+from .errors import NumericError, ParameterError, require
 from .reduction import (
     GroupTable,
     ReductionPlan,
@@ -399,7 +399,10 @@ def count_flops(
 
 @dataclass(frozen=True)
 class TrainSettings:
-    """Knobs for one training run; reduction applies only when enabled."""
+    """Knobs for one training run; reduction applies only when enabled.
+
+    The CLI's RunConfig extends this class: each field is a config key.
+    """
 
     k: int = 3
     epsilon: int = 25
@@ -410,16 +413,13 @@ class TrainSettings:
     normalize_windows: bool = False
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ParameterError(f"k must be >= 1, got {self.k}")
-        if self.epsilon < self.k:
-            raise ParameterError(
-                f"epsilon must be >= k, got epsilon={self.epsilon}, k={self.k}"
-            )
-        if self.gs < 1:
-            raise ParameterError(f"gs must be >= 1, got {self.gs}")
-        if self.lr <= 0:
-            raise ParameterError(f"learning rate must be > 0, got {self.lr}")
+        require("k", self.k >= 1, "[1, inf)", self.k)
+        require("epsilon", self.epsilon >= 1, "[1, inf)", self.epsilon)
+        require(
+            "k", self.k <= self.epsilon, f"[1, {self.epsilon}] (at most epsilon)", self.k
+        )
+        require("gs", self.gs >= 1, "[1, inf)", self.gs)
+        require("lr", self.lr > 0, "(0, inf)", self.lr)
 
 
 @dataclass(frozen=True)

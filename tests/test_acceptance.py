@@ -386,7 +386,7 @@ def _determinism_digest():
     grads = vd.backward(vd.forward(data, horizon, params, range(5)), params)
     pieces["gradients"] = {"w_embed": grads.w_embed[0], "b_head": grads.b_head[0]}
 
-    table = vd.synth_redundant(16, 4, 800, 0.05, seed=7)
+    table = vd.synth_redundant_detail(16, 4, 800, 0.05, seed=7).table
     batches = vd.batch_windows(vd.sliding_windows(table, 96, 16, 32), 8)
     params = vd.initialize_params(96, 16, 16, 8, seed=7)
     config = vd.TrainSettings(k=3, epsilon=25, gs=2, lr=0.02, seed=7)

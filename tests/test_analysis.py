@@ -14,7 +14,7 @@ from vardrop import (
     redundancy_profile,
     sensitivity_sweep,
     sliding_windows,
-    synth_redundant,
+    synth_redundant_detail,
 )
 
 from helpers import pearson_pair
@@ -186,7 +186,7 @@ class TestCorrelationShift:
 
 
 def sweep_batches(seed=10):
-    table = synth_redundant(16, 4, 170, 0.05, seed=seed)
+    table = synth_redundant_detail(16, 4, 170, 0.05, seed=seed).table
     train = batch_windows(sliding_windows(table, 48, 8, 57), 3)
     return train, train
 
@@ -199,37 +199,37 @@ def sweep_settings(seed):
 class TestSensitivitySweep:
     def test_generous_gs_zero_deltas(self):
         train, val = sweep_batches()
-        result = sensitivity_sweep(
+        cells = sensitivity_sweep(
             train, val, [2, 3], [16], sweep_settings(10),
             epochs=1, embed_dim=8, attn_dim=4,
         )
-        assert all(cell.delta == 0.0 for cell in result.records)
+        assert all(cell.delta == 0.0 for cell in cells)
 
     def test_delta_monotone_in_gs(self):
         train, val = sweep_batches()
-        result = sensitivity_sweep(
+        cells = sensitivity_sweep(
             train, val, [3], [1, 5], sweep_settings(10),
             epochs=1, embed_dim=8, attn_dim=4,
         )
-        assert result.records[0].delta > result.records[1].delta
-        by_gs = {cell.gs: cell.delta for cell in result.records}
+        assert cells[0].delta > cells[1].delta
+        by_gs = {cell.gs: cell.delta for cell in cells}
         assert by_gs[1] > by_gs[5]
 
     def test_full_grid_one_record_per_cell(self):
         train, val = sweep_batches()
         ks = [2, 3, 4, 5]
         gss = list(range(1, 16))
-        result = sensitivity_sweep(
+        cells = sensitivity_sweep(
             train, val, ks, gss, sweep_settings(10),
             epochs=1, embed_dim=8, attn_dim=4,
         )
-        assert len(result.records) == 60
+        assert len(cells) == 60
         # grid order: k-major, gs within
-        assert [(c.k, c.gs) for c in result.records] == [
+        assert [(c.k, c.gs) for c in cells] == [
             (k, gs) for k in ks for gs in gss
         ]
         for k in ks:
-            deltas = [c.delta for c in result.records if c.k == k]
+            deltas = [c.delta for c in cells if c.k == k]
             assert all(a >= b for a, b in zip(deltas, deltas[1:]))
 
     def test_deterministic(self):

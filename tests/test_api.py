@@ -1,23 +1,26 @@
 """The flat ``vardrop`` namespace: exactly the modules' public names."""
 
+import types
+
 import vardrop
 from vardrop import analysis, dataset, errors, model, reduction, spectral
 
-MODULES = (dataset, spectral, reduction, model, analysis)
+MODULES = (dataset, spectral, reduction, model, analysis, errors)
 
 
-def error_classes():
-    return {
+def test_errors_exports_every_error_class():
+    classes = {
         name
         for name, obj in vars(errors).items()
         if isinstance(obj, type) and issubclass(obj, errors.VardropError)
     }
+    assert set(errors.__all__) == classes
 
 
 def test_all_is_version_errors_and_module_exports():
     exported = vardrop.__all__
     assert len(exported) == len(set(exported))
-    expected = {"__version__"} | error_classes()
+    expected = {"__version__"}
     for module in MODULES:
         assert len(module.__all__) == len(set(module.__all__)), module.__name__
         expected |= set(module.__all__)
@@ -28,6 +31,13 @@ def test_every_exported_name_resolves():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(vardrop, name) is getattr(module, name), name
-    for name in error_classes():
-        assert getattr(vardrop, name) is getattr(errors, name)
     assert isinstance(vardrop.__version__, str)
+
+
+def test_every_public_attribute_is_a_submodule_or_exported():
+    # a module without __all__ would leak its imports through the star import
+    for name, obj in vars(vardrop).items():
+        if name.startswith("_") or name in vardrop.__all__:
+            continue
+        assert isinstance(obj, types.ModuleType), name
+        assert obj.__name__ == f"vardrop.{name}", name

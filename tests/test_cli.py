@@ -337,6 +337,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error [validation]:")
 
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ("--k=0", "k"),
+            ("--gs=0", "gs"),
+            ("--lr=0", "lr"),
+            ("--k=30", "k"),
+            ("--train_frac=-0.1", "train_frac"),
+            ("--train_frac=0.5", "train_frac/val_frac/test_frac"),
+        ],
+    )
+    def test_range_error_names_the_key(self, tmp_path, capsys, override, key):
+        code = main(["hash", "-o", str(tmp_path / "o"), override])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"error [validation]: {key}:")
+
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\nx,4\n")
@@ -355,13 +371,13 @@ class TestExitCodes:
 
     def test_oversized_field_is_parse_error(self, tmp_path, capsys):
         # numpy's reader takes the 200,000-digit cell, then stops at the bad
-        # cell, so the row parser runs and meets csv's field size limit first
+        # cell; the row parser takes the long cell too and names the bad one
         bad = tmp_path / "wide.csv"
         bad.write_text("a,b\n1,2\n" + "0" * 200_000 + ",1\n3,x\n")
         code = main(["hash", "-o", str(tmp_path / "o"), f"--data={bad}"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err == f"error [parse]: {bad}:3: field larger than field limit (131072)\n"
+        assert err == f"error [parse]: {bad}:4: non-numeric value 'x' in column 'b'\n"
 
     def test_quote_delimiter_is_parse_error(self, tmp_path, capsys):
         # numpy's reader refuses '"' as a delimiter; the row parser decides

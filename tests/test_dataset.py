@@ -3,7 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vardrop import dataset
@@ -20,7 +20,6 @@ from vardrop import (
     chronological_split,
     load_csv,
     sliding_windows,
-    synth_redundant,
     synth_redundant_detail,
     write_csv,
 )
@@ -74,6 +73,9 @@ WELL_FORMED = {
     "leading_comments": "# source: meter\n# units, kW\na,b\n1,2\n3,4\n",
     "crlf": "a,b\r\n1,2\r\n3,4\r\n",
 }
+
+# A cell longer than csv's default field size limit (131,072 characters).
+_LONG_CELL_FILE = b"a,b\n1,2\n" + b"0" * 200_000 + b",1\n"
 
 # Cells either parser may stumble on: quoting, underscores, non-finite
 # values, comment markers, quoted newlines, non-ASCII digits.
@@ -257,6 +259,8 @@ class TestLoadCsv(object):
 
     @settings(max_examples=300, deadline=None)
     @given(case=csv_files())
+    @example(case=(_LONG_CELL_FILE, ","))
+    @example(case=(_LONG_CELL_FILE + b"3,x\n", ","))
     def test_fast_path_agrees_with_row_parser(self, tmp_path_factory, case):
         data, delimiter = case
         path = tmp_path_factory.getbasetemp() / "agree.csv"
@@ -457,17 +461,17 @@ class TestChronologicalSplit:
 
 class TestSynthRedundant:
     def test_reproducible(self):
-        a = synth_redundant(16, 4, 300, 0.05, seed=9)
-        b = synth_redundant(16, 4, 300, 0.05, seed=9)
+        a = synth_redundant_detail(16, 4, 300, 0.05, seed=9).table
+        b = synth_redundant_detail(16, 4, 300, 0.05, seed=9).table
         npt.assert_array_equal(a.values, b.values)
 
     def test_seed_changes_output(self):
-        a = synth_redundant(16, 4, 300, 0.05, seed=9)
-        b = synth_redundant(16, 4, 300, 0.05, seed=10)
+        a = synth_redundant_detail(16, 4, 300, 0.05, seed=9).table
+        b = synth_redundant_detail(16, 4, 300, 0.05, seed=10).table
         assert not np.array_equal(a.values, b.values)
 
     def test_noiseless_rows_repeat_prototypes(self):
-        table = synth_redundant(64, 8, 400, 0.0, seed=5)
+        table = synth_redundant_detail(64, 8, 400, 0.0, seed=5).table
         unique = np.unique(table.values, axis=0)
         assert unique.shape[0] == 8
 
@@ -496,15 +500,15 @@ class TestSynthRedundant:
             seen.add(signature)
 
     def test_noise_magnitude(self):
-        clean = synth_redundant(8, 2, 2000, 0.0, seed=4)
-        noisy = synth_redundant(8, 2, 2000, 0.1, seed=4)
+        clean = synth_redundant_detail(8, 2, 2000, 0.0, seed=4).table
+        noisy = synth_redundant_detail(8, 2, 2000, 0.1, seed=4).table
         resid = noisy.values - clean.values
         assert abs(resid.std() - 0.1) < 0.01
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            synth_redundant(4, 5, 100, 0.0, seed=0)
+            synth_redundant_detail(4, 5, 100, 0.0, seed=0)
         with pytest.raises(ParameterError):
-            synth_redundant(4, 2, 100, -0.1, seed=0)
+            synth_redundant_detail(4, 2, 100, -0.1, seed=0)
         with pytest.raises(ParameterError):
-            synth_redundant(0, 0, 100, 0.0, seed=0)
+            synth_redundant_detail(0, 0, 100, 0.0, seed=0)

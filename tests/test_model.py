@@ -33,7 +33,7 @@ from vardrop import (
     sensitivity_sweep,
     sgd_step,
     sliding_windows,
-    synth_redundant,
+    synth_redundant_detail,
     train_epoch,
     validation_loss,
 )
@@ -279,7 +279,7 @@ class TestForward:
             forward(window.data, window.horizon, p, (0, 3))
 
     def test_keeping_all_in_order_passes_window_through(self):
-        table = synth_redundant(7, 3, 120, 0.1, seed=30)
+        table = synth_redundant_detail(7, 3, 120, 0.1, seed=30).table
         p = initialize_params(32, 4, 8, 4, seed=30)
         windows = sliding_windows(table, 32, 4, 20)
         for b in range(windows.size):
@@ -295,7 +295,7 @@ class TestForward:
             npt.assert_array_equal(trace.predictions[b], predict_full(windows.data[b], p))
 
     def test_permutation_of_all_still_gathers(self):
-        table = synth_redundant(7, 3, 120, 0.1, seed=31)
+        table = synth_redundant_detail(7, 3, 120, 0.1, seed=31).table
         p = initialize_params(32, 4, 8, 4, seed=31)
         window = batch_windows(sliding_windows(table, 32, 4, 20), 1)[0]
         order = [6, 5, 4, 3, 2, 1, 0]
@@ -451,7 +451,7 @@ class TestTrainSettings:
 
 def make_batches(seed=19, n=16, g=4, length=600, lookback=48, horizon=8,
                  stride=16, batch=8, sigma=0.05):
-    table = synth_redundant(n, g, length, sigma, seed=seed)
+    table = synth_redundant_detail(n, g, length, sigma, seed=seed).table
     windows = sliding_windows(table, lookback, horizon, stride)
     return batch_windows(windows, batch)
 
@@ -535,7 +535,7 @@ class TestTrainEpoch:
         assert metrics[0].loss == sum(first) / batches[0].size
 
     def test_requires_horizons(self):
-        table = synth_redundant(4, 2, 200, 0.0, seed=23)
+        table = synth_redundant_detail(4, 2, 200, 0.0, seed=23).table
         windows = sliding_windows(table, 48, 0, 16)
         batches = batch_windows(windows, 4)
         p0 = initialize_params(48, 8, 8, 4, seed=23)
@@ -798,7 +798,7 @@ class TestPredictFull:
     def test_equals_dense_forward_on_table_views(self):
         # predict_full embeds the window's strided view of the table; forward
         # embeds a gathered copy. Both must give the same bits.
-        table = synth_redundant(7, 3, 120, 0.1, seed=29)
+        table = synth_redundant_detail(7, 3, 120, 0.1, seed=29).table
         p = initialize_params(32, 4, 8, 4, seed=29)
         windows = sliding_windows(table, 32, 4, 20)
         assert not windows.data.flags.c_contiguous
@@ -826,7 +826,7 @@ class TestPredictFull:
 class TestValidationLoss:
     def test_manual_recompute(self):
         rng = np.random.default_rng(27)
-        table = synth_redundant(6, 2, 200, 0.05, seed=27)
+        table = synth_redundant_detail(6, 2, 200, 0.05, seed=27).table
         windows = sliding_windows(table, 32, 4, 32)
         batches = batch_windows(windows, 2)
         p = initialize_params(32, 4, 8, 4, seed=27)
