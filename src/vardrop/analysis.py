@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import SeriesTable, WindowBatch
-from .errors import ParameterError
+from .errors import ParameterError, require
 from .model import (
     TrainSettings,
     initialize_params,
@@ -106,8 +106,7 @@ class RedundancyProfile:
 
 def redundancy_profile(matrix: CorrelationMatrix, threshold: float) -> RedundancyProfile:
     """Fraction of variates whose best off-diagonal correlation meets threshold."""
-    if not -1.0 <= threshold <= 1.0:
-        raise ParameterError(f"threshold must be in [-1, 1], got {threshold}")
+    require("threshold", -1.0 <= threshold <= 1.0, "[-1, 1]", threshold)
     rho = matrix.rho
     n = matrix.n_variates
     if n == 1:
@@ -144,16 +143,13 @@ def correlation_shift(
     table: SeriesTable, lookback: int, starts: Sequence[int]
 ) -> ShiftReport:
     """Correlation drift of the table across the windows at ``starts``."""
-    if lookback < 2:
-        raise ParameterError(f"lookback must be >= 2, got {lookback}")
+    require("lookback", lookback >= 2, "[2, inf)", lookback)
     starts = tuple(int(s) for s in starts)
     if not starts:
         raise ParameterError("correlation shift needs at least one start")
+    last = table.length - lookback
     for s in starts:
-        if s < 0 or s + lookback > table.length:
-            raise ParameterError(
-                f"window [{s}, {s + lookback}) outside table of length {table.length}"
-            )
+        require("starts", 0 <= s <= last, f"[0, {last}] (windows inside the table)", s)
     mats = np.stack(
         [pearson_matrix(table.values[:, s : s + lookback]).rho for s in starts]
     )
@@ -205,8 +201,7 @@ def sensitivity_sweep(
     the loss is the dense validation MSE of the final parameters.
     Deterministic given the seed.
     """
-    if epochs < 1:
-        raise ParameterError(f"epochs must be >= 1, got {epochs}")
+    require("epochs", epochs >= 1, "[1, inf)", epochs)
     if not ks or not gss:
         raise ParameterError("sweep needs at least one k and one gs")
     if not train_batches:

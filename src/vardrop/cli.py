@@ -273,6 +273,8 @@ def _echo_config(config: RunConfig) -> str:
 
 
 def _synth(config: RunConfig) -> SynthDetail:
+    # the synthetic period is T, so a too-short T is reported as T
+    require("T", config.T >= 10, "[10, inf) for synthetic data", config.T)
     return synth_redundant_detail(
         config.synth_n,
         config.synth_g,

@@ -83,14 +83,25 @@ class SeriesTable:
         return self.values.shape[1]
 
 
+def _read_only(array: np.ndarray) -> bool:
+    # A read-only view of a writable array can still change under it, so
+    # every array down the chain of bases to the owner must be read-only.
+    while isinstance(array, np.ndarray) and not array.flags.writeable:
+        if array.base is None:
+            return True
+        array = array.base
+    return False
+
+
 @dataclass(frozen=True)
 class WindowBatch:
-    """``B`` windows sharing ``N``, ``T`` and ``H``, held as two arrays.
+    """``B`` windows sharing ``N``, ``T`` and ``H``, held as two read-only arrays.
 
     ``data`` is the ``B x N x T`` lookbacks; ``horizon`` is the ``B x N x H``
-    horizons that follow them, or None when ``H = 0``. ``memo`` holds results
-    derived from ``data``, keyed by their settings; only ``frozen`` batches
-    may keep them.
+    horizons that follow them, or None when ``H = 0``. A batch never changes:
+    an array read-only down its chain of bases (a ``SeriesTable`` view) is
+    kept, and any other is replaced by a read-only copy. ``memo`` holds
+    results derived from ``data``, keyed by their settings.
     """
 
     data: np.ndarray
@@ -106,6 +117,12 @@ class WindowBatch:
         horizon = self.horizon
         if horizon is not None and (horizon.ndim != 3 or horizon.shape[:2] != shape[:2]):
             raise ParameterError(f"horizon of shape {horizon.shape} for data of shape {shape}")
+        for name in ("data", "horizon"):
+            array = getattr(self, name)
+            if array is not None and not _read_only(array):
+                array = array.copy()
+                array.flags.writeable = False
+                object.__setattr__(self, name, array)
 
     @property
     def size(self) -> int:
@@ -122,20 +139,6 @@ class WindowBatch:
     @property
     def horizon_length(self) -> int:
         return 0 if self.horizon is None else self.horizon.shape[2]
-
-    @property
-    def frozen(self) -> bool:
-        """True when ``data`` cannot change: read-only down to its owner.
-
-        A read-only view of a writable array can still change under it, so
-        every array in the chain of bases must be read-only too.
-        """
-        array = self.data
-        while isinstance(array, np.ndarray) and not array.flags.writeable:
-            if array.base is None:
-                return True
-            array = array.base
-        return False
 
     def data_tensor(self) -> np.ndarray:
         """The ``B x N x T`` lookbacks."""
@@ -191,9 +194,12 @@ def load_csv(path: str, delimiter: str = ",") -> SeriesTable:
 def _records(handle, delimiter: str, path: str):
     """Yield ``(row, line_num)`` for every row that is neither blank nor a comment.
 
-    A row ``csv`` cannot read (a field over its size limit, which only
-    ``_load_body`` keeps) raises ParseError naming ``path`` and the line.
+    Like numpy's reader it has no cell-size limit: ``csv``'s process-wide
+    limit is lifted from the first row read until the generator finishes or
+    is closed (2**31 - 1 fits a C long everywhere). A row ``csv`` still
+    cannot read raises ParseError naming ``path`` and the line.
     """
+    limit = csv.field_size_limit(2**31 - 1)
     reader = csv.reader(handle, delimiter=delimiter)
     try:
         for row in reader:
@@ -201,6 +207,8 @@ def _records(handle, delimiter: str, path: str):
                 yield row, reader.line_num
     except csv.Error as exc:
         raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    finally:
+        csv.field_size_limit(limit)
 
 
 def _columns(header: list[str], first_row: list[str]) -> tuple[list[str], bool]:
@@ -235,6 +243,7 @@ def _load_body(path: str, delimiter: str) -> SeriesTable | None:
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             records = _records(handle, delimiter, path)
             (header, skip), (first_row, _) = next(records), next(records)
+            records.close()  # restores the field limit; an error already did
         names, drop_first = _columns(header, first_row)
         if not names:
             return None
@@ -265,17 +274,11 @@ def _load_rows(path: str, delimiter: str) -> SeriesTable:
         handle = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise PipelineIOError(f"cannot open {path}: {exc}") from exc
-
-    # numpy's reader has no cell-size limit; csv's limit is process-wide, so
-    # it is lifted for this read alone (2**31 - 1 fits a C long everywhere)
-    limit = csv.field_size_limit(2**31 - 1)
     with handle:
         try:
             records = list(_records(handle, delimiter, path))
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        finally:
-            csv.field_size_limit(limit)
 
     if not records:
         raise EmptyInputError(f"{path}: no header row found")
@@ -332,14 +335,11 @@ def sliding_windows(
     Returns one batch of ``floor((L - T - H) / stride) + 1`` windows; window
     ``b`` starts at column ``b * stride`` and its horizon is the ``H`` columns
     immediately following its lookback. Both arrays are read-only strided
-    views of the (immutable) table: no value is copied.
+    views of the (immutable) table, so the batch keeps them: no value is copied.
     """
-    if lookback < 2:
-        raise ParameterError(f"lookback must be >= 2, got {lookback}")
-    if horizon < 0:
-        raise ParameterError(f"horizon must be >= 0, got {horizon}")
-    if stride < 1:
-        raise ParameterError(f"stride must be >= 1, got {stride}")
+    require("lookback", lookback >= 2, "[2, inf)", lookback)
+    require("horizon", horizon >= 0, "[0, inf)", horizon)
+    require("stride", stride >= 1, "[1, inf)", stride)
     values = table.values
     length = table.length
     if length < lookback + horizon:
@@ -350,7 +350,7 @@ def sliding_windows(
     row, col = values.strides
 
     # np.ndarray over the table's buffer keeps table.values as the view's
-    # base, so WindowBatch.frozen sees a read-only chain.
+    # base, so WindowBatch sees a read-only chain and keeps the view uncopied.
     def view(first: int, width: int) -> np.ndarray:
         return np.ndarray(
             (count, table.n_variates, width),
@@ -365,8 +365,7 @@ def sliding_windows(
 
 def batch_windows(windows: WindowBatch, batch_size: int) -> list[WindowBatch]:
     """Slice windows into consecutive batches; the final batch may be short."""
-    if batch_size < 1:
-        raise ParameterError(f"batch size must be >= 1, got {batch_size}")
+    require("batch_size", batch_size >= 1, "[1, inf)", batch_size)
     horizon = windows.horizon
     return [
         WindowBatch(
@@ -480,16 +479,15 @@ def synth_redundant_detail(
     Variates are assigned to prototypes round-robin and perturbed by i.i.d.
     Gaussian noise of the given sigma. Deterministic per seed.
     """
-    if not 1 <= n_prototypes <= n_variates:
-        raise ParameterError(
-            f"need 1 <= prototypes <= variates, got {n_prototypes} and {n_variates}"
-        )
-    if noise_sigma < 0:
-        raise ParameterError(f"noise sigma must be >= 0, got {noise_sigma}")
-    if length < 1:
-        raise ParameterError(f"length must be >= 1, got {length}")
-    if period < 10:
-        raise ParameterError(f"period must be >= 10, got {period}")
+    require(
+        "n_prototypes",
+        1 <= n_prototypes <= n_variates,
+        f"[1, {n_variates}] (at most n_variates)",
+        n_prototypes,
+    )
+    require("noise_sigma", noise_sigma >= 0, "[0, inf)", noise_sigma)
+    require("length", length >= 1, "[1, inf)", length)
+    require("period", period >= 10, "[10, inf)", period)
 
     rng = np.random.default_rng(seed)
     max_bin = min(20, period // 2 - 1)

@@ -136,14 +136,9 @@ def initialize_params(
     out ``d_k x d``; head ``d x H`` plus bias ``H``. The draw order is fixed,
     so a seed pins every weight.
     """
-    for name, v in (
-        ("lookback", lookback),
-        ("horizon", horizon),
-        ("embed_dim", embed_dim),
-        ("attn_dim", attn_dim),
-    ):
-        if v < 1:
-            raise ParameterError(f"{name} must be >= 1, got {v}")
+    names = ("lookback", "horizon", "embed_dim", "attn_dim")
+    for name, v in zip(names, (lookback, horizon, embed_dim, attn_dim)):
+        require(name, v >= 1, "[1, inf)", v)
     rng = np.random.default_rng(seed)
 
     def draw(rows: int, cols: int) -> np.ndarray:
@@ -169,8 +164,7 @@ def _check_retained(retained: Sequence[int], n: int) -> list[int]:
     if len(set(idx)) != len(idx):
         raise ParameterError("retained indices must be distinct")
     for i in idx:
-        if not 0 <= i < n:
-            raise ParameterError(f"retained index {i} out of range for {n} variates")
+        require("retained", 0 <= i < n, f"[0, {n - 1}] (one of {n} variates)", i)
     return idx
 
 
@@ -252,9 +246,8 @@ def forward(
     and ``horizon`` its ``c x N x H`` horizons. Each window's loss is the MSE
     between its predictions and the horizon rows of its retained variates
     only. Only here are the retained indices checked and gathered; the trace
-    carries the ``c x N' x T`` rows and ``c x N' x H`` targets on to
-    ``backward``. A retained set that keeps every variate in order is passed
-    on as a view of the stack: the values are the same, so the results are too.
+    carries the gathered ``c x N' x T`` rows and ``c x N' x H`` targets on to
+    ``backward``.
     """
     if data.ndim != 3 or data.shape[0] < 1:
         raise ParameterError(f"expected a c x N x T stack, got shape {data.shape}")
@@ -263,8 +256,7 @@ def forward(
         got = None if horizon is None else horizon.shape
         raise ParameterError(f"forward needs horizons of shape {want}, got {got}")
     idx = _check_retained(retained, data.shape[1])
-    pick = slice(None) if idx == list(range(data.shape[1])) else idx
-    rows, target = data[:, pick], horizon[:, pick]
+    rows, target = data[:, idx], horizon[:, idx]
     tokens, frag, predictions = _predict(rows, params)
     with np.errstate(over="ignore"):
         squares = (predictions - target) ** 2
@@ -332,8 +324,7 @@ def backward(trace: ForwardTrace, params: ModelParams) -> ModelParams:
 
 def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     """Plain gradient descent; returns new params, inputs untouched."""
-    if lr <= 0:
-        raise ParameterError(f"learning rate must be > 0, got {lr}")
+    require("lr", lr > 0, "(0, inf)", lr)
     return ModelParams(
         **{
             f.name: getattr(params, f.name) - lr * getattr(grads, f.name)
@@ -377,15 +368,9 @@ def count_flops(
     The head stage covers both output projections: context back to the embed
     width, then embed width to the horizon, plus the horizon bias.
     """
-    for name, v in (
-        ("n_tokens", n_tokens),
-        ("lookback", lookback),
-        ("embed_dim", embed_dim),
-        ("attn_dim", attn_dim),
-        ("horizon", horizon),
-    ):
-        if v < 1:
-            raise ParameterError(f"{name} must be >= 1, got {v}")
+    names = ("n_tokens", "lookback", "embed_dim", "attn_dim", "horizon")
+    for name, v in zip(names, (n_tokens, lookback, embed_dim, attn_dim, horizon)):
+        require(name, v >= 1, "[1, inf)", v)
     n, t, d, dk, h = n_tokens, lookback, embed_dim, attn_dim, horizon
     return FlopLedger(
         embed=n * (2 * t * d + d),
@@ -442,20 +427,15 @@ class BatchMetrics:
 def hash_groups(batch: WindowBatch, config: TrainSettings) -> GroupTable:
     """The batch's hash groups under ``config``'s k, epsilon and normalization.
 
-    The one composition of ``kdfh`` and ``group_by_hash``. A frozen batch
-    keeps the table in its memo, keyed by ``(k, epsilon, normalize_windows)``,
-    so later epochs and sweep cells with those settings reuse it. A batch
-    whose data could change is rehashed on every call.
+    The one composition of ``kdfh`` and ``group_by_hash``. A batch never
+    changes, so its memo keeps the table, keyed by ``(k, epsilon,
+    normalize_windows)``, for later epochs and sweep cells with those settings.
     """
     key = ("hash_groups", config.k, config.epsilon, config.normalize_windows)
-    frozen = batch.frozen
-    if frozen and key in batch.memo:
-        return batch.memo[key]
-    bins = kdfh(batch, config.k, config.epsilon, normalize=config.normalize_windows)
-    groups = group_by_hash(bins)
-    if frozen:
-        batch.memo[key] = groups
-    return groups
+    if key not in batch.memo:
+        bins = kdfh(batch, config.k, config.epsilon, normalize=config.normalize_windows)
+        batch.memo[key] = group_by_hash(bins)
+    return batch.memo[key]
 
 
 def plan_batch(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require
 
 __all__ = [
     "GroupTable",
@@ -112,8 +112,7 @@ def stratified_sample(table: GroupTable, gs: int, seed: int) -> ReductionPlan:
     generator seeded by sha256 over ``"{seed}:{group key}"``. Retained
     indices are sorted.
     """
-    if gs < 1:
-        raise ParameterError(f"gs must be >= 1, got {gs}")
+    require("gs", gs >= 1, "[1, inf)", gs)
     per_group: dict[str, tuple[int, ...]] = {}
     retained: list[int] = []
     for key, idx in table.groups.items():

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import WindowBatch
-from .errors import ParameterError
+from .errors import ParameterError, require
 
 __all__ = [
     "batch_mean_spectrum",
@@ -57,10 +57,7 @@ def batch_mean_spectrum(batch: np.ndarray | WindowBatch, epsilon: int) -> np.nda
     lookbacks = _tensor(batch)
     _, n, lookback = lookbacks.shape
     top = lookback // 2
-    if not 1 <= epsilon <= top:
-        raise ParameterError(
-            f"low-pass cut must satisfy 1 <= epsilon <= {top}, got {epsilon}"
-        )
+    require("epsilon", 1 <= epsilon <= top, f"[1, {top}] (at most T // 2)", epsilon)
     acc = np.zeros((n, epsilon), dtype=np.float64)
     for data in lookbacks:
         acc += np.abs(np.fft.rfft(data, axis=1)[:, 1 : epsilon + 1])
@@ -74,8 +71,7 @@ def dominant_frequencies(amps: np.ndarray, k: int) -> np.ndarray:
     Ties break toward the lower bin: a stable sort keeps tied columns in order.
     """
     n_bins = amps.shape[1]
-    if not 1 <= k <= n_bins:
-        raise ParameterError(f"need 1 <= k <= {n_bins} available bins, got k={k}")
+    require("k", 1 <= k <= n_bins, f"[1, {n_bins}] (the available bins)", k)
     return np.argsort(-amps, axis=1, kind="stable")[:, :k] + 1
 
 
@@ -113,13 +109,11 @@ def reconstruction_error(signal: np.ndarray, k: int) -> tuple[float, float]:
     if series.ndim != 1:
         raise ParameterError(f"expected a 1-D series, got shape {series.shape}")
     length = series.shape[0]
-    if length < 2:
-        raise ParameterError(f"series length must be >= 2, got {length}")
+    require("len(signal)", length >= 2, "[2, inf)", length)
     coeffs = np.fft.rfft(series)
     positive = np.abs(coeffs[1:])
     n_bins = positive.shape[0]
-    if not 0 <= k <= n_bins:
-        raise ParameterError(f"need 0 <= k <= {n_bins} positive bins, got k={k}")
+    require("k", 0 <= k <= n_bins, f"[0, {n_bins}] (the positive bins)", k)
     ranked = np.argsort(-positive, kind="stable") + 1
     kept = ranked[:k]
     dropped = ranked[k:]

@@ -427,6 +427,25 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err.startswith("error [validation]: seed:")
 
+    @pytest.mark.parametrize(
+        "command", ["synth", "hash", "reduce", "analyze", "train", "sweep"]
+    )
+    def test_short_synthetic_period_names_t(self, tmp_path, capsys, command):
+        # the synthetic period is T, so the error names T, not period
+        code = main([command, "-o", str(tmp_path / "o"), "--T=4", "--epsilon=2",
+                     "--k=1", "--synth_length=50"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error [validation]: T: must be in [10, inf) for synthetic data, got 4\n"
+        )
+
+    def test_short_t_still_runs_bench_and_data(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("a,b\n" + "".join(f"{i % 3},{i % 5}\n" for i in range(12)))
+        small = ["--T=4", "--epsilon=2", "--k=1"]
+        assert main(["bench", "-o", str(tmp_path / "b"), "--H=2"] + small) == 0
+        assert main(["hash", "-o", str(tmp_path / "h"), f"--data={data}"] + small) == 0
+
     def test_negative_env_seed_is_validation_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("VARDROP_SEED", "-1")
         code = main(["synth", "-o", str(tmp_path / "o")])

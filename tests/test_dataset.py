@@ -1,5 +1,7 @@
 """Tables, CSV ingestion, windowing, splits, and the synthetic generator."""
 
+import csv
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -269,6 +271,23 @@ class TestLoadCsv(object):
             dataset._load_rows, path, delimiter
         )
 
+    def test_long_first_row_stays_on_the_fast_path(self, tmp_path):
+        # csv reads the header and first row for the timestamp rule; its field
+        # limit is lifted for that read too, and restored after either parser
+        path = tmp_path / "long.csv"
+        path.write_text("a,b\n" + "0" * 200_000 + ",1\n" + "2,3\n" * 5)
+        before = csv.field_size_limit()
+        table = dataset._load_body(str(path), ",")
+        assert table is not None
+        npt.assert_array_equal(table.values, [[0.0] + [2.0] * 5, [1.0] + [3.0] * 5])
+        assert csv.field_size_limit() == before
+        comment = tmp_path / "comment.csv"  # a body comment needs the row parser
+        comment.write_text("a,b\n" + "0" * 200_000 + ",1\n# note\n2,3\n")
+        assert dataset._load_body(str(comment), ",") is None
+        for file in (path, comment):
+            assert load_csv(str(file)).values[1, 0] == 1.0
+            assert csv.field_size_limit() == before
+
 
 class TestSlidingWindows:
     def test_count_small_example(self):
@@ -364,7 +383,7 @@ class TestWindowViews:
             assert b.data.shape == (b.size, n, lookback)
             assert not b.data.flags.writeable
             assert np.shares_memory(b.data, table.values)
-            assert b.frozen
+            assert WindowBatch(b.data, b.horizon).data is b.data  # kept, not copied
             if horizon:
                 assert b.horizon.shape == (b.size, n, horizon)
                 assert not b.horizon.flags.writeable
@@ -396,6 +415,21 @@ class TestBatchWindows:
         windows = sliding_windows(table, lookback=8, horizon=4)
         batch = batch_windows(windows, 5)[0]
         assert batch.data_tensor().shape == (5, 3, 8)
+
+    def test_writable_input_is_copied_once(self):
+        data, horizon = np.zeros((4, 3, 8)), np.ones((4, 3, 2))
+        batch = WindowBatch(data, horizon)
+        for given, kept in ((data, batch.data), (horizon, batch.horizon)):
+            assert not np.shares_memory(given, kept)
+            assert not kept.flags.writeable
+        with pytest.raises(ValueError):
+            batch.data[0, 0, 0] = 1.0
+        data[:] = 5.0  # the caller's array changes, the batch does not
+        assert not batch.data.any()
+        # the copy is read-only down to its owner, so slices of it stay views
+        for part in batch_windows(batch, 3) + [WindowBatch(batch.data, batch.horizon)]:
+            assert np.shares_memory(part.data, batch.data)
+            assert np.shares_memory(part.horizon, batch.horizon)
 
     def test_rejects_mixed_shapes(self):
         with pytest.raises(ParameterError):

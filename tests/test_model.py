@@ -278,19 +278,22 @@ class TestForward:
         with pytest.raises(ParameterError):
             forward(window.data, window.horizon, p, (0, 3))
 
-    def test_keeping_all_in_order_passes_window_through(self):
+    def test_keeping_all_in_order_gathers_the_same_bits(self):
+        # forward always gathers; a gathered copy of every row in order
+        # predicts exactly what the view of the table does
         table = synth_redundant_detail(7, 3, 120, 0.1, seed=30).table
         p = initialize_params(32, 4, 8, 4, seed=30)
         windows = sliding_windows(table, 32, 4, 20)
         for b in range(windows.size):
             data, horizon = windows.data[b : b + 1], windows.horizon[b : b + 1]
             trace = forward(data, horizon, p, range(7))
-            assert np.shares_memory(trace.rows, data)
-            assert np.shares_memory(trace.target, horizon)
+            assert not np.shares_memory(trace.rows, data)
+            npt.assert_array_equal(trace.rows, data)
+            npt.assert_array_equal(trace.target, horizon)
             npt.assert_array_equal(trace.predictions[0], predict_full(data[0], p))
-        # a whole stack is a view of the table too, with the same bits
+        # a whole stack is a view of the table, with the same bits
+        assert np.shares_memory(windows.data, table.values)
         trace = forward(windows.data, windows.horizon, p, range(7))
-        assert np.shares_memory(trace.rows, table.values)
         for b in range(windows.size):
             npt.assert_array_equal(trace.predictions[b], predict_full(windows.data[b], p))
 
@@ -675,7 +678,7 @@ class TestChunkedStep:
 
 
 def writable_copy(batch):
-    """The same windows over fresh writable arrays, so the batch is not frozen."""
+    """The same windows over fresh writable arrays, which the batch copies."""
     return WindowBatch(np.array(batch.data, copy=True), np.array(batch.horizon, copy=True))
 
 
@@ -698,7 +701,6 @@ def kdfh_calls(monkeypatch):
 class TestHashGroups:
     def test_table_views_hash_once_per_batch(self, kdfh_calls):
         batches = make_batches()
-        assert all(b.frozen for b in batches)
         params = initialize_params(48, 8, 16, 8, seed=32)
         cfg = TrainSettings(k=3, epsilon=24, gs=2, lr=0.02, seed=32)
         for epoch in range(3):
@@ -729,11 +731,11 @@ class TestHashGroups:
 
     @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("gs", [2, 16])
-    def test_memo_gives_the_same_bits(self, normalize, gs):
-        # gs=16 keeps every variate, so forward passes the views through
+    def test_memo_gives_the_same_bits(self, kdfh_calls, normalize, gs):
+        # gs=16 keeps every variate, so forward gathers every row
         views = make_batches()
         copies = [writable_copy(b) for b in views]
-        assert not any(b.frozen for b in copies)
+        assert not any(np.shares_memory(c.data, v.data) for c, v in zip(copies, views))
         cfg = TrainSettings(k=3, epsilon=24, gs=gs, lr=0.02, seed=35,
                             normalize_windows=normalize)
         runs = []
@@ -749,33 +751,42 @@ class TestHashGroups:
             npt.assert_array_equal(getattr(p_views, f.name), getattr(p_copies, f.name))
         assert m_views == m_copies
         assert all(b.memo for b in views)
-        assert not any(b.memo for b in copies)
+        assert all(b.memo for b in copies)
+        # three epochs over either kind of batch hash each batch once
+        assert [id(b) for b in kdfh_calls] == [id(b) for b in views + copies]
 
-    def test_writable_batch_follows_its_data(self, kdfh_calls):
-        batch = writable_copy(make_batches()[0])
+    def test_later_writes_to_the_input_change_nothing(self, kdfh_calls):
+        data = np.array(make_batches()[0].data, copy=True)
+        batch = WindowBatch(data)
+        kept = batch.data.copy()
         cfg = TrainSettings(k=3, epsilon=24, gs=1, lr=0.02, seed=36)
         before = plan_batch(batch, cfg, 0, 0)
         assert len(before.retained) == 4  # four prototype groups, one kept each
         # give every variate its own dominant bin: all singletons, all kept
         steps = np.arange(batch.lookback)
         for i in range(batch.n_variates):
-            batch.data[:, i] = np.sin(2 * np.pi * (i + 1) * steps / batch.lookback)
-        after = plan_batch(batch, cfg, 0, 0)
+            data[:, i] = np.sin(2 * np.pi * (i + 1) * steps / batch.lookback)
+        npt.assert_array_equal(batch.data, kept)
+        assert plan_batch(batch, cfg, 0, 0) == before
+        assert len(kdfh_calls) == 1
+        # a new batch over the written array sees the change
+        after = plan_batch(WindowBatch(data), cfg, 0, 0)
         assert after.retained == tuple(range(batch.n_variates))
         assert len(kdfh_calls) == 2
 
-    def test_read_only_view_of_writable_data_is_not_frozen(self, kdfh_calls):
+    def test_read_only_view_of_writable_data_is_copied(self, kdfh_calls):
         rng = np.random.default_rng(37)
         base = rng.normal(size=(1, 6, 16))
         view = base.view()
         view.flags.writeable = False
         batch = WindowBatch(view)
-        assert not batch.frozen
+        assert not np.shares_memory(batch.data, base)
         cfg = TrainSettings(k=2, epsilon=8)
-        hash_groups(batch, cfg)
-        hash_groups(batch, cfg)
-        assert len(kdfh_calls) == 2
-        assert batch.memo == {}
+        first = hash_groups(batch, cfg)
+        base[:] = 0.0
+        assert hash_groups(batch, cfg) is first
+        assert len(kdfh_calls) == 1
+        assert list(batch.memo) == [("hash_groups", 2, 8, False)]
 
     def test_sweep_hashes_once_per_batch(self, kdfh_calls):
         batches = make_batches()
