@@ -109,6 +109,10 @@ class WindowBatch:
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name, kinds in (("data", np.ndarray), ("horizon", (np.ndarray, type(None)))):
+            if not isinstance(getattr(self, name), kinds):
+                kind = type(getattr(self, name)).__name__
+                raise ParameterError(f"batch {name} must be a numpy array, got {kind}")
         shape = self.data.shape
         if len(shape) != 3 or shape[0] < 1 or shape[2] < 2:
             raise ParameterError(

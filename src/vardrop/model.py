@@ -164,7 +164,8 @@ def _check_retained(retained: Sequence[int], n: int) -> list[int]:
     if len(set(idx)) != len(idx):
         raise ParameterError("retained indices must be distinct")
     for i in idx:
-        require("retained", 0 <= i < n, f"[0, {n - 1}] (one of {n} variates)", i)
+        if not 0 <= i < n:
+            require("retained", False, f"[0, {n - 1}] (one of {n} variates)", i)
     return idx
 
 
@@ -194,8 +195,8 @@ def attention(tokens: np.ndarray, params: ModelParams) -> AttentionFragment:
 
     Q/K/V are linear maps of the tokens; scores are ``Q K^T / sqrt(d_k)``;
     each score row is softmaxed with its max subtracted first so large
-    scores cannot overflow. The ``N' x N'`` temporaries die here; only the
-    weights are kept.
+    scores cannot overflow. One ``N' x N'`` array per window holds the scores
+    and is scaled, shifted, exponentiated and normalised in place: the weights.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 3:
@@ -209,12 +210,13 @@ def attention(tokens: np.ndarray, params: ModelParams) -> AttentionFragment:
         queries = tokens @ params.w_query
         keys = tokens @ params.w_key
         values = tokens @ params.w_value
-        scores = queries @ _mt(keys) / math.sqrt(params.attn_dim)
-    if not np.all(np.isfinite(scores)):
+        weights = queries @ _mt(keys)
+        weights /= math.sqrt(params.attn_dim)
+    if not np.all(np.isfinite(weights)):
         raise NumericError("non-finite attention scores")
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    expo = np.exp(shifted)
-    weights = expo / expo.sum(axis=-1, keepdims=True)
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
     context = weights @ values
     if not np.all(np.isfinite(context)):
         raise NumericError("non-finite attention context")
@@ -273,7 +275,9 @@ def backward(trace: ForwardTrace, params: ModelParams) -> ModelParams:
     Every returned array has a leading window axis: ``grads.w_embed[i]`` is
     the gradient of ``trace.losses[i]``. The softmax backward uses the row
     Jacobian ``dS = W * (dW - sum(dW * W, axis=-1))``, with the
-    ``1/sqrt(d_k)`` score scale folded into the query/key gradients.
+    ``1/sqrt(d_k)`` score scale folded into the query/key gradients. Per
+    window ``dW`` is reduced in place and one buffer holds ``dW * W``, then
+    ``dS``; no array of the trace is written.
     """
     d_pred = 2.0 * (trace.predictions - trace.target) / trace.predictions[0].size
 
@@ -291,8 +295,9 @@ def backward(trace: ForwardTrace, params: ModelParams) -> ModelParams:
         d_weights = d_context @ _mt(trace.values)
         d_values = _mt(trace.weights) @ d_context
 
-        inner = np.sum(d_weights * trace.weights, axis=-1, keepdims=True)
-        d_scores = trace.weights * (d_weights - inner)
+        d_scores = d_weights * trace.weights
+        d_weights -= d_scores.sum(axis=-1, keepdims=True)
+        np.multiply(trace.weights, d_weights, out=d_scores)
 
         scale = 1.0 / math.sqrt(params.attn_dim)
         d_queries = d_scores @ trace.keys * scale
@@ -483,9 +488,9 @@ def train_epoch(
     then the batch runs through ``forward`` and ``backward`` in chunks of
     windows sized by ``_chunk_size``, and one descent step is taken on the
     kept tokens with the gradients averaged over the batch. The windows'
-    gradients and losses are added one window at a time in batch order,
-    from 0 as ``sum()`` starts, so every chunk size gives the same bits as
-    one window at a time. With reduction off every variate is kept and
+    gradients and losses are added in place one window at a time in batch
+    order, from 0 as ``sum()`` starts, so every chunk size gives the same
+    bits as one window at a time. With reduction off every variate is kept and
     delta is 0, through the same code path.
     Reported FLOPs are the forward and attention cost of the batch at the
     kept token count.
@@ -503,7 +508,7 @@ def train_epoch(
             retained, delta = range(batch.n_variates), 0.0
 
         chunk = _chunk_size(len(retained), params)
-        grad_sums = {f.name: 0 for f in fields(ModelParams)}
+        grad_sums = {f.name: np.zeros(getattr(params, f.name).shape) for f in fields(ModelParams)}
         loss_sum = 0.0
         for start in range(0, batch.size, chunk):
             window = slice(start, start + chunk)
@@ -512,7 +517,7 @@ def train_epoch(
             for i, loss in enumerate(trace.losses.tolist()):
                 loss_sum += loss
                 for name, total in grad_sums.items():
-                    grad_sums[name] = total + getattr(grads, name)[i]
+                    total += getattr(grads, name)[i]
         mean_grads = ModelParams(
             **{name: total / batch.size for name, total in grad_sums.items()}
         )

@@ -125,6 +125,42 @@ def numeric_gradients(data, horizon, params, retained, step=1e-5):
     return out
 
 
+def softmax_attention_out_of_place(tokens, params):
+    """``attention``'s weights and context, each step a fresh array.
+
+    The score, shift, exp and normalisation steps in the library's order,
+    written out of place, so an in-place implementation must match bit for bit.
+    """
+    queries = tokens @ params.w_query
+    keys = tokens @ params.w_key
+    values = tokens @ params.w_value
+    scores = queries @ np.swapaxes(keys, -1, -2) / math.sqrt(params.attn_dim)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    expo = np.exp(shifted)
+    weights = expo / expo.sum(axis=-1, keepdims=True)
+    return weights, weights @ values
+
+
+def softmax_backward_out_of_place(d_weights, weights):
+    """Softmax row-Jacobian product ``W * (dW - sum(dW * W))``, out of place."""
+    inner = np.sum(d_weights * weights, axis=-1, keepdims=True)
+    return weights * (d_weights - inner)
+
+
+def query_key_gradients_out_of_place(trace, params):
+    """``backward``'s query and key weight gradients for a ``ForwardTrace``,
+    through ``softmax_backward_out_of_place`` and the library's other steps."""
+    d_pred = 2.0 * (trace.predictions - trace.target) / trace.predictions[0].size
+    d_context = (d_pred @ params.w_head.T) @ params.w_out.T
+    d_weights = d_context @ np.swapaxes(trace.values, -1, -2)
+    d_scores = softmax_backward_out_of_place(d_weights, trace.weights)
+    scale = 1.0 / math.sqrt(params.attn_dim)
+    d_queries = d_scores @ trace.keys * scale
+    d_keys = np.swapaxes(d_scores, -1, -2) @ trace.queries * scale
+    tokens_t = np.swapaxes(trace.tokens, -1, -2)
+    return tokens_t @ d_queries, tokens_t @ d_keys
+
+
 def _window_loss_and_gradients(rows, target, p):
     """One window's MSE and its analytic gradients, on 2-D arrays."""
     tokens = rows @ p.w_embed + p.b_embed

@@ -445,6 +445,19 @@ class TestBatchWindows:
         with pytest.raises(ParameterError):
             WindowBatch(np.zeros((2, 3, 1)))  # lookback below 2
 
+    @pytest.mark.parametrize(
+        "data, horizon, name, kind",
+        [
+            ([[[1.0, 2.0]]], None, "data", "list"),
+            (None, None, "data", "NoneType"),
+            (np.zeros((1, 1, 2)), [[[3.0]]], "horizon", "list"),
+            (np.zeros((1, 1, 2)), ((3.0,),), "horizon", "tuple"),
+        ],
+    )
+    def test_non_array_input_names_its_type(self, data, horizon, name, kind):
+        with pytest.raises(ParameterError, match=f"^batch {name} must be a numpy array, got {kind}$"):
+            WindowBatch(data, horizon)
+
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
             WindowBatch(np.zeros((0, 2, 8)))

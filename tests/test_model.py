@@ -1,6 +1,7 @@
 """Embedding, attention, gradients, FLOP accounting, and the training loop."""
 
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -38,7 +39,14 @@ from vardrop import (
     validation_loss,
 )
 
-from helpers import matmul_loops, max_rel_error, numeric_gradients, reference_train_epoch
+from helpers import (
+    matmul_loops,
+    max_rel_error,
+    numeric_gradients,
+    query_key_gradients_out_of_place,
+    reference_train_epoch,
+    softmax_attention_out_of_place,
+)
 
 
 def make_window(rng, n=6, lookback=16, horizon=4):
@@ -277,6 +285,11 @@ class TestForward:
             forward(window.data, window.horizon, p, (0, 0))
         with pytest.raises(ParameterError):
             forward(window.data, window.horizon, p, (0, 3))
+        # distinct is checked before range, and range names the first bad index
+        with pytest.raises(ParameterError, match="must be distinct"):
+            forward(window.data, window.horizon, p, (5, 0, 5))
+        with pytest.raises(ParameterError, match="got -1$"):
+            forward(window.data, window.horizon, p, (0, -1, 4))
 
     def test_keeping_all_in_order_gathers_the_same_bits(self):
         # forward always gathers; a gathered copy of every row in order
@@ -357,6 +370,66 @@ class TestBackward:
             npt.assert_allclose(
                 getattr(g2, name), 2.0 * getattr(g1, name), rtol=1e-12, atol=1e-15
             )
+
+
+class TestInPlaceSoftmax:
+    """``attention`` and ``backward`` against their frozen out-of-place formulas."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.integers(min_value=1, max_value=4),
+        n=st.integers(min_value=1, max_value=40),
+        lookback=st.integers(min_value=2, max_value=12),
+        horizon=st.integers(min_value=1, max_value=4),
+        embed_dim=st.integers(min_value=1, max_value=8),
+        attn_dim=st.integers(min_value=1, max_value=6),
+        spread=st.sampled_from([0.01, 1.0, 30.0]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_same_bits_and_inputs_untouched(self, c, n, lookback, horizon, embed_dim,
+                                            attn_dim, spread, seed):
+        rng = np.random.default_rng(seed)
+        data = spread * rng.normal(size=(c, n, lookback))
+        target = rng.normal(size=(c, n, horizon))
+        p = initialize_params(lookback, horizon, embed_dim, attn_dim, seed=seed)
+
+        tokens = embed(data, p)
+        kept = tokens.copy()
+        frag = attention(tokens, p)
+        npt.assert_array_equal(tokens, kept)
+        weights, context = softmax_attention_out_of_place(tokens, p)
+        npt.assert_array_equal(frag.weights, weights)
+        npt.assert_array_equal(frag.context, context)
+
+        trace = forward(data, target, p, range(n))
+        before = {f.name: getattr(trace, f.name).copy() for f in fields(trace)}
+        grads = backward(trace, p)
+        for name, array in before.items():
+            npt.assert_array_equal(getattr(trace, name), array, err_msg=name)
+        d_w_query, d_w_key = query_key_gradients_out_of_place(trace, p)
+        npt.assert_array_equal(grads.w_query, d_w_query)
+        npt.assert_array_equal(grads.w_key, d_w_key)
+
+    @pytest.mark.parametrize(
+        "w_query, w_key",
+        [
+            (1e307, 1.0),  # finite queries and keys, scores overflow
+            (1e160, 1e160),
+            (1e308, 1.0),  # the queries themselves overflow
+            (1e307, -1.0),
+        ],
+    )
+    def test_scores_overflowing_from_finite_tokens_raise(self, w_query, w_key):
+        p = replace(
+            initialize_params(8, 2, 4, 4, seed=9),
+            w_query=np.full((4, 4), w_query),
+            w_key=np.full((4, 4), w_key),
+        )
+        tokens = np.random.default_rng(9).uniform(1.0, 2.0, size=(2, 5, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^non-finite attention scores$"):
+                attention(tokens, p)
 
 
 class TestSgdStep:
