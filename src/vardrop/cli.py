@@ -21,7 +21,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -69,13 +69,15 @@ _EXIT_CODES = {"parse": 2, "validation": 3, "numeric": 4, "io": 5}
 
 @dataclass(frozen=True)
 class RunConfig(TrainSettings):
-    """Fully defaulted, range-checked run configuration.
+    """Fully defaulted run configuration that range-checks itself when built.
 
     Each field is one config key. The training keys are TrainSettings' own
-    fields, defaults and checks; the keys declared here are the rest. A
-    field's annotation, a string under postponed evaluation, names the kind
-    validate_config parses the key as; its default is the built-in default
-    (seed's yields to VARDROP_SEED when that is set).
+    fields, defaults and checks; the keys declared here are the rest, and
+    ``__post_init__`` checks them, so a config built from text, in code or
+    by ``dataclasses.replace`` passes the same checks. A field's annotation,
+    a string under postponed evaluation, names the kind validate_config
+    parses the key as; its default is the built-in default (seed's yields
+    to VARDROP_SEED when that is set).
     """
 
     data: str = ""
@@ -96,10 +98,47 @@ class RunConfig(TrainSettings):
     test_frac: float = 0.2
     corr_threshold: float = 0.9
     shift_count: int = 4
-    sweep_ks: str = "2,3,4,5"
-    sweep_gss: str = "1,5,10,15"
+    sweep_ks: tuple[int, ...] = (2, 3, 4, 5)
+    sweep_gss: tuple[int, ...] = (1, 5, 10, 15)
     bench_n: int = 64
     bench_delta: float = 0.5
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        one_char = len(self.delimiter) == 1
+        require("delimiter", one_char, "one-character strings", repr(self.delimiter))
+        require("T", self.T >= 2, "[2, inf)", self.T)
+        require("H", self.H >= 0, "[0, inf)", self.H)
+        require("B", self.B >= 1, "[1, inf)", self.B)
+        require("stride", self.stride >= 1, "[1, inf)", self.stride)
+        require(
+            "epsilon",
+            self.epsilon <= self.T // 2,
+            f"[1, {self.T // 2}] (floor(T/2) for T={self.T})",
+            self.epsilon,
+        )
+        require("d", self.d >= 1, "[1, inf)", self.d)
+        require("d_k", self.d_k >= 1, "[1, inf)", self.d_k)
+        require("epochs", self.epochs >= 1, "[1, inf)", self.epochs)
+        require("synth_n", self.synth_n >= 1, "[1, inf)", self.synth_n)
+        require(
+            "synth_g",
+            1 <= self.synth_g <= self.synth_n,
+            f"[1, {self.synth_n}] (at most synth_n)",
+            self.synth_g,
+        )
+        require("synth_sigma", self.synth_sigma >= 0, "[0, inf)", self.synth_sigma)
+        require("synth_length", self.synth_length >= 1, "[1, inf)", self.synth_length)
+        _split_spec(self)  # checks the split fractions
+        corr = self.corr_threshold
+        require("corr_threshold", -1.0 <= corr <= 1.0, "[-1, 1]", corr)
+        require("shift_count", self.shift_count >= 1, "[1, inf)", self.shift_count)
+        require("bench_n", self.bench_n >= 1, "[1, inf)", self.bench_n)
+        require("bench_delta", 0.0 <= self.bench_delta < 1.0, "[0, 1)", self.bench_delta)
+        # sweep cells are range-checked against epsilon at run time
+        for key in ("sweep_ks", "sweep_gss"):
+            for v in getattr(self, key):
+                require(key, v >= 1, "[1, inf) per entry", v)
 
 
 def _parse_bool(key: str, text: str) -> bool:
@@ -116,6 +155,8 @@ def _parse_scalar(key: str, kind: str, text: str):
         return text
     if kind == "bool":
         return _parse_bool(key, text)
+    if kind == "tuple[int, ...]":
+        return _parse_int_list(key, text)
     try:
         if kind == "int":
             return int(text)
@@ -137,12 +178,12 @@ def _parse_int_list(key: str, text: str) -> tuple[int, ...]:
 
 
 def validate_config(raw: dict[str, str]) -> RunConfig:
-    """Resolve raw key-value strings into a checked RunConfig.
+    """Parse raw key-value strings into a RunConfig, which checks itself.
 
-    Unknown keys are hard errors. Every range violation names the key and the
-    permitted interval. The seed default comes from VARDROP_SEED when set.
-    Keys parse in field order, training keys first. TrainSettings checks
-    those and SplitSpec the fractions; the rest is checked here.
+    Unknown keys are hard errors. Each key parses by its field's annotation,
+    in field order; a sweep list parses to a tuple of ints. The seed default
+    comes from VARDROP_SEED when set. Every range check is the dataclasses'
+    own: TrainSettings', RunConfig's and SplitSpec's.
     """
     unknown = sorted(set(raw) - {f.name for f in fields(RunConfig)})
     if unknown:
@@ -155,58 +196,17 @@ def validate_config(raw: dict[str, str]) -> RunConfig:
             values[f.name] = _parse_scalar(f.name, f.type, raw[f.name])
         elif f.name == "seed" and env_seed is not None:
             values[f.name] = _parse_scalar("VARDROP_SEED", "int", env_seed)
-
-    c = RunConfig(**values)
-    require(
-        "delimiter", len(c.delimiter) == 1, "one-character strings", repr(c.delimiter)
-    )
-    require("T", c.T >= 2, "[2, inf)", c.T)
-    require("H", c.H >= 0, "[0, inf)", c.H)
-    require("B", c.B >= 1, "[1, inf)", c.B)
-    require("stride", c.stride >= 1, "[1, inf)", c.stride)
-    require(
-        "epsilon",
-        c.epsilon <= c.T // 2,
-        f"[1, {c.T // 2}] (floor(T/2) for T={c.T})",
-        c.epsilon,
-    )
-    require("d", c.d >= 1, "[1, inf)", c.d)
-    require("d_k", c.d_k >= 1, "[1, inf)", c.d_k)
-    require("epochs", c.epochs >= 1, "[1, inf)", c.epochs)
-    require("seed", c.seed >= 0, "[0, inf)", c.seed)
-    require("synth_n", c.synth_n >= 1, "[1, inf)", c.synth_n)
-    require(
-        "synth_g",
-        1 <= c.synth_g <= c.synth_n,
-        f"[1, {c.synth_n}] (at most synth_n)",
-        c.synth_g,
-    )
-    require("synth_sigma", c.synth_sigma >= 0, "[0, inf)", c.synth_sigma)
-    require("synth_length", c.synth_length >= 1, "[1, inf)", c.synth_length)
-    _split_spec(c)  # checks the split fractions
-    require(
-        "corr_threshold", -1.0 <= c.corr_threshold <= 1.0, "[-1, 1]", c.corr_threshold
-    )
-    require("shift_count", c.shift_count >= 1, "[1, inf)", c.shift_count)
-    require("bench_n", c.bench_n >= 1, "[1, inf)", c.bench_n)
-    require("bench_delta", 0.0 <= c.bench_delta < 1.0, "[0, 1)", c.bench_delta)
-    # sweep lists are range-checked per cell at run time (k <= epsilon there);
-    # here they only need to parse, and are normalized so echoes are canonical
-    normalized = {}
-    for key in ("sweep_ks", "sweep_gss"):
-        entries = _parse_int_list(key, getattr(c, key))
-        for v in entries:
-            require(key, v >= 1, "[1, inf) per entry", v)
-        normalized[key] = ",".join(str(v) for v in entries)
-    return replace(c, **normalized)
+    return RunConfig(**values)
 
 
 def parse_config_file(path: str) -> dict[str, str]:
     """Read a flat key=value config file; '#' comments and blank lines skipped."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise PipelineIOError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -221,6 +221,8 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 def _fmt(value) -> str:
     """Canonical scalar formatting: 12 significant digits for floats."""
+    if isinstance(value, tuple):
+        return ",".join(_fmt(v) for v in value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -295,22 +297,15 @@ def _split_spec(config: RunConfig) -> SplitSpec:
     return SplitSpec(config.train_frac, config.val_frac, config.test_frac)
 
 
-def _lookback_batches(table: SeriesTable, config: RunConfig):
-    windows = sliding_windows(table, config.T, 0, config.stride)
+def _batches(table: SeriesTable, config: RunConfig, horizon: int = 0):
+    windows = sliding_windows(table, config.T, horizon, config.stride)
     return batch_windows(windows, config.B)
 
 
 def _split_batches(table: SeriesTable, config: RunConfig):
-    if config.H < 1:
-        raise ParameterError("H: must be in [1, inf) for training, got 0")
+    require("H", config.H >= 1, "[1, inf) for training", config.H)
     train, val, _ = chronological_split(table, _split_spec(config))
-    train_batches = batch_windows(
-        sliding_windows(train, config.T, config.H, config.stride), config.B
-    )
-    val_batches = batch_windows(
-        sliding_windows(val, config.T, config.H, config.stride), config.B
-    )
-    return train_batches, val_batches
+    return _batches(train, config, config.H), _batches(val, config, config.H)
 
 
 def _write_hashes(config: RunConfig, batch: WindowBatch, out: Path) -> GroupTable:
@@ -348,14 +343,14 @@ def _cmd_synth(config: RunConfig, out: Path) -> None:
 
 def _cmd_hash(config: RunConfig, out: Path) -> None:
     table = _load_table(config)
-    batch = _lookback_batches(table, config)[0]
+    batch = _batches(table, config)[0]
     groups = _write_hashes(config, batch, out)
     print(f"hash: {batch.n_variates} variates -> {groups.G} groups")
 
 
 def _cmd_reduce(config: RunConfig, out: Path) -> None:
     table = _load_table(config)
-    batches = _lookback_batches(table, config)
+    batches = _batches(table, config)
     plans = [plan_batch(batch, config, 0, i) for i, batch in enumerate(batches)]
     rows = [[i, len(plan.retained), plan.delta] for i, plan in enumerate(plans)]
     _write_csv_rows(out / "reduction.csv", ["iteration", "tokens_used", "delta"], rows)
@@ -499,13 +494,11 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
 def _cmd_sweep(config: RunConfig, out: Path) -> None:
     table = _load_table(config)
     train_batches, val_batches = _split_batches(table, config)
-    ks = _parse_int_list("sweep_ks", config.sweep_ks)
-    gss = _parse_int_list("sweep_gss", config.sweep_gss)
     cells = sensitivity_sweep(
         train_batches,
         val_batches,
-        ks,
-        gss,
+        config.sweep_ks,
+        config.sweep_gss,
         config,
         epochs=config.epochs,
         embed_dim=config.d,
@@ -516,12 +509,14 @@ def _cmd_sweep(config: RunConfig, out: Path) -> None:
         ["k", "gs", "delta", "val_loss"],
         [[c.k, c.gs, c.delta, c.val_loss] for c in cells],
     )
-    print(f"sweep: {len(cells)} cells over k={list(ks)} gs={list(gss)}")
+    print(
+        f"sweep: {len(cells)} cells over k={list(config.sweep_ks)} "
+        f"gs={list(config.sweep_gss)}"
+    )
 
 
 def _cmd_bench(config: RunConfig, out: Path) -> None:
-    if config.H < 1:
-        raise ParameterError("H: must be in [1, inf) for bench, got 0")
+    require("H", config.H >= 1, "[1, inf) for bench", config.H)
     n = config.bench_n
     delta = config.bench_delta
     n_reduced = max(1, round((1.0 - delta) * n))

@@ -492,6 +492,7 @@ def synth_redundant_detail(
     require("noise_sigma", noise_sigma >= 0, "[0, inf)", noise_sigma)
     require("length", length >= 1, "[1, inf)", length)
     require("period", period >= 10, "[10, inf)", period)
+    require("seed", seed >= 0, "[0, inf)", seed)
 
     rng = np.random.default_rng(seed)
     max_bin = min(20, period // 2 - 1)

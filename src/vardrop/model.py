@@ -139,6 +139,7 @@ def initialize_params(
     names = ("lookback", "horizon", "embed_dim", "attn_dim")
     for name, v in zip(names, (lookback, horizon, embed_dim, attn_dim)):
         require(name, v >= 1, "[1, inf)", v)
+    require("seed", seed >= 0, "[0, inf)", seed)
     rng = np.random.default_rng(seed)
 
     def draw(rows: int, cols: int) -> np.ndarray:
@@ -410,6 +411,7 @@ class TrainSettings:
         )
         require("gs", self.gs >= 1, "[1, inf)", self.gs)
         require("lr", self.lr > 0, "(0, inf)", self.lr)
+        require("seed", self.seed >= 0, "[0, inf)", self.seed)
 
 
 @dataclass(frozen=True)

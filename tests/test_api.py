@@ -67,6 +67,14 @@ RANGE_ERRORS = {
         lambda: vardrop.initialize_params(8, 0, 4, 2, seed=0),
         "horizon: must be in [1, inf), got 0",
     ),
+    "initialize_params_seed": (
+        lambda: vardrop.initialize_params(8, 2, 4, 2, seed=-1),
+        "seed: must be in [0, inf), got -1",
+    ),
+    "train_settings_seed": (
+        lambda: vardrop.TrainSettings(seed=-1),
+        "seed: must be in [0, inf), got -1",
+    ),
     "count_flops": (
         lambda: vardrop.count_flops(0, 8, 4, 2, 2),
         "n_tokens: must be in [1, inf), got 0",
@@ -130,6 +138,10 @@ RANGE_ERRORS = {
     "synth_period": (
         lambda: _synth(period=9),
         "period: must be in [10, inf), got 9",
+    ),
+    "synth_seed": (
+        lambda: vardrop.synth_redundant_detail(4, 2, 50, 0.0, seed=-1, period=10),
+        "seed: must be in [0, inf), got -1",
     ),
     "redundancy_profile": (
         lambda: vardrop.redundancy_profile(vardrop.pearson_matrix(np.eye(2)), 1.5),

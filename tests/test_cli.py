@@ -1,13 +1,21 @@
 """Config validation, subcommand artifacts, exit codes, and determinism."""
 
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from vardrop import ParameterError, ParseError
-from vardrop.cli import canonical_json, main, parse_config_file, validate_config
+from vardrop.cli import (
+    RunConfig,
+    canonical_json,
+    main,
+    parse_config_file,
+    validate_config,
+)
 
 
 class TestValidateConfig:
@@ -55,14 +63,17 @@ class TestValidateConfig:
             validate_config({"train_frac": "0.5", "val_frac": "0.1"})
         assert "sum to 1" in str(err.value)
 
-    def test_sweep_lists_validated(self):
+    def test_sweep_lists_validated(self, tmp_path):
         with pytest.raises(ParameterError):
             validate_config({"sweep_ks": "2,zero"})
         with pytest.raises(ParameterError):
             validate_config({"sweep_gss": "0,5"})
-        # entries are normalized so the echo is canonical
+        # entries parse to ints, so the echo is canonical
         config = validate_config({"sweep_gss": " 1, 5 ,10 "})
-        assert config.sweep_gss == "1,5,10"
+        assert config.sweep_gss == (1, 5, 10)
+        assert main(["bench", "-o", str(tmp_path), "--sweep_gss= 1, 5 ,10 "]) == 0
+        echo = (tmp_path / "config.echo").read_text().splitlines()
+        assert "sweep_gss=1,5,10" in echo
 
     def test_seed_env_fallback(self, monkeypatch):
         monkeypatch.setenv("VARDROP_SEED", "777")
@@ -71,6 +82,65 @@ class TestValidateConfig:
         assert validate_config({"seed": "3"}).seed == 3
         monkeypatch.delenv("VARDROP_SEED")
         assert validate_config({}).seed == 0
+
+
+# (key, text, value, message): one case per config range check, in the
+# order the checks run, single-key checks first, then cross-key ones
+CONFIG_RANGE_ERRORS = [
+    ("k", "0", 0, "k: must be in [1, inf), got 0"),
+    ("epsilon", "0", 0, "epsilon: must be in [1, inf), got 0"),
+    ("gs", "0", 0, "gs: must be in [1, inf), got 0"),
+    ("lr", "0", 0.0, "lr: must be in (0, inf), got 0.0"),
+    ("seed", "-1", -1, "seed: must be in [0, inf), got -1"),
+    ("delimiter", "ab", "ab", "delimiter: must be in one-character strings, got 'ab'"),
+    ("T", "1", 1, "T: must be in [2, inf), got 1"),
+    ("H", "-1", -1, "H: must be in [0, inf), got -1"),
+    ("B", "0", 0, "B: must be in [1, inf), got 0"),
+    ("stride", "0", 0, "stride: must be in [1, inf), got 0"),
+    ("d", "0", 0, "d: must be in [1, inf), got 0"),
+    ("d_k", "0", 0, "d_k: must be in [1, inf), got 0"),
+    ("epochs", "0", 0, "epochs: must be in [1, inf), got 0"),
+    ("synth_n", "0", 0, "synth_n: must be in [1, inf), got 0"),
+    ("synth_g", "0", 0, "synth_g: must be in [1, 64] (at most synth_n), got 0"),
+    ("synth_sigma", "-0.5", -0.5, "synth_sigma: must be in [0, inf), got -0.5"),
+    ("synth_length", "0", 0, "synth_length: must be in [1, inf), got 0"),
+    ("train_frac", "-0.1", -0.1, "train_frac: must be in [0, 1], got -0.1"),
+    ("val_frac", "1.5", 1.5, "val_frac: must be in [0, 1], got 1.5"),
+    ("test_frac", "-0.2", -0.2, "test_frac: must be in [0, 1], got -0.2"),
+    ("corr_threshold", "1.5", 1.5, "corr_threshold: must be in [-1, 1], got 1.5"),
+    ("shift_count", "0", 0, "shift_count: must be in [1, inf), got 0"),
+    ("bench_n", "0", 0, "bench_n: must be in [1, inf), got 0"),
+    ("bench_delta", "1", 1.0, "bench_delta: must be in [0, 1), got 1.0"),
+    ("sweep_ks", "0", (0,), "sweep_ks: must be in [1, inf) per entry, got 0"),
+    ("sweep_gss", "2,0", (2, 0), "sweep_gss: must be in [1, inf) per entry, got 0"),
+    ("k", "26", 26, "k: must be in [1, 25] (at most epsilon), got 26"),
+    ("epsilon", "49", 49, "epsilon: must be in [1, 48] (floor(T/2) for T=96), got 49"),
+    ("synth_g", "65", 65, "synth_g: must be in [1, 64] (at most synth_n), got 65"),
+    (
+        "train_frac",
+        "0.5",
+        0.5,
+        "train_frac/val_frac/test_frac: must sum to 1, got 0.8",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "key, text, value, message",
+    CONFIG_RANGE_ERRORS,
+    ids=[f"{key}={text}" for key, text, _, _ in CONFIG_RANGE_ERRORS],
+)
+def test_config_checks_itself_however_built(monkeypatch, key, text, value, message):
+    # parsed from text, built in code or replaced: one check, one message
+    monkeypatch.delenv("VARDROP_SEED", raising=False)
+    builds = (
+        lambda: validate_config({key: text}),
+        lambda: RunConfig(**{key: value}),
+        lambda: dataclasses.replace(validate_config({}), **{key: value}),
+    )
+    for build in builds:
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 class TestParseConfigFile:
@@ -85,6 +155,18 @@ class TestParseConfigFile:
         with pytest.raises(ParseError) as err:
             parse_config_file(str(path))
         assert f"{path}:2" in str(err.value)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbfT=48\n")
+        assert parse_config_file(str(path)) == {"T": "48"}
+
+    def test_invalid_utf8_is_parse_error(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"T=48\n\xff=1\n")
+        with pytest.raises(ParseError) as err:
+            parse_config_file(str(path))
+        assert str(err.value) == f"{path}: not UTF-8 text (invalid start byte)"
 
     def test_missing_file_is_io_error(self):
         from vardrop import PipelineIOError
@@ -368,6 +450,14 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error [parse]: {bad}: not UTF-8 text (invalid start byte)\n"
+
+    def test_invalid_utf8_config_is_parse_error(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"\xff\n")
+        code = main(["bench", "-c", str(config), "-o", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error [parse]: {config}: not UTF-8 text (invalid start byte)\n"
 
     def test_oversized_field_is_parse_error(self, tmp_path, capsys):
         # numpy's reader takes the 200,000-digit cell, then stops at the bad
