@@ -99,7 +99,6 @@ class RedundancyProfile:
     not redundancy.
     """
 
-    threshold: float
     max_corr: tuple[float, ...]
     strong_frac: float
 
@@ -111,15 +110,13 @@ def redundancy_profile(matrix: CorrelationMatrix, threshold: float) -> Redundanc
     n = matrix.n_variates
     if n == 1:
         # No partners to correlate with; floor at -1 so nothing counts as strong.
-        return RedundancyProfile(threshold=threshold, max_corr=(-1.0,), strong_frac=0.0)
+        return RedundancyProfile(max_corr=(-1.0,), strong_frac=0.0)
     off = rho.copy()
     np.fill_diagonal(off, -np.inf)
     max_corr = off.max(axis=1)
     strong_frac = float(np.mean(max_corr >= threshold))
     return RedundancyProfile(
-        threshold=threshold,
-        max_corr=tuple(float(m) for m in max_corr),
-        strong_frac=strong_frac,
+        max_corr=tuple(float(m) for m in max_corr), strong_frac=strong_frac
     )
 
 
@@ -133,7 +130,6 @@ class ShiftReport:
     """
 
     starts: tuple[int, ...]
-    lookback: int
     pair_shift: np.ndarray
     max_shift: float
     mean_frobenius: float
@@ -163,7 +159,6 @@ def correlation_shift(
         mean_frobenius = 0.0
     return ShiftReport(
         starts=starts,
-        lookback=lookback,
         pair_shift=pair_shift,
         max_shift=float(pair_shift.max()),
         mean_frobenius=mean_frobenius,
@@ -196,10 +191,11 @@ def sensitivity_sweep(
     Each cell runs a copy of ``settings`` (any TrainSettings, the CLI's
     RunConfig included) with its own ``k`` and ``gs`` and reduction on.
     Every cell starts from the same initialization, seeded by
-    ``settings.seed``, and sees the same batches, so cells differ only in
-    the reduction knobs. Mean delta is averaged over every batch of every epoch;
-    the loss is the dense validation MSE of the final parameters.
-    Deterministic given the seed.
+    ``settings.seed`` and shaped by the first training batch (so
+    ``initialize_params`` rejects ``H = 0``), and sees the same batches, so
+    cells differ only in the reduction knobs. Mean delta is averaged over
+    every batch of every epoch; the loss is the dense validation MSE of the
+    final parameters. Deterministic given the seed.
     """
     require("epochs", epochs >= 1, "[1, inf)", epochs)
     if not ks or not gss:
@@ -208,8 +204,6 @@ def sensitivity_sweep(
         raise ParameterError("sweep needs training batches")
     lookback = train_batches[0].lookback
     horizon = train_batches[0].horizon_length
-    if horizon < 1:
-        raise ParameterError("sweep training batches must carry horizons")
 
     records = []
     for k in ks:

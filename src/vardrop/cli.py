@@ -76,8 +76,9 @@ class RunConfig(TrainSettings):
     ``__post_init__`` checks them, so a config built from text, in code or
     by ``dataclasses.replace`` passes the same checks. A field's annotation,
     a string under postponed evaluation, names the kind validate_config
-    parses the key as; its default is the built-in default (seed's yields
-    to VARDROP_SEED when that is set).
+    parses the key as and TrainSettings checks its value against; its
+    default is the built-in default (seed's yields to VARDROP_SEED when
+    that is set).
     """
 
     data: str = ""
@@ -365,7 +366,7 @@ def _cmd_reduce(config: RunConfig, out: Path) -> None:
     _write_text(out / "report.json", canonical_json(payload))
     summary = reduction_report([len(p.retained) for p in plans], [p.delta for p in plans])
     print(
-        f"reduce: {summary.n_plans} iterations, mean tokens "
+        f"reduce: {len(plans)} iterations, mean tokens "
         f"{_fmt(summary.mean_tokens)} +- {_fmt(summary.std_tokens)}, "
         f"mean delta {_fmt(summary.mean_delta)}"
     )
@@ -385,16 +386,11 @@ def _cmd_analyze(config: RunConfig, out: Path) -> None:
         [list(row) for row in matrix.rho],
     )
     profile = redundancy_profile(matrix, config.corr_threshold)
-    edges = [i * 0.05 - 1.0 for i in range(41)]
-    counts = [0] * 40
-    for value in profile.max_corr:
-        slot = min(39, max(0, int((value + 1.0) / 0.05)))
-        counts[slot] += 1
-    _write_csv_rows(
-        out / "redundancy.csv",
-        ["bin", "count"],
-        [[edges[i], counts[i]] for i in range(40)],
-    )
+    # rounding can put a duplicate variate's correlation just past 1, and
+    # np.histogram drops values outside its range
+    max_corr = np.clip(profile.max_corr, -1.0, 1.0)
+    counts, edges = np.histogram(max_corr, bins=40, range=(-1.0, 1.0))
+    _write_csv_rows(out / "redundancy.csv", ["bin", "count"], list(zip(edges, counts)))
     span = table.length - config.T
     starts = sorted({round(span * i / max(1, config.shift_count - 1))
                      for i in range(config.shift_count)})

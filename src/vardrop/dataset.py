@@ -2,11 +2,11 @@
 
 The unit of work downstream is the window batch: ``B`` lookback windows
 held as one read-only ``B x N x T`` view of a longer ``N x L`` table of
-variates, optionally paired with the ``B x N x H`` view of the horizons that
-immediately follow them. This module owns loading tables from CSV, cutting
-them into window batches, splitting them chronologically, and generating
-seeded synthetic tables with a known redundancy structure (``G`` latent
-prototypes shared by ``N`` variates).
+variates, paired with the ``B x N x H`` view of the horizons that
+immediately follow them (``B x N x 0`` when ``H = 0``). This module owns
+loading tables from CSV, cutting them into window batches, splitting them
+chronologically, and generating seeded synthetic tables with a known
+redundancy structure (``G`` latent prototypes shared by ``N`` variates).
 """
 
 from __future__ import annotations
@@ -98,19 +98,19 @@ class WindowBatch:
     """``B`` windows sharing ``N``, ``T`` and ``H``, held as two read-only arrays.
 
     ``data`` is the ``B x N x T`` lookbacks; ``horizon`` is the ``B x N x H``
-    horizons that follow them, or None when ``H = 0``. A batch never changes:
+    horizons that follow them, ``B x N x 0`` when ``H = 0``. A batch never changes:
     an array read-only down its chain of bases (a ``SeriesTable`` view) is
     kept, and any other is replaced by a read-only copy. ``memo`` holds
     results derived from ``data``, keyed by their settings.
     """
 
     data: np.ndarray
-    horizon: np.ndarray | None = None
+    horizon: np.ndarray
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name, kinds in (("data", np.ndarray), ("horizon", (np.ndarray, type(None)))):
-            if not isinstance(getattr(self, name), kinds):
+        for name in ("data", "horizon"):
+            if not isinstance(getattr(self, name), np.ndarray):
                 kind = type(getattr(self, name)).__name__
                 raise ParameterError(f"batch {name} must be a numpy array, got {kind}")
         shape = self.data.shape
@@ -119,11 +119,11 @@ class WindowBatch:
                 f"batch data must be B x N x T with B >= 1 and T >= 2, got shape {shape}"
             )
         horizon = self.horizon
-        if horizon is not None and (horizon.ndim != 3 or horizon.shape[:2] != shape[:2]):
+        if horizon.ndim != 3 or horizon.shape[:2] != shape[:2]:
             raise ParameterError(f"horizon of shape {horizon.shape} for data of shape {shape}")
         for name in ("data", "horizon"):
             array = getattr(self, name)
-            if array is not None and not _read_only(array):
+            if not _read_only(array):
                 array = array.copy()
                 array.flags.writeable = False
                 object.__setattr__(self, name, array)
@@ -142,7 +142,7 @@ class WindowBatch:
 
     @property
     def horizon_length(self) -> int:
-        return 0 if self.horizon is None else self.horizon.shape[2]
+        return self.horizon.shape[2]
 
     def data_tensor(self) -> np.ndarray:
         """The ``B x N x T`` lookbacks."""
@@ -337,9 +337,10 @@ def sliding_windows(
     """Cut the table into lookback/horizon windows ordered by start offset.
 
     Returns one batch of ``floor((L - T - H) / stride) + 1`` windows; window
-    ``b`` starts at column ``b * stride`` and its horizon is the ``H`` columns
-    immediately following its lookback. Both arrays are read-only strided
-    views of the (immutable) table, so the batch keeps them: no value is copied.
+    ``b`` starts at column ``b * stride``, and its horizon holds the ``H``
+    columns immediately following its lookback (none when ``H = 0``). Both
+    arrays are read-only strided views of the (immutable) table, so the batch
+    keeps them: no value is copied.
     """
     require("lookback", lookback >= 2, "[2, inf)", lookback)
     require("horizon", horizon >= 0, "[0, inf)", horizon)
@@ -364,18 +365,14 @@ def sliding_windows(
             strides=(stride * col, row, col),
         )
 
-    return WindowBatch(view(0, lookback), view(lookback, horizon) if horizon else None)
+    return WindowBatch(view(0, lookback), view(lookback, horizon))
 
 
 def batch_windows(windows: WindowBatch, batch_size: int) -> list[WindowBatch]:
     """Slice windows into consecutive batches; the final batch may be short."""
     require("batch_size", batch_size >= 1, "[1, inf)", batch_size)
-    horizon = windows.horizon
     return [
-        WindowBatch(
-            windows.data[i : i + batch_size],
-            None if horizon is None else horizon[i : i + batch_size],
-        )
+        WindowBatch(windows.data[i : i + batch_size], windows.horizon[i : i + batch_size])
         for i in range(0, windows.size, batch_size)
     ]
 
@@ -427,9 +424,6 @@ class SynthDetail:
     table: SeriesTable
     labels: tuple[int, ...]
     prototypes: tuple[Prototype, ...]
-    period: int
-    seed: int = 0
-    noise_sigma: float = 0.0
 
 
 def _draw_prototypes(rng: np.random.Generator, count: int, max_bin: int) -> list[Prototype]:
@@ -511,11 +505,4 @@ def synth_redundant_detail(
 
     names = tuple(f"v{i:03d}" for i in range(n_variates))
     table = SeriesTable(names=names, values=values)
-    return SynthDetail(
-        table=table,
-        labels=labels,
-        prototypes=tuple(prototypes),
-        period=period,
-        seed=seed,
-        noise_sigma=noise_sigma,
-    )
+    return SynthDetail(table=table, labels=labels, prototypes=tuple(prototypes))

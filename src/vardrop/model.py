@@ -25,6 +25,7 @@ gradient flow) without optimizer state complicating determinism.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
@@ -248,16 +249,16 @@ def forward(
     ``data`` is a ``c x N x T`` stack of lookbacks sharing one retained set
     and ``horizon`` its ``c x N x H`` horizons. Each window's loss is the MSE
     between its predictions and the horizon rows of its retained variates
-    only. Only here are the retained indices checked and gathered; the trace
-    carries the gathered ``c x N' x T`` rows and ``c x N' x H`` targets on to
-    ``backward``.
+    only. Only here are the horizons checked against the model's ``H`` (the
+    training path's one horizon check) and the retained indices checked and
+    gathered; the trace carries the gathered ``c x N' x T`` rows and
+    ``c x N' x H`` targets on to ``backward``.
     """
     if data.ndim != 3 or data.shape[0] < 1:
         raise ParameterError(f"expected a c x N x T stack, got shape {data.shape}")
     want = (*data.shape[:2], params.horizon)
-    if horizon is None or horizon.shape != want:
-        got = None if horizon is None else horizon.shape
-        raise ParameterError(f"forward needs horizons of shape {want}, got {got}")
+    if horizon.shape != want:
+        raise ParameterError(f"forward needs horizons of shape {want}, got {horizon.shape}")
     idx = _check_retained(retained, data.shape[1])
     rows, target = data[:, idx], horizon[:, idx]
     tokens, frag, predictions = _predict(rows, params)
@@ -388,11 +389,24 @@ def count_flops(
     )
 
 
+_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
+
+
+def _of_kind(value, kind: str) -> bool:
+    """Whether ``value`` has a field's annotated kind; a bool is only a bool."""
+    if kind == "tuple[int, ...]":
+        return isinstance(value, tuple) and all(_of_kind(v, "int") for v in value)
+    return isinstance(value, _KINDS[kind]) and (kind == "bool") == isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TrainSettings:
     """Knobs for one training run; reduction applies only when enabled.
 
     The CLI's RunConfig extends this class: each field is a config key.
+    Every field, a subclass's too, is checked against its annotation before
+    any range check: an ``int`` takes any integral value, a ``float`` any
+    real one, and neither takes a bool.
     """
 
     k: int = 3
@@ -404,6 +418,10 @@ class TrainSettings:
     normalize_windows: bool = False
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _of_kind(value, f.type):
+                raise ParameterError(f"{f.name}: expected {f.type}, got {value!r}")
         require("k", self.k >= 1, "[1, inf)", self.k)
         require("epsilon", self.epsilon >= 1, "[1, inf)", self.epsilon)
         require(
@@ -501,8 +519,6 @@ def train_epoch(
         raise ParameterError("training needs at least one batch")
     metrics = []
     for batch_index, batch in enumerate(batches):
-        if batch.horizon_length < 1:
-            raise ParameterError("training batches must carry horizons")
         if config.vardrop_on:
             plan = plan_batch(batch, config, epoch, batch_index)
             retained, delta = plan.retained, plan.delta
@@ -557,16 +573,20 @@ def predict_full(data: np.ndarray, params: ModelParams) -> np.ndarray:
 def validation_loss(params: ModelParams, batches: list[WindowBatch]) -> float:
     """Dense MSE over all variates of all windows (sum of squares / count).
 
-    Windows are predicted one at a time, so only one window's ``N x N``
-    attention weights are alive at once.
+    Every batch's horizon length must be the model's ``H``; this is the
+    validation path's one horizon check. Windows are predicted one at a
+    time, so only one window's ``N x N`` attention weights are alive at once.
     """
     if not batches:
         raise ParameterError("validation needs at least one batch")
     sq_sum = 0.0
     count = 0
     for batch in batches:
-        if batch.horizon_length < 1:
-            raise ParameterError("validation batches must carry horizons")
+        if batch.horizon_length != params.horizon:
+            raise ParameterError(
+                f"validation batches need horizons of length {params.horizon}, "
+                f"got {batch.horizon_length}"
+            )
         for data, horizon in zip(batch.data, batch.horizon):
             preds = predict_full(data, params)
             sq_sum += float(np.sum((preds - horizon) ** 2))

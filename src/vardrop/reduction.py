@@ -142,7 +142,6 @@ class ReductionSummary:
     mean_tokens: float
     std_tokens: float
     mean_delta: float
-    n_plans: int
 
 
 def reduction_report(tokens: Sequence[int], deltas: Sequence[float]) -> ReductionSummary:
@@ -158,5 +157,4 @@ def reduction_report(tokens: Sequence[int], deltas: Sequence[float]) -> Reductio
         mean_tokens=float(counts.mean()),
         std_tokens=float(counts.std()),
         mean_delta=float(ratios.mean()),
-        n_plans=len(counts),
     )

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from vardrop import ParameterError, ParseError
+from vardrop import ParameterError, ParseError, RedundancyProfile, TrainSettings
 from vardrop.cli import (
     RunConfig,
     canonical_json,
@@ -141,6 +141,34 @@ def test_config_checks_itself_however_built(monkeypatch, key, text, value, messa
     for build in builds:
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             build()
+
+
+# (settings class, key, value, message): values of the wrong kind, checked
+# before any range check
+CONFIG_KIND_ERRORS = [
+    (RunConfig, "T", "96", "T: expected int, got '96'"),
+    (RunConfig, "lr", "0.1", "lr: expected float, got '0.1'"),
+    (TrainSettings, "k", "3", "k: expected int, got '3'"),
+    (RunConfig, "vardrop_on", "false", "vardrop_on: expected bool, got 'false'"),
+    (RunConfig, "k", 2.5, "k: expected int, got 2.5"),
+    (RunConfig, "B", True, "B: expected int, got True"),
+    (RunConfig, "sweep_ks", (2, True), "sweep_ks: expected tuple[int, ...], got (2, True)"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, key, value, message",
+    CONFIG_KIND_ERRORS,
+    ids=[f"{cls.__name__}.{key}={value!r}" for cls, key, value, _ in CONFIG_KIND_ERRORS],
+)
+def test_config_checks_field_kinds(cls, key, value, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        cls(**{key: value})
+
+
+def test_config_kinds_take_numpy_and_int_values():
+    assert RunConfig(T=np.int64(96)).T == 96
+    assert RunConfig(lr=1).lr == 1
 
 
 class TestParseConfigFile:
@@ -285,6 +313,20 @@ class TestMain:
                               "pair_shift"}
         assert len(shift["starts"]) == 3
         assert "strong_frac" in capsys.readouterr().out
+
+    def test_analyze_bins_edges_into_the_bin_they_open(self, tmp_path, monkeypatch):
+        # -0.9, -0.8 and -0.55 open bins 2, 4 and 9; 1.0 closes the last bin,
+        # as does a duplicate variate's correlation rounded just past 1
+        max_corr = (-0.9, -0.8, -0.55, 0.0, 1.0, -1.0, 1.0000000000000007)
+        profile = RedundancyProfile(max_corr=max_corr, strong_frac=0.0)
+        monkeypatch.setattr("vardrop.cli.redundancy_profile", lambda *args: profile)
+        assert main(["analyze", "-o", str(tmp_path), "--synth_n=7", "--synth_g=2"]) == 0
+        rows = (tmp_path / "redundancy.csv").read_text().splitlines()[1:]
+        counts = [int(row.split(",")[1]) for row in rows]
+        assert {i: c for i, c in enumerate(counts) if c} == {
+            0: 1, 2: 1, 4: 1, 9: 1, 20: 1, 39: 2,
+        }
+        assert rows[2] == "-0.9,1"
 
     def test_train_artifacts(self, tmp_path, capsys):
         out = tmp_path / "o"

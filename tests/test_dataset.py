@@ -313,7 +313,8 @@ class TestSlidingWindows:
         table = SeriesTable(("a",), np.arange(6.0).reshape(1, 6))
         windows = sliding_windows(table, lookback=6, horizon=0)
         assert windows.size == 1
-        assert windows.horizon is None
+        assert windows.horizon.shape == (1, 1, 0)
+        assert not windows.horizon.flags.writeable
         assert windows.horizon_length == 0
 
     def test_too_short_raises(self):
@@ -384,12 +385,11 @@ class TestWindowViews:
             assert not b.data.flags.writeable
             assert np.shares_memory(b.data, table.values)
             assert WindowBatch(b.data, b.horizon).data is b.data  # kept, not copied
+            assert b.horizon.shape == (b.size, n, horizon)
+            assert not b.horizon.flags.writeable
+            assert WindowBatch(b.data, b.horizon).horizon is b.horizon
             if horizon:
-                assert b.horizon.shape == (b.size, n, horizon)
-                assert not b.horizon.flags.writeable
                 assert np.shares_memory(b.horizon, table.values)
-            else:
-                assert b.horizon is None
             for j in range(b.size):
                 s = (i * batch + j) * stride
                 npt.assert_array_equal(b.data[j], table.values[:, s : s + lookback])
@@ -440,10 +440,10 @@ class TestBatchWindows:
             WindowBatch(np.zeros((2, 3, 8)), np.zeros((2, 3)))
 
     def test_rejects_bad_data(self):
+        with pytest.raises(ParameterError):  # one window, not a batch of one
+            WindowBatch(np.zeros((3, 8)), np.zeros((1, 3, 0)))
         with pytest.raises(ParameterError):
-            WindowBatch(np.zeros((3, 8)))  # one window, not a batch of one
-        with pytest.raises(ParameterError):
-            WindowBatch(np.zeros((2, 3, 1)))  # lookback below 2
+            WindowBatch(np.zeros((2, 3, 1)), np.zeros((2, 3, 0)))  # lookback below 2
 
     @pytest.mark.parametrize(
         "data, horizon, name, kind",
@@ -452,6 +452,7 @@ class TestBatchWindows:
             (None, None, "data", "NoneType"),
             (np.zeros((1, 1, 2)), [[[3.0]]], "horizon", "list"),
             (np.zeros((1, 1, 2)), ((3.0,),), "horizon", "tuple"),
+            (np.zeros((1, 1, 2)), None, "horizon", "NoneType"),
         ],
     )
     def test_non_array_input_names_its_type(self, data, horizon, name, kind):
@@ -460,7 +461,7 @@ class TestBatchWindows:
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
-            WindowBatch(np.zeros((0, 2, 8)))
+            WindowBatch(np.zeros((0, 2, 8)), np.zeros((0, 2, 0)))
         windows = sliding_windows(SeriesTable(("a",), np.zeros((1, 20))), 4)
         with pytest.raises(ParameterError):
             batch_windows(windows, 0)
@@ -530,7 +531,7 @@ class TestSynthRedundant:
             t = np.arange(200)
             signal = np.zeros(200)
             for b, a, p in zip(proto.bins, proto.amps, proto.phases):
-                signal += a * np.sin(2 * np.pi * b * t / detail.period + p)
+                signal += a * np.sin(2 * np.pi * b * t / 96 + p)
             npt.assert_allclose(detail.table.values[i], signal, atol=1e-12)
 
     def test_prototype_structure(self):

@@ -264,11 +264,6 @@ class TestForward:
         again = forward(window.data, window.horizon, p, (0, 1, 2))
         assert again.losses[0] == 0.0
 
-    def test_requires_horizon(self):
-        p = initialize_params(8, 2, 4, 2, seed=0)
-        with pytest.raises(ParameterError):
-            forward(np.zeros((1, 2, 8)), None, p, (0, 1))
-
     def test_horizon_width_mismatch(self):
         rng = np.random.default_rng(11)
         window = make_window(rng, n=2, lookback=8, horizon=5)
@@ -830,7 +825,8 @@ class TestHashGroups:
 
     def test_later_writes_to_the_input_change_nothing(self, kdfh_calls):
         data = np.array(make_batches()[0].data, copy=True)
-        batch = WindowBatch(data)
+        no_horizon = np.zeros((*data.shape[:2], 0))
+        batch = WindowBatch(data, no_horizon)
         kept = batch.data.copy()
         cfg = TrainSettings(k=3, epsilon=24, gs=1, lr=0.02, seed=36)
         before = plan_batch(batch, cfg, 0, 0)
@@ -843,7 +839,7 @@ class TestHashGroups:
         assert plan_batch(batch, cfg, 0, 0) == before
         assert len(kdfh_calls) == 1
         # a new batch over the written array sees the change
-        after = plan_batch(WindowBatch(data), cfg, 0, 0)
+        after = plan_batch(WindowBatch(data, no_horizon), cfg, 0, 0)
         assert after.retained == tuple(range(batch.n_variates))
         assert len(kdfh_calls) == 2
 
@@ -852,7 +848,7 @@ class TestHashGroups:
         base = rng.normal(size=(1, 6, 16))
         view = base.view()
         view.flags.writeable = False
-        batch = WindowBatch(view)
+        batch = WindowBatch(view, np.zeros((1, 6, 0)))
         assert not np.shares_memory(batch.data, base)
         cfg = TrainSettings(k=2, epsilon=8)
         first = hash_groups(batch, cfg)
@@ -923,3 +919,12 @@ class TestValidationLoss:
                 sq += float(np.sum((preds - horizon) ** 2))
                 count += preds.size
         assert abs(got - sq / count) < 1e-15
+
+    @pytest.mark.parametrize("horizon", [0, 2])
+    def test_horizon_must_match_the_model(self, horizon):
+        table = synth_redundant_detail(6, 2, 200, 0.05, seed=28).table
+        batches = batch_windows(sliding_windows(table, 32, horizon, 32), 2)
+        p = initialize_params(32, 4, 8, 4, seed=28)
+        message = f"^validation batches need horizons of length 4, got {horizon}$"
+        with pytest.raises(ParameterError, match=message):
+            validation_loss(p, batches)

@@ -229,7 +229,6 @@ class TestReductionReport:
         summary = report_of(plans)
         assert summary.mean_tokens == 4.0
         assert summary.std_tokens == 0.0
-        assert summary.n_plans == 4
 
     def test_three_counts(self):
         plans = [

@@ -150,7 +150,7 @@ class TestBatchMeanSpectrum:
     def test_accepts_window_batch(self):
         rng = np.random.default_rng(6)
         data = rng.normal(size=(3, 16))
-        batch = WindowBatch(data[None])
+        batch = WindowBatch(data[None], np.zeros((1, 3, 0)))
         mean = batch_mean_spectrum(batch, 8)
         npt.assert_array_equal(mean, batch_mean_spectrum(data[None], 8))
 
