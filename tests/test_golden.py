@@ -3,8 +3,9 @@
 The byte-determinism check (a11) compares two runs inside one process, so it
 cannot notice output that drifts from one version of the package to the
 next. This file pins the sha256 of every artifact the subcommands write for
-one seeded config, ``timing.txt`` excepted (wall clock). A refactor must keep
-every digest. A deliberate numeric change refreshes the digests below and
+one seeded config, ``timing.txt`` excepted (wall clock), and of ``train``
+and ``analyze`` run again on the CSV the ``synth`` run writes. A refactor
+must keep every digest. A deliberate numeric change refreshes the digests below and
 names the changed artifacts in CHANGES.md.
 """
 
@@ -41,10 +42,15 @@ RUNS = {
     "train": ["train"],
     "dense": ["train", "--vardrop_on=false"],
     "sweep": ["sweep", "--sweep_ks=2,3", "--sweep_gss=1,2", "--epochs=1"],
+    # the CSV ingest path, on the table the synth run writes; the path is
+    # relative to the output root so config.echo does not name a temp dir
+    "csv_train": ["train", "--data=synth/data.csv"],
+    "csv_analyze": ["analyze", "--data=synth/data.csv"],
 }
 
 ECHO = "0a0537b219529b7b2e60c8dd6b4a23c51198685dad30df9088531ae43599ad93"
 HASHES = "4d689de3a52c0e640e0f2c40ca3d914481bb203a2b94d87229dcaf9d9ce7481f"
+CSV_ECHO = "02dc541702b6c22b54321823c3127ccb4fc7bf88613029699ad3432337ba01bc"
 
 GOLDEN = {
     "synth/config.echo": ECHO,
@@ -75,6 +81,16 @@ GOLDEN = {
     "dense/checkpoint.npz": "e365f3b76b6000d62d22a5a160c9bee9680ec6ebc236e161f9e7d09fdbdf3d4a",
     "sweep/config.echo": "0f79a18968a23c59a8d4c6c56a3e2791b711a0fdde80f0ed37a1acbc4ad1e6d7",
     "sweep/sweep.csv": "cc8d7279b7a2abe80ff7d2c5dce70c3d32389cddb4b4946ca01537e018b57d43",
+    "csv_train/config.echo": CSV_ECHO,
+    "csv_train/hashes.json": HASHES,
+    "csv_train/metrics.csv": "9d1606af3f8a32c7f14ad83f32b9f77c756a6040df03d00318b475f633320455",
+    "csv_train/reduction.csv": "0c83d89a59daba7f70d1695b3bb980024793efa225df2f3e482896a1112d2091",
+    "csv_train/report.json": "148f68d5efc69fe2d0c0f63f397531708af87f852a237b850ffba91944a93554",
+    "csv_train/checkpoint.npz": "3b20bc70bf3af27e4e8a3a541563baef134dea1d4ad16c5ba2ce8ff24a1eca45",
+    "csv_analyze/config.echo": CSV_ECHO,
+    "csv_analyze/corr_matrix.csv": "7b18162ea8c30f5d849b5c2c5e575ab8102e5fc52ceee57c02a11c2837164e90",
+    "csv_analyze/redundancy.csv": "9ece649bedd2e3ef465c39b80644e07f5ea1aff42db68c51c202edebe7c871d2",
+    "csv_analyze/shift.json": "d93d78e25b0a6a8f1634c061b48c3a091517b4491b04187ebf4810cdc3a0f409",
 }
 
 
@@ -84,6 +100,7 @@ def artifacts(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv("VARDROP_SEED", raising=False)
+        mp.chdir(root)
         for name, (command, *overrides) in RUNS.items():
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main([command, "-o", str(root / name), *CONFIG, *overrides])
