@@ -42,19 +42,36 @@ __all__ = [
 ]
 
 
+def _read_only_owner(array: np.ndarray) -> np.ndarray | None:
+    """The array that owns ``array``'s memory, or None unless it is read-only
+    and so is every array down the chain of bases to it."""
+    # A read-only view of a writable array can still change under it.
+    while isinstance(array, np.ndarray) and not array.flags.writeable:
+        if array.base is None:
+            return array
+        array = array.base
+    return None
+
+
 @dataclass(frozen=True)
 class SeriesTable:
     """An immutable ``N x L`` table: one row per variate, one column per step.
 
     All rows share the length ``L`` and every value is finite; both are
-    enforced at construction so downstream code never re-validates.
+    enforced at construction so downstream code never re-validates. The
+    keep-or-copy rule of ``WindowBatch`` holds: a float64 array read-only
+    down its chain of bases (another table's values, or a view of them) is
+    kept, and anything else becomes a read-only C-ordered copy.
     """
 
     names: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
+        values = self.values
+        if _read_only_owner(values) is None or values.dtype != np.float64:
+            values = np.array(values, dtype=np.float64, order="C")
+            values.flags.writeable = False
         if values.ndim != 2:
             raise ParameterError(f"table values must be 2-D, got shape {values.shape}")
         n, length = values.shape
@@ -69,8 +86,6 @@ class SeriesTable:
             raise ParameterError(
                 f"non-finite value in variate {self.names[bad[0]]!r} at position {bad[1]}"
             )
-        values = values.copy()
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "names", tuple(self.names))
 
@@ -81,16 +96,6 @@ class SeriesTable:
     @property
     def length(self) -> int:
         return self.values.shape[1]
-
-
-def _read_only(array: np.ndarray) -> bool:
-    # A read-only view of a writable array can still change under it, so
-    # every array down the chain of bases to the owner must be read-only.
-    while isinstance(array, np.ndarray) and not array.flags.writeable:
-        if array.base is None:
-            return True
-        array = array.base
-    return False
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,7 @@ class WindowBatch:
             raise ParameterError(f"horizon of shape {horizon.shape} for data of shape {shape}")
         for name in ("data", "horizon"):
             array = getattr(self, name)
-            if not _read_only(array):
+            if _read_only_owner(array) is None:
                 array = array.copy()
                 array.flags.writeable = False
                 object.__setattr__(self, name, array)
@@ -264,11 +269,15 @@ def _load_body(path: str, delimiter: str) -> SeriesTable | None:
         )
     except (OSError, ValueError, StopIteration, ParseError):
         return None
-    if values.shape[1] != len(header) or not np.all(np.isfinite(values)):
+    if values.shape[1] != len(header):
         return None
-    return SeriesTable(
-        names=tuple(names), values=(values[:, 1:] if drop_first else values).T
-    )
+    try:
+        # the table's own finiteness check is the one pass over the values
+        return SeriesTable(
+            names=tuple(names), values=(values[:, 1:] if drop_first else values).T
+        )
+    except ParameterError:
+        return None
 
 
 def _load_rows(path: str, delimiter: str) -> SeriesTable:
@@ -340,7 +349,8 @@ def sliding_windows(
     ``b`` starts at column ``b * stride``, and its horizon holds the ``H``
     columns immediately following its lookback (none when ``H = 0``). Both
     arrays are read-only strided views of the (immutable) table, so the batch
-    keeps them: no value is copied.
+    keeps them: no value is copied, also when the table is itself a view,
+    such as a ``chronological_split`` part.
     """
     require("lookback", lookback >= 2, "[2, inf)", lookback)
     require("horizon", horizon >= 0, "[0, inf)", horizon)
@@ -353,19 +363,17 @@ def sliding_windows(
         )
     count = (length - lookback - horizon) // stride + 1
     row, col = values.strides
-
-    # np.ndarray over the table's buffer keeps table.values as the view's
-    # base, so WindowBatch sees a read-only chain and keeps the view uncopied.
-    def view(first: int, width: int) -> np.ndarray:
-        return np.ndarray(
-            (count, table.n_variates, width),
-            np.float64,
-            buffer=values,
-            offset=first * col,
-            strides=(stride * col, row, col),
-        )
-
-    return WindowBatch(view(0, lookback), view(lookback, horizon))
+    # np.ndarray refuses a non-contiguous buffer, such as a split's view, so
+    # the windows index the table's read-only owner from its first value.
+    owner = _read_only_owner(values)
+    windows = np.ndarray(
+        (count, table.n_variates, lookback + horizon),
+        np.float64,
+        buffer=owner,
+        offset=values.__array_interface__["data"][0] - owner.__array_interface__["data"][0],
+        strides=(stride * col, row, col),
+    )
+    return WindowBatch(windows[:, :, :lookback], windows[:, :, lookback:])
 
 
 def batch_windows(windows: WindowBatch, batch_size: int) -> list[WindowBatch]:
@@ -384,7 +392,8 @@ def chronological_split(
 
     Val and test receive exactly ``floor(frac * L)`` timestamps each; the
     remainder goes to train. Concatenating the three parts reproduces the
-    original table.
+    original table. Each part's values are a read-only view of the table's:
+    no value is copied.
     """
     length = table.length
     val_len = int(spec.val_frac * length)

@@ -271,15 +271,37 @@ def forward(
     )
 
 
+def _softmax_backward(d_weights: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Turn ``dW`` into ``dS = W * (dW - rowsum(dW * W))`` in place; returns it.
+
+    The products ``dW * W`` are formed a block of rows at a time in one
+    buffer of at most ``_CHUNK_BUDGET // 16`` values (128 KiB), so no second
+    ``N' x N'`` array is allocated. Each row's sum is numpy's pairwise sum
+    over that one row, as over the whole stack, so the bits are the same.
+    """
+    width = d_weights.shape[-1]
+    d_rows, w_rows = d_weights.reshape(-1, width), weights.reshape(-1, width)
+    block = max(1, _CHUNK_BUDGET // 16 // width)
+    sums = np.empty(len(d_rows))
+    buffer = np.empty((min(block, len(d_rows)), width))
+    for start in range(0, len(d_rows), block):
+        part = d_rows[start : start + block]
+        products = np.multiply(part, w_rows[start : start + block], out=buffer[: len(part)])
+        products.sum(axis=-1, out=sums[start : start + block])
+    d_weights -= sums.reshape(*d_weights.shape[:-1], 1)
+    d_weights *= weights
+    return d_weights
+
+
 def backward(trace: ForwardTrace, params: ModelParams) -> ModelParams:
     """Analytic gradients of each window's MSE loss, stacked per window.
 
     Every returned array has a leading window axis: ``grads.w_embed[i]`` is
     the gradient of ``trace.losses[i]``. The softmax backward uses the row
     Jacobian ``dS = W * (dW - sum(dW * W, axis=-1))``, with the
-    ``1/sqrt(d_k)`` score scale folded into the query/key gradients. Per
-    window ``dW`` is reduced in place and one buffer holds ``dW * W``, then
-    ``dS``; no array of the trace is written.
+    ``1/sqrt(d_k)`` score scale folded into the query/key gradients. The
+    one ``N' x N'`` array per window that holds ``dW`` becomes ``dS`` in place
+    (``_softmax_backward``); no array of the trace is written.
     """
     d_pred = 2.0 * (trace.predictions - trace.target) / trace.predictions[0].size
 
@@ -297,9 +319,7 @@ def backward(trace: ForwardTrace, params: ModelParams) -> ModelParams:
         d_weights = d_context @ _mt(trace.values)
         d_values = _mt(trace.weights) @ d_context
 
-        d_scores = d_weights * trace.weights
-        d_weights -= d_scores.sum(axis=-1, keepdims=True)
-        np.multiply(trace.weights, d_weights, out=d_scores)
+        d_scores = _softmax_backward(d_weights, trace.weights)
 
         scale = 1.0 / math.sqrt(params.attn_dim)
         d_queries = d_scores @ trace.keys * scale
@@ -453,13 +473,21 @@ def hash_groups(batch: WindowBatch, config: TrainSettings) -> GroupTable:
     """The batch's hash groups under ``config``'s k, epsilon and normalization.
 
     The one composition of ``kdfh`` and ``group_by_hash``. A batch never
-    changes, so its memo keeps the table, keyed by ``(k, epsilon,
-    normalize_windows)``, for later epochs and sweep cells with those settings.
+    changes, so its memo keeps, per ``(epsilon, normalize_windows)``, every
+    bin ranked (``kdfh`` at ``k = epsilon``), and per ``k`` the table grouped
+    from its first ``k`` columns, for later epochs and sweep cells. Those
+    columns are ``kdfh`` at ``k``, bit for bit, as both come from one stable
+    argsort; so a sweep over several ``k`` hashes each batch once.
     """
-    key = ("hash_groups", config.k, config.epsilon, config.normalize_windows)
+    settings = (config.epsilon, config.normalize_windows)
+    ranked = ("ranked_bins", *settings)
+    if ranked not in batch.memo:
+        batch.memo[ranked] = kdfh(
+            batch, config.epsilon, config.epsilon, normalize=config.normalize_windows
+        )
+    key = ("hash_groups", config.k, *settings)
     if key not in batch.memo:
-        bins = kdfh(batch, config.k, config.epsilon, normalize=config.normalize_windows)
-        batch.memo[key] = group_by_hash(bins)
+        batch.memo[key] = group_by_hash(batch.memo[ranked][:, : config.k])
     return batch.memo[key]
 
 

@@ -147,6 +147,16 @@ def softmax_backward_out_of_place(d_weights, weights):
     return weights * (d_weights - inner)
 
 
+def softmax_backward_two_buffers(d_weights, weights):
+    """The softmax backward step with a second ``N' x N'`` array for
+    ``dW * W``, then ``dS``, next to ``dW`` reduced in place. ``backward``
+    still holds ``dW``, so both arrays stay alive to its end."""
+    d_scores = d_weights * weights
+    d_weights -= d_scores.sum(axis=-1, keepdims=True)
+    np.multiply(weights, d_weights, out=d_scores)
+    return d_scores
+
+
 def query_key_gradients_out_of_place(trace, params):
     """``backward``'s query and key weight gradients for a ``ForwardTrace``,
     through ``softmax_backward_out_of_place`` and the library's other steps."""

@@ -1,6 +1,7 @@
 """Tables, CSV ingestion, windowing, splits, and the synthetic generator."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -43,6 +44,33 @@ class TestSeriesTable:
         table = SeriesTable(("a", "b"), raw)
         raw[0, 0] = 99.0
         assert table.values[0, 0] == 0.0
+
+    def test_read_only_view_of_writable_array_is_copied(self):
+        raw = np.arange(10.0).reshape(2, 5)
+        view = raw.view()
+        view.flags.writeable = False
+        table = SeriesTable(("a", "b"), view)
+        assert not np.shares_memory(table.values, raw)
+        assert table.values.flags.c_contiguous
+        raw[:] = -1.0  # later writes do not reach the table
+        npt.assert_array_equal(table.values, np.arange(10.0).reshape(2, 5))
+
+    def test_read_only_float_arrays_are_kept(self):
+        table = SeriesTable(("a", "b"), np.arange(10.0).reshape(2, 5))
+        assert SeriesTable(table.names, table.values).values is table.values
+        column = table.values[:, 1:3]
+        assert SeriesTable(table.names, column).values is column
+        # any other dtype is converted into a copy
+        ints = np.arange(10).reshape(2, 5)
+        ints.flags.writeable = False
+        converted = SeriesTable(("a", "b"), ints).values
+        assert converted.dtype == np.float64 and not np.shares_memory(converted, ints)
+
+    def test_transposed_input_is_copied_c_ordered(self):
+        columns = np.arange(12.0).reshape(4, 3)
+        table = SeriesTable(("a", "b", "c"), columns.T)
+        assert table.values.flags.c_contiguous
+        npt.assert_array_equal(table.values, columns.T)
 
     def test_rejects_non_finite(self):
         bad = np.zeros((2, 5))
@@ -505,6 +533,68 @@ class TestChronologicalSplit:
             SplitSpec(0.5, 0.2, 0.2)
         with pytest.raises(ParameterError):
             SplitSpec(-0.1, 0.6, 0.5)
+
+    def test_parts_and_their_windows_allocate_under_a_quarter_of_the_table(self):
+        table = SeriesTable(
+            tuple(f"v{i}" for i in range(250)),
+            np.random.default_rng(4).normal(size=(250, 2400)),
+        )
+        tracemalloc.start()
+        try:
+            parts = chronological_split(table, SplitSpec(0.7, 0.1, 0.2))
+            batches = [batch_windows(sliding_windows(p, 96, 96, 8), 32) for p in parts[:2]]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(b.size for b in batches[0]) == 187
+        assert peak < table.values.nbytes / 4
+
+    def test_loaded_table_parts_and_batches_share_memory(self, tmp_path):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "data.csv"
+        write_csv(SeriesTable(("a", "b", "c"), rng.normal(size=(3, 200))), str(path))
+        table = load_csv(str(path))
+        for part in chronological_split(table, SplitSpec(0.7, 0.1, 0.2)):
+            assert np.shares_memory(part.values, table.values)
+            assert not part.values.flags.writeable
+            for batch in batch_windows(sliding_windows(part, 8, 4, 3), 5):
+                for array in (batch.data, batch.horizon):
+                    assert np.shares_memory(array, table.values)
+                    assert np.shares_memory(array, part.values)
+                    assert not array.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        lookback=st.integers(2, 6),
+        horizon=st.integers(0, 3),
+        stride=st.integers(1, 3),
+        extra=st.integers(0, 30),
+        layout=st.sampled_from(["C", "F", "reversed"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_windows_of_every_part_match_its_values(
+        self, n, lookback, horizon, stride, extra, layout, seed
+    ):
+        # each part is at least lookback + horizon long
+        length = 5 * (lookback + horizon) + extra
+        owner = np.random.default_rng(seed).normal(size=(n, length))
+        if layout == "F":
+            owner = np.asfortranarray(owner)
+        owner.flags.writeable = False
+        values = owner[:, ::-1] if layout == "reversed" else owner
+        table = SeriesTable(tuple(f"v{i}" for i in range(n)), values)
+        assert table.values is values  # read-only down to its owner: kept
+        for part in chronological_split(table, SplitSpec(0.6, 0.2, 0.2)):
+            windows = sliding_windows(part, lookback, horizon, stride)
+            assert np.shares_memory(windows.data, owner)
+            for b in range(windows.size):
+                s = b * stride
+                npt.assert_array_equal(windows.data[b], part.values[:, s : s + lookback])
+                npt.assert_array_equal(
+                    windows.horizon[b],
+                    part.values[:, s + lookback : s + lookback + horizon],
+                )
 
 
 class TestSynthRedundant:

@@ -1,6 +1,7 @@
 """Embedding, attention, gradients, FLOP accounting, and the training loop."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -46,6 +47,8 @@ from helpers import (
     query_key_gradients_out_of_place,
     reference_train_epoch,
     softmax_attention_out_of_place,
+    softmax_backward_out_of_place,
+    softmax_backward_two_buffers,
 )
 
 
@@ -404,6 +407,49 @@ class TestInPlaceSoftmax:
         d_w_query, d_w_key = query_key_gradients_out_of_place(trace, p)
         npt.assert_array_equal(grads.w_query, d_w_query)
         npt.assert_array_equal(grads.w_key, d_w_key)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.integers(min_value=1, max_value=4),
+        n=st.integers(min_value=1, max_value=40),
+        budget=st.sampled_from([16, 100, 16 * 37, model._CHUNK_BUDGET]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_softmax_backward_row_blocks_give_the_same_bits(self, c, n, budget, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.random((c, n, n))
+        weights /= weights.sum(axis=-1, keepdims=True)
+        d_weights = rng.normal(size=(c, n, n))
+        want = softmax_backward_out_of_place(d_weights, weights)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_CHUNK_BUDGET", budget)
+            got = model._softmax_backward(d_weights, weights)
+        assert got is d_weights  # in place
+        npt.assert_array_equal(got, want)
+
+    def test_backward_holds_one_square_array(self, monkeypatch):
+        n = 300
+        rng = np.random.default_rng(41)
+        p = initialize_params(96, 96, 64, 32, seed=41)
+        trace = forward(
+            rng.normal(size=(1, n, 96)), rng.normal(size=(1, n, 96)), p, range(n)
+        )
+
+        def traced_backward():
+            backward(trace, p)  # first-call caches are not the step's memory
+            tracemalloc.start()
+            try:
+                grads = backward(trace, p)
+                return grads, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        grads, peak = traced_backward()
+        monkeypatch.setattr(model, "_softmax_backward", softmax_backward_two_buffers)
+        reference, two_buffer_peak = traced_backward()
+        assert peak <= two_buffer_peak - n * n * 8
+        for f in fields(grads):
+            npt.assert_array_equal(getattr(grads, f.name), getattr(reference, f.name))
 
     @pytest.mark.parametrize(
         "w_query, w_key",
@@ -787,13 +833,15 @@ class TestHashGroups:
             return len(kdfh_calls) - before
 
         assert plan_all(cfg) == len(batches)
-        for same in (replace(cfg, gs=1), replace(cfg, seed=34), replace(cfg, lr=0.5)):
-            assert plan_all(same) == 0
-        for other in (
+        # a new k slices the memoised ranking of every bin below epsilon
+        for same in (
+            replace(cfg, gs=1),
+            replace(cfg, seed=34),
+            replace(cfg, lr=0.5),
             replace(cfg, k=2),
-            replace(cfg, epsilon=20),
-            replace(cfg, normalize_windows=True),
         ):
+            assert plan_all(same) == 0
+        for other in (replace(cfg, epsilon=20), replace(cfg, normalize_windows=True)):
             assert plan_all(other) == len(batches)
             assert plan_all(other) == 0
 
@@ -855,7 +903,34 @@ class TestHashGroups:
         base[:] = 0.0
         assert hash_groups(batch, cfg) is first
         assert len(kdfh_calls) == 1
-        assert list(batch.memo) == [("hash_groups", 2, 8, False)]
+        assert list(batch.memo) == [("ranked_bins", 8, False), ("hash_groups", 2, 8, False)]
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_every_k_equals_its_own_kdfh(self, kdfh_calls, normalize):
+        from vardrop import group_by_hash, kdfh
+
+        batch = make_batches(sigma=0.5)[0]
+        for k in range(1, 25):
+            cfg = TrainSettings(k=k, epsilon=24, normalize_windows=normalize)
+            want = group_by_hash(kdfh(batch, k, 24, normalize=normalize))
+            assert hash_groups(batch, cfg) == want
+        assert len(kdfh_calls) == 1
+
+    def test_cli_sweep_over_two_ks_hashes_once_per_batch(self, kdfh_calls, tmp_path):
+        import contextlib
+        import io
+
+        from vardrop.cli import main
+
+        args = ["sweep", "-o", str(tmp_path), "--synth_n=16", "--synth_g=4",
+                "--synth_length=2000", "--T=96", "--H=16", "--B=8", "--stride=16",
+                "--d=16", "--d_k=8", "--epochs=1", "--seed=7",
+                "--sweep_ks=2,3", "--sweep_gss=1,2"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(args) == 0
+        hashed = [id(b) for b in kdfh_calls]
+        # 1400 training steps in windows of 96 + 16 at stride 16: 81 windows
+        assert len(hashed) == len(set(hashed)) == math.ceil(81 / 8)
 
     def test_sweep_hashes_once_per_batch(self, kdfh_calls):
         batches = make_batches()
