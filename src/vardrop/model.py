@@ -494,13 +494,17 @@ def hash_groups(batch: WindowBatch, config: TrainSettings) -> GroupTable:
 def plan_batch(
     batch: WindowBatch, config: TrainSettings, epoch: int, batch_index: int
 ) -> ReductionPlan:
-    """Choose the variates one batch keeps: hash, group, sample.
+    """Choose the variates one batch keeps; the one reading of ``vardrop_on``.
 
-    The sampling seed is derived from ``seed:epoch:batch``, so every batch of
-    every epoch redraws its representatives from the same hash groups.
-    ``vardrop_on`` is not consulted.
+    The plan's seed is derived from ``seed:epoch:batch`` in both arms. With
+    reduction on, the batch is hashed, grouped and sampled, so every batch of
+    every epoch redraws its representatives from the same hash groups. With
+    it off, the plan keeps every variate in order at delta 0, with no
+    ``per_group`` draws, and nothing is hashed.
     """
     seed = derive_seed(config.seed, f"{epoch}:{batch_index}")
+    if not config.vardrop_on:
+        return ReductionPlan(tuple(range(batch.n_variates)), {}, config.gs, 0.0, seed)
     return stratified_sample(hash_groups(batch, config), config.gs, seed)
 
 
@@ -530,16 +534,15 @@ def train_epoch(
     config: TrainSettings,
     epoch: int = 0,
 ) -> tuple[ModelParams, list[BatchMetrics]]:
-    """One pass over the batches with per-batch token reduction.
+    """One pass over the batches, each on the variates its plan keeps.
 
-    Per batch: ``plan_batch`` picks at most ``gs`` variates per hash group,
-    then the batch runs through ``forward`` and ``backward`` in chunks of
+    Per batch: ``plan_batch`` gives the retained set and delta for either
+    arm, then the batch runs through ``forward`` and ``backward`` in chunks of
     windows sized by ``_chunk_size``, and one descent step is taken on the
     kept tokens with the gradients averaged over the batch. The windows'
     gradients and losses are added in place one window at a time in batch
     order, from 0 as ``sum()`` starts, so every chunk size gives the same
-    bits as one window at a time. With reduction off every variate is kept and
-    delta is 0, through the same code path.
+    bits as one window at a time.
     Reported FLOPs are the forward and attention cost of the batch at the
     kept token count.
     """
@@ -547,12 +550,8 @@ def train_epoch(
         raise ParameterError("training needs at least one batch")
     metrics = []
     for batch_index, batch in enumerate(batches):
-        if config.vardrop_on:
-            plan = plan_batch(batch, config, epoch, batch_index)
-            retained, delta = plan.retained, plan.delta
-        else:
-            retained, delta = range(batch.n_variates), 0.0
-
+        plan = plan_batch(batch, config, epoch, batch_index)
+        retained = plan.retained
         chunk = _chunk_size(len(retained), params)
         grad_sums = {f.name: np.zeros(getattr(params, f.name).shape) for f in fields(ModelParams)}
         loss_sum = 0.0
@@ -582,7 +581,7 @@ def train_epoch(
                 batch_index=batch_index,
                 loss=loss_sum / batch.size,
                 tokens_used=len(retained),
-                delta=delta,
+                delta=plan.delta,
                 flops=batch.size * ledger.total,
                 attention_flops=batch.size * ledger.attention,
             )

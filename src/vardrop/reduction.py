@@ -95,7 +95,8 @@ def group_by_hash(bins: np.ndarray) -> GroupTable:
 
 @dataclass(frozen=True)
 class ReductionPlan:
-    """Which variates survive sampling and the per-group draws that chose them."""
+    """Which variates a batch keeps and the per-group draws that chose them;
+    a dense plan keeps every variate in order, at delta 0, with no draws."""
 
     retained: tuple[int, ...]
     per_group: dict[str, tuple[int, ...]]

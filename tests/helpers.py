@@ -215,16 +215,13 @@ def reference_train_epoch(batches, params, config, epoch=0):
 
     Each window's gradients go into a list, the step uses their
     ``sum() / n`` mean, and the batch loss is the running sum of window
-    losses over the batch size. Only the retained set comes from the
-    library (``plan_batch``), so this checks the step's arithmetic.
+    losses over the batch size. Only the plan comes from the library
+    (``plan_batch``, for either arm), so this checks the step's arithmetic.
     """
     metrics = []
     for batch_index, batch in enumerate(batches):
-        if config.vardrop_on:
-            plan = plan_batch(batch, config, epoch, batch_index)
-            retained, delta = list(plan.retained), plan.delta
-        else:
-            retained, delta = list(range(batch.n_variates)), 0.0
+        plan = plan_batch(batch, config, epoch, batch_index)
+        retained = list(plan.retained)
         window_grads = []
         loss_sum = 0.0
         for data, horizon in zip(batch.data, batch.horizon):
@@ -247,7 +244,7 @@ def reference_train_epoch(batches, params, config, epoch=0):
             batch_index=batch_index,
             loss=loss_sum / batch.size,
             tokens_used=len(retained),
-            delta=delta,
+            delta=plan.delta,
             flops=batch.size * ledger.total,
             attention_flops=batch.size * ledger.attention,
         ))
