@@ -205,23 +205,23 @@ def sensitivity_sweep(
     lookback = train_batches[0].lookback
     horizon = train_batches[0].horizon_length
 
+    # every cell's settings are built, and so range-checked, before any trains
+    configs = [
+        replace(settings, k=int(k), gs=int(gs), vardrop_on=True) for k in ks for gs in gss
+    ]
     records = []
-    for k in ks:
-        for gs in gss:
-            config = replace(settings, k=int(k), gs=int(gs), vardrop_on=True)
-            params = initialize_params(
-                lookback, horizon, embed_dim, attn_dim, settings.seed
+    for config in configs:
+        params = initialize_params(lookback, horizon, embed_dim, attn_dim, settings.seed)
+        deltas = []
+        for epoch in range(epochs):
+            params, metrics = train_epoch(train_batches, params, config, epoch)
+            deltas.extend(m.delta for m in metrics)
+        records.append(
+            SweepCell(
+                k=config.k,
+                gs=config.gs,
+                delta=float(np.mean(deltas)),
+                val_loss=validation_loss(params, val_batches),
             )
-            deltas = []
-            for epoch in range(epochs):
-                params, metrics = train_epoch(train_batches, params, config, epoch)
-                deltas.extend(m.delta for m in metrics)
-            records.append(
-                SweepCell(
-                    k=int(k),
-                    gs=int(gs),
-                    delta=float(np.mean(deltas)),
-                    val_loss=validation_loss(params, val_batches),
-                )
-            )
+        )
     return tuple(records)

@@ -136,7 +136,7 @@ class RunConfig(TrainSettings):
         require("shift_count", self.shift_count >= 1, "[1, inf)", self.shift_count)
         require("bench_n", self.bench_n >= 1, "[1, inf)", self.bench_n)
         require("bench_delta", 0.0 <= self.bench_delta < 1.0, "[0, 1)", self.bench_delta)
-        # sweep cells are range-checked against epsilon at run time
+        # a sweep checks each (k, gs) cell against epsilon before training any
         for key in ("sweep_ks", "sweep_gss"):
             for v in getattr(self, key):
                 require(key, v >= 1, "[1, inf) per entry", v)

@@ -189,7 +189,9 @@ def embed(rows: np.ndarray, params: ModelParams) -> np.ndarray:
         raise ParameterError(
             f"window length {rows.shape[2]} does not match embed input {params.lookback}"
         )
-    return rows @ params.w_embed + params.b_embed
+    # attention's finiteness check fails on non-finite tokens; do not also warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        return rows @ params.w_embed + params.b_embed
 
 
 def attention(tokens: np.ndarray, params: ModelParams) -> AttentionFragment:
@@ -559,14 +561,18 @@ def train_epoch(
             window = slice(start, start + chunk)
             trace = forward(batch.data[window], batch.horizon[window], params, retained)
             grads = backward(trace, params)
-            for i, loss in enumerate(trace.losses.tolist()):
-                loss_sum += loss
-                for name, total in grad_sums.items():
-                    total += getattr(grads, name)[i]
-        mean_grads = ModelParams(
-            **{name: total / batch.size for name, total in grad_sums.items()}
-        )
-        params = sgd_step(params, mean_grads, config.lr)
+            # as in backward, a diverging step may overflow the sums, mean and
+            # update; the next forward's finiteness check is the failure point
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i, loss in enumerate(trace.losses.tolist()):
+                    loss_sum += loss
+                    for name, total in grad_sums.items():
+                        total += getattr(grads, name)[i]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean_grads = ModelParams(
+                **{name: total / batch.size for name, total in grad_sums.items()}
+            )
+            params = sgd_step(params, mean_grads, config.lr)
 
         ledger = count_flops(
             n_tokens=len(retained),

@@ -292,6 +292,25 @@ class TestMain:
         assert rows[0] == "iteration,tokens_used,delta"
         assert rows[1].startswith("0,6,0.5")
 
+    def test_dense_reduce_reports_the_plan_train_uses(self, tmp_path):
+        out = tmp_path / "o"
+        code = main([
+            "reduce", "-o", str(out), "--synth_n=12", "--synth_g=3",
+            "--synth_length=400", "--T=96", "--B=8", "--gs=2", "--seed=4",
+            "--vardrop_on=false",
+        ])
+        assert code == 0
+        rows = (out / "reduction.csv").read_text().splitlines()[1:]
+        assert len(rows) > 1
+        for row in rows:
+            _, tokens, delta = row.split(",")
+            assert int(tokens) == 12
+            assert float(delta) == 0.0
+        report = json.loads((out / "report.json").read_text())
+        assert report["retained"] == list(range(12))
+        assert report["delta"] == 0
+        assert report["per_group"] == {}
+
     def test_analyze_artifacts(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main([
@@ -550,6 +569,28 @@ class TestExitCodes:
         ])
         assert code == 3
         assert "error [validation]:" in capsys.readouterr().err
+
+    def test_sweep_checks_every_cell_before_training_any(self, tmp_path, capsys,
+                                                         monkeypatch):
+        import vardrop.analysis as analysis
+
+        calls = []
+        real = analysis.train_epoch
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(analysis, "train_epoch", counting)
+        code = main([
+            "sweep", "-o", str(tmp_path / "o"),
+            "--synth_n=8", "--synth_g=2", "--synth_length=1200", "--T=96",
+            "--H=8", "--B=8", "--stride=16", "--d=8", "--d_k=4", "--epochs=3",
+            "--sweep_ks=2,3,26", "--sweep_gss=1,2,4",
+        ])
+        assert code == 3
+        assert "k: must be in [1, 25] (at most epsilon), got 26" in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize(
         "command", ["synth", "hash", "reduce", "analyze", "train", "sweep"]

@@ -651,6 +651,20 @@ class TestTrainEpoch:
         ]
         assert metrics[0].loss == sum(first) / batches[0].size
 
+    @pytest.mark.parametrize("vardrop_on", [False, True])
+    @pytest.mark.parametrize("lr", [1e8, 1e60])
+    def test_divergence_is_a_numeric_error(self, vardrop_on, lr):
+        # warnings are errors here, so an overflow warning in the gradient
+        # sums or the update would escape before forward's finiteness check
+        table = synth_redundant_detail(16, 8, 2000, 0.05, seed=7, period=96).table
+        train, _, _ = chronological_split(table, SplitSpec(0.7, 0.1, 0.2))
+        batches = batch_windows(sliding_windows(train, 96, 16, 1), 8)
+        params = initialize_params(96, 16, 16, 8, seed=7)
+        cfg = TrainSettings(lr=lr, seed=7, vardrop_on=vardrop_on)
+        with pytest.raises(NumericError):
+            for epoch in range(3):
+                params, _ = train_epoch(batches, params, cfg, epoch)
+
     def test_requires_horizons(self):
         table = synth_redundant_detail(4, 2, 200, 0.0, seed=23).table
         windows = sliding_windows(table, 48, 0, 16)
@@ -726,6 +740,20 @@ class TestChunkedStep:
         assert model._chunk_size(6, p) >= batch.size
         with pytest.raises(NumericError):
             train_epoch([batch], p, TrainSettings(epsilon=8, vardrop_on=False))
+
+    @pytest.mark.parametrize("vardrop_on", [False, True])
+    def test_overflowing_update_is_a_numeric_error(self, vardrop_on):
+        # gradients near 1e100 are finite, but times lr=1e250 the update makes
+        # the weights infinite; the second batch's forward reports it, silently
+        rng = np.random.default_rng(45)
+        batches = [
+            WindowBatch(rng.normal(size=(4, 6, 16)) * 1e50, rng.normal(size=(4, 6, 4)) * 1e50)
+            for _ in range(2)
+        ]
+        p = initialize_params(16, 4, 8, 4, seed=45)
+        cfg = TrainSettings(k=2, epsilon=8, gs=2, lr=1e250, vardrop_on=vardrop_on)
+        with pytest.raises(NumericError, match="^non-finite attention scores$"):
+            train_epoch(batches, p, cfg)
 
     def test_chunk_size_shrinks_to_one_as_tokens_grow(self):
         p = initialize_params(96, 96, 64, 32, seed=0)
@@ -821,6 +849,23 @@ class TestHashGroups:
             params, _ = train_epoch(batches, params, cfg, epoch)
         assert len(kdfh_calls) == len(batches)
         assert [id(b) for b in kdfh_calls] == [id(b) for b in batches]
+
+    def test_dense_plan_keeps_every_variate_and_hashes_nothing(self, kdfh_calls):
+        batches = make_batches()
+        on = TrainSettings(k=3, epsilon=24, gs=2, lr=0.02, seed=39)
+        off = replace(on, vardrop_on=False)
+        for i, batch in enumerate(batches):
+            plan = plan_batch(batch, off, 2, i)
+            assert plan.retained == tuple(range(batch.n_variates))
+            assert plan.delta == 0.0
+            assert plan.per_group == {}
+            assert plan.gs == 2
+            assert plan.seed == plan_batch(writable_copy(batch), on, 2, i).seed
+        assert len(kdfh_calls) == len(batches)  # the reduced plans' hashes only
+        params = initialize_params(48, 8, 16, 8, seed=39)
+        train_epoch(batches, params, off)
+        assert len(kdfh_calls) == len(batches)
+        assert not any(b.memo for b in batches)
 
     def test_only_hash_settings_rehash(self, kdfh_calls):
         batches = make_batches()
