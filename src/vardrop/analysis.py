@@ -209,9 +209,11 @@ def sensitivity_sweep(
     configs = [
         replace(settings, k=int(k), gs=int(gs), vardrop_on=True) for k in ks for gs in gss
     ]
+    # no step writes its input parameters, so every cell can start from one set
+    initial = initialize_params(lookback, horizon, embed_dim, attn_dim, settings.seed)
     records = []
     for config in configs:
-        params = initialize_params(lookback, horizon, embed_dim, attn_dim, settings.seed)
+        params = initial
         deltas = []
         for epoch in range(epochs):
             params, metrics = train_epoch(train_batches, params, config, epoch)

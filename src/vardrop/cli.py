@@ -45,6 +45,7 @@ from .dataset import (
     write_csv,
 )
 from .errors import (
+    NumericError,
     ParameterError,
     ParseError,
     PipelineIOError,
@@ -234,11 +235,17 @@ def _fmt(value) -> str:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, %.12g floats, compact separators."""
+    """Deterministic JSON: sorted keys, %.12g floats, compact separators.
+
+    JSON has no token for a non-finite float, so ``inf``, ``-inf`` and
+    ``nan`` raise ``NumericError`` rather than reach a report.
+    """
 
     def render(v) -> str:
         if v is None:
             return "null"
+        if isinstance(v, (float, np.floating)) and not np.isfinite(v):
+            raise NumericError(f"cannot serialize non-finite float {float(v)!r} to JSON")
         if isinstance(v, (bool, int, float, np.integer, np.floating)):
             return _fmt(v)
         if isinstance(v, str):

@@ -20,6 +20,11 @@ differences; there is no framework underneath. One attention block, no
 layer norm, no feed-forward sublayer, plain gradient descent: enough to
 exercise the claims under test (attention cost, reduction accounting,
 gradient flow) without optimizer state complicating determinism.
+
+Numpy never warns here: each public function that computes floats runs
+whole under one ``np.errstate(over="ignore", invalid="ignore")``. Failure
+is the explicit finiteness checks' ``NumericError`` instead, so a diverging
+step surfaces at the next forward's check, not as a warning mid-update.
 """
 
 from __future__ import annotations
@@ -176,6 +181,7 @@ def _mt(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def embed(rows: np.ndarray, params: ModelParams) -> np.ndarray:
     """Embed a ``c x N' x T`` stack of lookback rows into ``c x N' x d`` tokens.
 
@@ -189,11 +195,10 @@ def embed(rows: np.ndarray, params: ModelParams) -> np.ndarray:
         raise ParameterError(
             f"window length {rows.shape[2]} does not match embed input {params.lookback}"
         )
-    # attention's finiteness check fails on non-finite tokens; do not also warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        return rows @ params.w_embed + params.b_embed
+    return rows @ params.w_embed + params.b_embed
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def attention(tokens: np.ndarray, params: ModelParams) -> AttentionFragment:
     """Scaled dot-product attention within each window of ``c x N' x d`` tokens.
 
@@ -209,13 +214,11 @@ def attention(tokens: np.ndarray, params: ModelParams) -> AttentionFragment:
         raise ParameterError(
             f"token width {tokens.shape[2]} does not match embed dim {params.embed_dim}"
         )
-    # finiteness is checked explicitly below; inf/nan must not also warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        queries = tokens @ params.w_query
-        keys = tokens @ params.w_key
-        values = tokens @ params.w_value
-        weights = queries @ _mt(keys)
-        weights /= math.sqrt(params.attn_dim)
+    queries = tokens @ params.w_query
+    keys = tokens @ params.w_key
+    values = tokens @ params.w_value
+    weights = queries @ _mt(keys)
+    weights /= math.sqrt(params.attn_dim)
     if not np.all(np.isfinite(weights)):
         raise NumericError("non-finite attention scores")
     weights -= weights.max(axis=-1, keepdims=True)
@@ -236,13 +239,13 @@ def _predict(
     forecasts; the one prediction path."""
     tokens = embed(rows, params)
     frag = attention(tokens, params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        predictions = (frag.context @ params.w_out) @ params.w_head + params.b_head
+    predictions = (frag.context @ params.w_out) @ params.w_head + params.b_head
     if not np.all(np.isfinite(predictions)):
         raise NumericError("non-finite predictions")
     return tokens, frag, predictions
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def forward(
     data: np.ndarray, horizon: np.ndarray, params: ModelParams, retained: Sequence[int]
 ) -> ForwardTrace:
@@ -264,9 +267,8 @@ def forward(
     idx = _check_retained(retained, data.shape[1])
     rows, target = data[:, idx], horizon[:, idx]
     tokens, frag, predictions = _predict(rows, params)
-    with np.errstate(over="ignore"):
-        squares = (predictions - target) ** 2
-        losses = np.array([np.mean(window_squares) for window_squares in squares])
+    squares = (predictions - target) ** 2
+    losses = np.array([np.mean(window_squares) for window_squares in squares])
     return ForwardTrace(
         **vars(frag), rows=rows, target=target, tokens=tokens,
         predictions=predictions, losses=losses,
@@ -295,6 +297,7 @@ def _softmax_backward(d_weights: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return d_weights
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def backward(trace: ForwardTrace, params: ModelParams) -> ModelParams:
     """Analytic gradients of each window's MSE loss, stacked per window.
 
@@ -307,50 +310,48 @@ def backward(trace: ForwardTrace, params: ModelParams) -> ModelParams:
     """
     d_pred = 2.0 * (trace.predictions - trace.target) / trace.predictions[0].size
 
-    # a diverging loss may overflow these products; the next forward's
-    # finiteness check is the failure point, so do not warn here
-    with np.errstate(over="ignore", invalid="ignore"):
-        mixed = trace.context @ params.w_out
-        d_w_head = _mt(mixed) @ d_pred
-        d_b_head = d_pred.sum(axis=1)
-        d_mixed = d_pred @ params.w_head.T
+    mixed = trace.context @ params.w_out
+    d_w_head = _mt(mixed) @ d_pred
+    d_b_head = d_pred.sum(axis=1)
+    d_mixed = d_pred @ params.w_head.T
 
-        d_w_out = _mt(trace.context) @ d_mixed
-        d_context = d_mixed @ params.w_out.T
+    d_w_out = _mt(trace.context) @ d_mixed
+    d_context = d_mixed @ params.w_out.T
 
-        d_weights = d_context @ _mt(trace.values)
-        d_values = _mt(trace.weights) @ d_context
+    d_weights = d_context @ _mt(trace.values)
+    d_values = _mt(trace.weights) @ d_context
 
-        d_scores = _softmax_backward(d_weights, trace.weights)
+    d_scores = _softmax_backward(d_weights, trace.weights)
 
-        scale = 1.0 / math.sqrt(params.attn_dim)
-        d_queries = d_scores @ trace.keys * scale
-        d_keys = _mt(d_scores) @ trace.queries * scale
+    scale = 1.0 / math.sqrt(params.attn_dim)
+    d_queries = d_scores @ trace.keys * scale
+    d_keys = _mt(d_scores) @ trace.queries * scale
 
-        d_w_query = _mt(trace.tokens) @ d_queries
-        d_w_key = _mt(trace.tokens) @ d_keys
-        d_w_value = _mt(trace.tokens) @ d_values
+    d_w_query = _mt(trace.tokens) @ d_queries
+    d_w_key = _mt(trace.tokens) @ d_keys
+    d_w_value = _mt(trace.tokens) @ d_values
 
-        d_tokens = (
-            d_queries @ params.w_query.T
-            + d_keys @ params.w_key.T
-            + d_values @ params.w_value.T
-        )
-        d_w_embed = _mt(trace.rows) @ d_tokens
-        d_b_embed = d_tokens.sum(axis=1)
+    d_tokens = (
+        d_queries @ params.w_query.T
+        + d_keys @ params.w_key.T
+        + d_values @ params.w_value.T
+    )
+    d_w_embed = _mt(trace.rows) @ d_tokens
+    d_b_embed = d_tokens.sum(axis=1)
 
-        return ModelParams(
-            w_embed=d_w_embed,
-            b_embed=d_b_embed,
-            w_query=d_w_query,
-            w_key=d_w_key,
-            w_value=d_w_value,
-            w_out=d_w_out,
-            w_head=d_w_head,
-            b_head=d_b_head,
-        )
+    return ModelParams(
+        w_embed=d_w_embed,
+        b_embed=d_b_embed,
+        w_query=d_w_query,
+        w_key=d_w_key,
+        w_value=d_w_value,
+        w_out=d_w_out,
+        w_head=d_w_head,
+        b_head=d_b_head,
+    )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     """Plain gradient descent; returns new params, inputs untouched."""
     require("lr", lr > 0, "(0, inf)", lr)
@@ -530,6 +531,7 @@ def _chunk_size(n_tokens: int, params: ModelParams) -> int:
     return max(1, _CHUNK_BUDGET // (n_params + n_tokens * per_token))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_epoch(
     batches: list[WindowBatch],
     params: ModelParams,
@@ -561,18 +563,14 @@ def train_epoch(
             window = slice(start, start + chunk)
             trace = forward(batch.data[window], batch.horizon[window], params, retained)
             grads = backward(trace, params)
-            # as in backward, a diverging step may overflow the sums, mean and
-            # update; the next forward's finiteness check is the failure point
-            with np.errstate(over="ignore", invalid="ignore"):
-                for i, loss in enumerate(trace.losses.tolist()):
-                    loss_sum += loss
-                    for name, total in grad_sums.items():
-                        total += getattr(grads, name)[i]
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean_grads = ModelParams(
-                **{name: total / batch.size for name, total in grad_sums.items()}
-            )
-            params = sgd_step(params, mean_grads, config.lr)
+            for i, loss in enumerate(trace.losses.tolist()):
+                loss_sum += loss
+                for name, total in grad_sums.items():
+                    total += getattr(grads, name)[i]
+        mean_grads = ModelParams(
+            **{name: total / batch.size for name, total in grad_sums.items()}
+        )
+        params = sgd_step(params, mean_grads, config.lr)
 
         ledger = count_flops(
             n_tokens=len(retained),
@@ -595,6 +593,7 @@ def train_epoch(
     return params, metrics
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def predict_full(data: np.ndarray, params: ModelParams) -> np.ndarray:
     """Dense ``N x H`` forecast of one ``N x T`` window; no reduction, no horizon.
 
@@ -603,6 +602,7 @@ def predict_full(data: np.ndarray, params: ModelParams) -> np.ndarray:
     return _predict(data[None], params)[2][0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validation_loss(params: ModelParams, batches: list[WindowBatch]) -> float:
     """Dense MSE over all variates of all windows (sum of squares / count).
 
@@ -624,4 +624,6 @@ def validation_loss(params: ModelParams, batches: list[WindowBatch]) -> float:
             preds = predict_full(data, params)
             sq_sum += float(np.sum((preds - horizon) ** 2))
             count += preds.size
+    if not math.isfinite(sq_sum):
+        raise NumericError("non-finite validation loss")
     return sq_sum / count

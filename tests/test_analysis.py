@@ -232,6 +232,24 @@ class TestSensitivitySweep:
             deltas = [c.delta for c in cells if c.k == k]
             assert all(a >= b for a, b in zip(deltas, deltas[1:]))
 
+    def test_cells_share_one_initialization(self, monkeypatch):
+        import vardrop.analysis as analysis
+
+        calls = []
+        real = analysis.initialize_params
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        train, val = sweep_batches()
+        kwargs = dict(epochs=1, embed_dim=8, attn_dim=4)
+        monkeypatch.setattr(analysis, "initialize_params", counting)
+        cells = sensitivity_sweep(train, val, [2, 3], [1, 2], sweep_settings(12), **kwargs)
+        assert calls == [(48, 8, 8, 4, 12)]
+        # no cell's training leaks into the next: each equals its own sweep
+        assert cells[3:] == sensitivity_sweep(train, val, [3], [2], sweep_settings(12), **kwargs)
+
     def test_deterministic(self):
         train, val = sweep_batches()
         kwargs = dict(epochs=2, embed_dim=8, attn_dim=4)

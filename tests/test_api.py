@@ -161,6 +161,29 @@ RANGE_ERRORS = {
         ),
         "epochs: must be in [1, inf), got 0",
     ),
+    "sensitivity_sweep_batches": (
+        lambda: vardrop.sensitivity_sweep(
+            [], [], [1], [1], vardrop.TrainSettings(), epochs=1, embed_dim=4, attn_dim=2
+        ),
+        "sweep needs training batches",
+    ),
+    "validation_loss": (
+        lambda: vardrop.validation_loss(_params(), []),
+        "validation needs at least one batch",
+    ),
+    "series_table_empty": (
+        lambda: vardrop.SeriesTable((), np.zeros((0, 5))),
+        "table must be at least 1 x 1, got 0 x 5",
+    ),
+    "synth_signatures": (
+        # bins 1..4 give only 24 distinct ordered triples, not 25
+        lambda: vardrop.synth_redundant_detail(30, 25, 100, 0.0, seed=0, period=10),
+        "cannot draw 25 prototypes with distinct signatures from bins 1..4",
+    ),
+    "reconstruction_error_shape": (
+        lambda: vardrop.reconstruction_error(np.zeros((2, 4)), 1),
+        "expected a 1-D series, got shape (2, 4)",
+    ),
 }
 
 

@@ -1,14 +1,22 @@
 """Config validation, subcommand artifacts, exit codes, and determinism."""
 
 import dataclasses
+import errno
 import json
 import math
+import os
 import re
 
 import numpy as np
 import pytest
 
-from vardrop import ParameterError, ParseError, RedundancyProfile, TrainSettings
+from vardrop import (
+    NumericError,
+    ParameterError,
+    ParseError,
+    RedundancyProfile,
+    TrainSettings,
+)
 from vardrop.cli import (
     RunConfig,
     canonical_json,
@@ -214,6 +222,18 @@ class TestCanonicalJson:
 
     def test_ndarray(self):
         assert canonical_json(np.arange(3)) == "[0,1,2]\n"
+
+    @pytest.mark.parametrize("kind", [float, np.float64, np.float32])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_is_a_numeric_error(self, kind, value):
+        # JSON has no token for these; json.loads rejects a bare inf or nan
+        message = f"^cannot serialize non-finite float {value!r} to JSON$"
+        with pytest.raises(NumericError, match=message):
+            canonical_json({"val_loss": [kind(value)]})
+
+    def test_unknown_type_is_refused(self):
+        with pytest.raises(ParameterError, match="^cannot serialize set to JSON$"):
+            canonical_json({1, 2})
 
 
 def fig4a_csv(path):
@@ -545,6 +565,57 @@ class TestExitCodes:
         ])
         assert code == 5
         assert "error [io]:" in capsys.readouterr().err
+
+    def test_file_in_place_of_the_output_dir(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / "sub"
+        code = main(["bench", "-o", str(out)])
+        assert code == 5
+        reason = f"[Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{out}'"
+        assert capsys.readouterr().err == (
+            f"error [io]: cannot create output dir {out}: {reason}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, blocked, message",
+        [
+            (["bench"], "config.echo", "cannot write {path}"),
+            (
+                ["synth", "--synth_n=4", "--synth_g=2", "--synth_length=50",
+                 "--T=10", "--epsilon=5", "--k=2"],
+                "data.csv",
+                "cannot write {path}",
+            ),
+            (["train"] + TINY_TRAIN, "checkpoint.npz", "cannot write checkpoint"),
+        ],
+        ids=["config.echo", "data.csv", "checkpoint.npz"],
+    )
+    def test_directory_in_place_of_an_output_file(self, tmp_path, capsys, command,
+                                                  blocked, message):
+        out = tmp_path / "o"
+        path = out / blocked
+        path.mkdir(parents=True)
+        code = main([command[0], "-o", str(out), *command[1:]])
+        assert code == 5
+        reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{path}'"
+        assert capsys.readouterr().err == (
+            f"error [io]: {message.format(path=path)}: {reason}\n"
+        )
+
+    def test_empty_sweep_list_is_validation_error(self, tmp_path, capsys):
+        code = main(["sweep", "-o", str(tmp_path / "o"), "--sweep_ks=,"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error [validation]: sweep_ks: expected a comma-separated list of integers\n"
+        )
+
+    def test_analyze_split_shorter_than_t(self, tmp_path, capsys):
+        code = main(["analyze", "-o", str(tmp_path / "o"), "--synth_length=120"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error [validation]: T: training split of length 84 is shorter than T=96\n"
+        )
 
     def test_numeric_error(self, tmp_path, capsys):
         code = main(

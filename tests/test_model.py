@@ -1049,3 +1049,93 @@ class TestValidationLoss:
         message = f"^validation batches need horizons of length 4, got {horizon}$"
         with pytest.raises(ParameterError, match=message):
             validation_loss(p, batches)
+
+
+def golden_split_batches():
+    """The golden CLI config's training and validation batches."""
+    table = synth_redundant_detail(16, 4, 2000, 0.05, seed=7, period=96).table
+    train, val, _ = chronological_split(table, SplitSpec(0.7, 0.1, 0.2))
+    return tuple(batch_windows(sliding_windows(split, 96, 16, 16), 8) for split in (train, val))
+
+
+def golden_params(**fill):
+    """The golden config's initial parameters with named arrays filled."""
+    p = initialize_params(96, 16, 16, 8, seed=7)
+    return replace(p, **{name: np.full_like(getattr(p, name), v) for name, v in fill.items()})
+
+
+def _overflowing_lookbacks():
+    return np.random.default_rng(50).normal(size=(2, 6, 96)) * 10
+
+
+def _overflowing_validation():
+    _, val = golden_split_batches()
+    p = initialize_params(96, 16, 16, 8, seed=7)
+    return validation_loss(replace(p, w_head=p.w_head * 1e200), val)
+
+
+def _overflowing_epoch():
+    train, _ = golden_split_batches()
+    return train_epoch(train, golden_params(), TrainSettings(lr=1e60, seed=7))
+
+
+def _overflowing_backward():
+    train, _ = golden_split_batches()
+    p = golden_params(w_head=1e200)
+    batch = train[0]
+    return backward(forward(batch.data, batch.horizon, p, range(16)), p).w_embed
+
+
+def _overflowing_step():
+    p = golden_params()
+    grads = ModelParams(**{f.name: np.full_like(getattr(p, f.name), 1e300) for f in fields(p)})
+    return sgd_step(p, grads, 1e10).w_embed
+
+
+# every public numeric function of vardrop.model, driven into overflow: the
+# message its NumericError carries, or None where it returns non-finite values
+OVERFLOWS = {
+    "embed": (
+        lambda: embed(np.full((1, 3, 96), 1e308), golden_params(w_embed=1.0)),
+        None,
+    ),
+    "attention": (
+        lambda: attention(
+            np.random.default_rng(50).normal(size=(2, 5, 16)) * 10,
+            golden_params(w_value=1e308),
+        ),
+        "non-finite attention context",
+    ),
+    "forward": (
+        lambda: forward(
+            _overflowing_lookbacks(), np.zeros((2, 6, 16)), golden_params(w_value=1e308),
+            range(6),
+        ),
+        "non-finite attention context",
+    ),
+    "predict_full": (
+        lambda: predict_full(_overflowing_lookbacks()[0], golden_params(w_value=1e308)),
+        "non-finite attention context",
+    ),
+    "predict_full_head": (
+        lambda: predict_full(_overflowing_lookbacks()[0], golden_params(w_head=1e308)),
+        "non-finite predictions",
+    ),
+    "backward": (_overflowing_backward, None),
+    "sgd_step": (_overflowing_step, None),
+    "train_epoch": (_overflowing_epoch, "non-finite attention scores"),
+    "validation_loss": (_overflowing_validation, "non-finite validation loss"),
+}
+
+
+@pytest.mark.parametrize("call, message", OVERFLOWS.values(), ids=list(OVERFLOWS))
+def test_overflow_never_warns(call, message):
+    # warnings are errors here, so an overflow warning would escape as a
+    # RuntimeWarning before any finiteness check could raise
+    before = np.geterr()
+    if message is None:
+        assert not np.all(np.isfinite(call()))
+    else:
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            call()
+    assert np.geterr() == before
