@@ -23,7 +23,6 @@ from .model import (
 )
 
 __all__ = [
-    "CorrelationMatrix",
     "RedundancyProfile",
     "ShiftReport",
     "SweepCell",
@@ -34,52 +33,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Pearson matrix with constant variates flagged rather than NaN.
-
-    A constant variate has an undefined correlation (zero variance); its row,
-    column and diagonal entry are set to 0 and its flag in ``degenerate`` is
-    True, which keeps downstream histograms total.
-    """
-
-    rho: np.ndarray
-    degenerate: tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        rho = self.rho
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ParameterError(f"correlation matrix must be square, got {rho.shape}")
-        if len(self.degenerate) != rho.shape[0]:
-            raise ParameterError("degenerate flags do not match matrix size")
-        if not np.all(np.isfinite(rho)):
-            raise ParameterError("correlation matrix has non-finite entries")
-        if np.max(np.abs(rho - rho.T)) > 1e-12:
-            raise ParameterError("correlation matrix is not symmetric")
-        if np.any(np.abs(rho) > 1.0 + 1e-12):
-            raise ParameterError("correlation entries outside [-1, 1]")
-        for i, deg in enumerate(self.degenerate):
-            expected = 0.0 if deg else 1.0
-            if rho[i, i] != expected:
-                raise ParameterError(
-                    f"diagonal entry {i} is {rho[i, i]!r}, expected {expected}"
-                )
-
-    @property
-    def n_variates(self) -> int:
-        return self.rho.shape[0]
-
-
-def pearson_matrix(data: np.ndarray) -> CorrelationMatrix:
+def pearson_matrix(data: np.ndarray) -> np.ndarray:
     """Pairwise Pearson correlation of the rows of an ``N x T`` window.
 
-    Standard centered product-moment formula. Exactly-constant rows are
-    degenerate: they correlate 0 with everything, diagonal included.
+    Returns the symmetric ``N x N`` matrix of the standard centered
+    product-moment formula. A constant row has no defined correlation (zero
+    variance), so its row, column and diagonal entry are 0, which keeps
+    downstream histograms total: a 0 on the diagonal marks a constant
+    variate, and every other diagonal entry is 1. Raises ``ParameterError``
+    on a non-finite value, or on a row whose variance overflows.
     """
     if data.ndim != 2:
         raise ParameterError(f"expected an N x T window, got shape {data.shape}")
-    centered = data - data.mean(axis=1, keepdims=True)
-    ssq = np.sum(centered * centered, axis=1)
+    if not np.all(np.isfinite(data)):
+        raise ParameterError("correlation input has non-finite values")
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = data - data.mean(axis=1, keepdims=True)
+        ssq = np.sum(centered * centered, axis=1)
+    if not np.all(np.isfinite(ssq)):
+        raise ParameterError("correlation input too large: a row's variance overflows")
     degenerate = ssq == 0.0
     norms = np.where(degenerate, 1.0, np.sqrt(ssq))
     unit = centered / norms[:, None]
@@ -88,7 +60,7 @@ def pearson_matrix(data: np.ndarray) -> CorrelationMatrix:
     rho[degenerate, :] = 0.0
     rho[:, degenerate] = 0.0
     np.fill_diagonal(rho, np.where(degenerate, 0.0, 1.0))
-    return CorrelationMatrix(rho=rho, degenerate=tuple(bool(d) for d in degenerate))
+    return rho
 
 
 @dataclass(frozen=True)
@@ -103,11 +75,19 @@ class RedundancyProfile:
     strong_frac: float
 
 
-def redundancy_profile(matrix: CorrelationMatrix, threshold: float) -> RedundancyProfile:
-    """Fraction of variates whose best off-diagonal correlation meets threshold."""
+def redundancy_profile(rho: np.ndarray, threshold: float) -> RedundancyProfile:
+    """Fraction of variates whose best off-diagonal correlation meets threshold.
+
+    ``rho`` is a square correlation matrix, as ``pearson_matrix`` returns.
+    """
     require("threshold", -1.0 <= threshold <= 1.0, "[-1, 1]", threshold)
-    rho = matrix.rho
-    n = matrix.n_variates
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.size == 0:
+        raise ParameterError(
+            f"correlation matrix must be square and non-empty, got {rho.shape}"
+        )
+    if not np.all(np.isfinite(rho)):
+        raise ParameterError("correlation matrix has non-finite entries")
+    n = rho.shape[0]
     if n == 1:
         # No partners to correlate with; floor at -1 so nothing counts as strong.
         return RedundancyProfile(max_corr=(-1.0,), strong_frac=0.0)
@@ -129,7 +109,6 @@ class ShiftReport:
     distance between consecutive windows' matrices (0 for a single window).
     """
 
-    starts: tuple[int, ...]
     pair_shift: np.ndarray
     max_shift: float
     mean_frobenius: float
@@ -146,9 +125,7 @@ def correlation_shift(
     last = table.length - lookback
     for s in starts:
         require("starts", 0 <= s <= last, f"[0, {last}] (windows inside the table)", s)
-    mats = np.stack(
-        [pearson_matrix(table.values[:, s : s + lookback]).rho for s in starts]
-    )
+    mats = np.stack([pearson_matrix(table.values[:, s : s + lookback]) for s in starts])
     pair_shift = mats.max(axis=0) - mats.min(axis=0)
     if len(starts) > 1:
         consecutive = np.linalg.norm(
@@ -158,7 +135,6 @@ def correlation_shift(
     else:
         mean_frobenius = 0.0
     return ShiftReport(
-        starts=starts,
         pair_shift=pair_shift,
         max_shift=float(pair_shift.max()),
         mean_frobenius=mean_frobenius,

@@ -5,8 +5,9 @@ thin composition over the library modules; no numerical logic lives here.
 
 Configuration is a flat ``key=value`` text file. Precedence: built-in
 defaults (seed falls back to the VARDROP_SEED environment variable), then
-the config file, then ``--key=value`` command-line overrides. Unknown keys
-are hard errors, never silently absorbed.
+the config file, then ``--key=value`` command-line overrides. Unknown keys,
+and a key set twice in the config file, are hard errors, never silently
+absorbed.
 
 Reports are byte-stable: floats are serialized with 12 significant digits,
 JSON keys are emitted in sorted order, and wall-clock timings go only to
@@ -202,7 +203,10 @@ def validate_config(raw: dict[str, str]) -> RunConfig:
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Read a flat key=value config file; '#' comments and blank lines skipped."""
+    """Read a flat key=value config file; '#' comments and blank lines skipped.
+
+    A key set on two lines is a ``ParseError`` naming the key and both lines.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
@@ -210,6 +214,7 @@ def parse_config_file(path: str) -> dict[str, str]:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     raw: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -217,7 +222,13 @@ def parse_config_file(path: str) -> dict[str, str]:
         if "=" not in stripped:
             raise ParseError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = stripped.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in raw:
+            raise ParseError(
+                f"{path}:{lineno}: key {key!r} repeated, first set on line {first_line[key]}"
+            )
+        raw[key] = value.strip()
+        first_line[key] = lineno
     return raw
 
 
@@ -364,7 +375,7 @@ def _cmd_reduce(config: RunConfig, out: Path) -> None:
     _write_csv_rows(out / "reduction.csv", ["iteration", "tokens_used", "delta"], rows)
     first = plans[0]
     payload = {
-        "gs": first.gs,
+        "gs": config.gs,
         "seed": first.seed,
         "retained": list(first.retained),
         "delta": first.delta,
@@ -386,13 +397,9 @@ def _cmd_analyze(config: RunConfig, out: Path) -> None:
         raise ParameterError(
             f"T: training split of length {train.length} is shorter than T={config.T}"
         )
-    matrix = pearson_matrix(train.values[:, -config.T :])
-    _write_csv_rows(
-        out / "corr_matrix.csv",
-        list(table.names),
-        [list(row) for row in matrix.rho],
-    )
-    profile = redundancy_profile(matrix, config.corr_threshold)
+    rho = pearson_matrix(train.values[:, -config.T :])
+    _write_csv_rows(out / "corr_matrix.csv", list(table.names), [list(row) for row in rho])
+    profile = redundancy_profile(rho, config.corr_threshold)
     # rounding can put a duplicate variate's correlation just past 1, and
     # np.histogram drops values outside its range
     max_corr = np.clip(profile.max_corr, -1.0, 1.0)
@@ -404,7 +411,7 @@ def _cmd_analyze(config: RunConfig, out: Path) -> None:
     shift = correlation_shift(table, config.T, starts)
     payload = {
         "T": config.T,
-        "starts": list(shift.starts),
+        "starts": starts,
         "max_shift": shift.max_shift,
         "mean_frobenius": shift.mean_frobenius,
         "pair_shift": shift.pair_shift,
@@ -424,7 +431,6 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
     table = _load_table(config)
     train_batches, val_batches = _split_batches(table, config)
     params = initialize_params(config.T, config.H, config.d, config.d_k, config.seed)
-    _write_hashes(config, train_batches[0], out)
 
     all_metrics = []
     epoch_rows = []
@@ -453,19 +459,6 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
             f"delta={_fmt(summary.mean_delta)} ({elapsed:.3f} s)"
         )
 
-    _write_csv_rows(
-        out / "metrics.csv",
-        ["epoch", "batch", "loss", "tokens_used", "delta", "flops"],
-        [
-            [m.epoch, m.batch_index, m.loss, m.tokens_used, m.delta, m.flops]
-            for m in all_metrics
-        ],
-    )
-    _write_csv_rows(
-        out / "reduction.csv",
-        ["iteration", "tokens_used", "delta"],
-        [[i, m.tokens_used, m.delta] for i, m in enumerate(all_metrics)],
-    )
     summary = _reduction_summary(all_metrics)
     val_loss = validation_loss(params, val_batches)
 
@@ -485,12 +478,30 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
         "val_loss": val_loss,
         "checkpoint": {"shapes": shapes, "seed": config.seed},
     }
-    _write_text(out / "report.json", canonical_json(report))
+    report_text = canonical_json(report)
+
+    # nothing is written until the run has finished, and report.json goes
+    # last, so its presence marks a complete run
     try:
         np.savez(out / "checkpoint.npz", **arrays, seed=np.array(config.seed))
     except OSError as exc:
         raise PipelineIOError(f"cannot write checkpoint: {exc}") from exc
+    _write_csv_rows(
+        out / "metrics.csv",
+        ["epoch", "batch", "loss", "tokens_used", "delta", "flops"],
+        [
+            [m.epoch, m.batch_index, m.loss, m.tokens_used, m.delta, m.flops]
+            for m in all_metrics
+        ],
+    )
+    _write_csv_rows(
+        out / "reduction.csv",
+        ["iteration", "tokens_used", "delta"],
+        [[i, m.tokens_used, m.delta] for i, m in enumerate(all_metrics)],
+    )
+    _write_hashes(config, train_batches[0], out)
     _write_text(out / "timing.txt", "\n".join(timing_lines) + "\n")
+    _write_text(out / "report.json", report_text)
     print(f"train: done, val_loss={_fmt(val_loss)}")
 
 

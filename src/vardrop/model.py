@@ -507,7 +507,7 @@ def plan_batch(
     """
     seed = derive_seed(config.seed, f"{epoch}:{batch_index}")
     if not config.vardrop_on:
-        return ReductionPlan(tuple(range(batch.n_variates)), {}, config.gs, 0.0, seed)
+        return ReductionPlan(tuple(range(batch.n_variates)), {}, 0.0, seed)
     return stratified_sample(hash_groups(batch, config), config.gs, seed)
 
 

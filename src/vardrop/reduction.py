@@ -100,7 +100,6 @@ class ReductionPlan:
 
     retained: tuple[int, ...]
     per_group: dict[str, tuple[int, ...]]
-    gs: int
     delta: float
     seed: int
 
@@ -127,7 +126,7 @@ def stratified_sample(table: GroupTable, gs: int, seed: int) -> ReductionPlan:
     retained_sorted = tuple(sorted(retained))
     delta = 1.0 - len(retained_sorted) / table.n_variates
     return ReductionPlan(
-        retained=retained_sorted, per_group=per_group, gs=gs, delta=delta, seed=seed
+        retained=retained_sorted, per_group=per_group, delta=delta, seed=seed
     )
 
 

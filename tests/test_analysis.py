@@ -25,30 +25,30 @@ class TestPearsonMatrix:
         rng = np.random.default_rng(0)
         v = rng.normal(size=32)
         window = np.stack([v, v.copy()])
-        matrix = pearson_matrix(window)
-        npt.assert_allclose(matrix.rho, np.ones((2, 2)), rtol=1e-12)
+        rho = pearson_matrix(window)
+        npt.assert_allclose(rho, np.ones((2, 2)), rtol=1e-12)
 
     def test_perfect_anticorrelation(self):
         rng = np.random.default_rng(1)
         v = rng.normal(size=32)
         w = -v + 17.0
-        matrix = pearson_matrix(np.stack([v, w]))
-        assert abs(matrix.rho[0, 1] + 1.0) < 1e-12
-        assert abs(matrix.rho[1, 0] + 1.0) < 1e-12
+        rho = pearson_matrix(np.stack([v, w]))
+        assert abs(rho[0, 1] + 1.0) < 1e-12
+        assert abs(rho[1, 0] + 1.0) < 1e-12
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(2)
         data = rng.normal(size=(3, 40))
-        matrix = pearson_matrix(data)
+        rho = pearson_matrix(data)
         for i in range(3):
             for j in range(3):
                 want = pearson_pair(data[i], data[j])
-                assert abs(matrix.rho[i, j] - want) < 1e-12
+                assert abs(rho[i, j] - want) < 1e-12
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(3)
         data = rng.normal(size=(6, 25))
-        rho = pearson_matrix(data).rho
+        rho = pearson_matrix(data)
         npt.assert_allclose(rho, rho.T, atol=1e-15)
         assert np.all(np.abs(rho) <= 1.0 + 1e-12)
         npt.assert_allclose(np.diag(rho), 1.0, atol=1e-15)
@@ -56,18 +56,33 @@ class TestPearsonMatrix:
     def test_constant_variate_degenerate(self):
         rng = np.random.default_rng(4)
         data = np.vstack([rng.normal(size=20), np.full(20, 3.5)])
-        matrix = pearson_matrix(data)
-        assert matrix.degenerate == (False, True)
-        npt.assert_array_equal(matrix.rho[1], 0.0)
-        npt.assert_array_equal(matrix.rho[:, 1], 0.0)
-        assert matrix.rho[0, 0] == 1.0
+        rho = pearson_matrix(data)
+        npt.assert_array_equal(np.diag(rho), [1.0, 0.0])
+        npt.assert_array_equal(rho[1], 0.0)
+        npt.assert_array_equal(rho[:, 1], 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_is_refused(self, bad):
+        data = np.arange(20.0).reshape(2, 10)
+        data[1, 3] = bad
+        with pytest.raises(ParameterError, match="non-finite"):
+            pearson_matrix(data)
+
+    @pytest.mark.parametrize(
+        "row", [[1.7e308, 1.7e308, -1.7e308], [1e200, 3e200, 2e200]], ids=["mean", "square"]
+    )
+    def test_overflowing_finite_data_is_refused(self, row):
+        # a row whose mean or squared deviations overflow has no computable
+        # correlation; it is refused, not reported as NaN or as 0
+        with pytest.raises(ParameterError, match="too large"):
+            pearson_matrix(np.array([row, [1.0, 3.0, 2.0]]))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(5)
         data = rng.normal(size=(5, 30))
         perm = rng.permutation(5)
-        base = pearson_matrix(data).rho
-        swapped = pearson_matrix(data[perm]).rho
+        base = pearson_matrix(data)
+        swapped = pearson_matrix(data[perm])
         npt.assert_allclose(swapped, base[np.ix_(perm, perm)], atol=1e-14)
 
     def test_affine_invariance(self):
@@ -75,8 +90,8 @@ class TestPearsonMatrix:
         data = rng.normal(size=(4, 30))
         scaled = data.copy()
         scaled[2] = 3.7 * scaled[2] - 12.0
-        base = pearson_matrix(data).rho
-        after = pearson_matrix(scaled).rho
+        base = pearson_matrix(data)
+        after = pearson_matrix(scaled)
         npt.assert_allclose(after, base, atol=1e-12)
 
 
@@ -120,6 +135,21 @@ class TestRedundancyProfile:
     def test_rejects_a_stack_of_windows(self):
         with pytest.raises(ParameterError):
             pearson_matrix(np.zeros((1, 2, 10)))
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (np.zeros((2, 3)), "must be square"),
+            (np.zeros(3), "must be square"),
+            (np.zeros((0, 0)), "must be square and non-empty"),
+            (np.array([[1.0, np.nan], [np.nan, 1.0]]), "non-finite"),
+            (np.array([[1.0, np.inf], [np.inf, 1.0]]), "non-finite"),
+        ],
+        ids=["2x3", "1-d", "0x0", "nan", "inf"],
+    )
+    def test_rejects_a_matrix_it_cannot_profile(self, rho, message):
+        with pytest.raises(ParameterError, match=message):
+            redundancy_profile(rho, 0.9)
 
     def test_threshold_validation(self):
         matrix = pearson_matrix(np.eye(2, 10) + 1.0)

@@ -192,6 +192,13 @@ class TestParseConfigFile:
             parse_config_file(str(path))
         assert f"{path}:2" in str(err.value)
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("k=2\n# again\nT=48\n k = 5\n")
+        with pytest.raises(ParseError) as err:
+            parse_config_file(str(path))
+        assert str(err.value) == f"{path}:4: key 'k' repeated, first set on line 1"
+
     def test_byte_order_mark_skipped(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_bytes(b"\xef\xbb\xbfT=48\n")
@@ -602,6 +609,10 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error [io]: {message.format(path=path)}: {reason}\n"
         )
+        if blocked == "checkpoint.npz":
+            # a train run writes nothing before its checkpoint, so no
+            # report.json claims a finished run
+            assert sorted(p.name for p in out.iterdir()) == ["checkpoint.npz", "config.echo"]
 
     def test_empty_sweep_list_is_validation_error(self, tmp_path, capsys):
         code = main(["sweep", "-o", str(tmp_path / "o"), "--sweep_ks=,"])
@@ -624,6 +635,13 @@ class TestExitCodes:
         )
         assert code == 4
         assert "error [numeric]:" in capsys.readouterr().err
+
+    def test_diverging_train_leaves_only_the_config_echo(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["train", "-o", str(out)] + TINY_TRAIN + ["--lr=1e60"])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error [numeric]:")
+        assert [p.name for p in out.iterdir()] == ["config.echo"]
 
     def test_malformed_override(self, tmp_path, capsys):
         code = main(["synth", "-o", str(tmp_path / "o"), "--seed", "9"])

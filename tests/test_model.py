@@ -859,7 +859,6 @@ class TestHashGroups:
             assert plan.retained == tuple(range(batch.n_variates))
             assert plan.delta == 0.0
             assert plan.per_group == {}
-            assert plan.gs == 2
             assert plan.seed == plan_batch(writable_copy(batch), on, 2, i).seed
         assert len(kdfh_calls) == len(batches)  # the reduced plans' hashes only
         params = initialize_params(48, 8, 16, 8, seed=39)
