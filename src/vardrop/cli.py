@@ -4,10 +4,10 @@ Subcommands: synth, hash, reduce, analyze, train, sweep, bench. Each is a
 thin composition over the library modules; no numerical logic lives here.
 
 Configuration is a flat ``key=value`` text file. Precedence: built-in
-defaults (seed falls back to the VARDROP_SEED environment variable), then
-the config file, then ``--key=value`` command-line overrides. Unknown keys,
-and a key set twice in the config file, are hard errors, never silently
-absorbed.
+defaults, then the config file, then ``--key=value`` command-line
+overrides; nothing else, the environment included, sets a key. Unknown
+keys, and a key set twice in the config file, are hard errors. A key given
+twice as an override is not: the last override wins.
 
 Reports are byte-stable: floats are serialized with 12 significant digits,
 JSON keys are emitted in sorted order, and wall-clock timings go only to
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
@@ -79,8 +78,7 @@ class RunConfig(TrainSettings):
     by ``dataclasses.replace`` passes the same checks. A field's annotation,
     a string under postponed evaluation, names the kind validate_config
     parses the key as and TrainSettings checks its value against; its
-    default is the built-in default (seed's yields to VARDROP_SEED when
-    that is set).
+    default is the built-in default.
     """
 
     data: str = ""
@@ -184,21 +182,19 @@ def validate_config(raw: dict[str, str]) -> RunConfig:
     """Parse raw key-value strings into a RunConfig, which checks itself.
 
     Unknown keys are hard errors. Each key parses by its field's annotation,
-    in field order; a sweep list parses to a tuple of ints. The seed default
-    comes from VARDROP_SEED when set. Every range check is the dataclasses'
-    own: TrainSettings', RunConfig's and SplitSpec's.
+    in field order; a sweep list parses to a tuple of ints. Every range
+    check is the dataclasses' own: TrainSettings', RunConfig's and
+    SplitSpec's.
     """
     unknown = sorted(set(raw) - {f.name for f in fields(RunConfig)})
     if unknown:
         raise ParameterError(f"unknown config key(s): {', '.join(unknown)}")
 
-    values: dict[str, object] = {}
-    env_seed = os.environ.get("VARDROP_SEED")
-    for f in fields(RunConfig):
-        if f.name in raw:
-            values[f.name] = _parse_scalar(f.name, f.type, raw[f.name])
-        elif f.name == "seed" and env_seed is not None:
-            values[f.name] = _parse_scalar("VARDROP_SEED", "int", env_seed)
+    values = {
+        f.name: _parse_scalar(f.name, f.type, raw[f.name])
+        for f in fields(RunConfig)
+        if f.name in raw
+    }
     return RunConfig(**values)
 
 

@@ -438,7 +438,6 @@ class TrainSettings:
     lr: float = 0.01
     seed: int = 0
     vardrop_on: bool = True
-    normalize_windows: bool = False
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -473,22 +472,19 @@ class BatchMetrics:
 
 
 def hash_groups(batch: WindowBatch, config: TrainSettings) -> GroupTable:
-    """The batch's hash groups under ``config``'s k, epsilon and normalization.
+    """The batch's hash groups under ``config``'s k and epsilon.
 
     The one composition of ``kdfh`` and ``group_by_hash``. A batch never
-    changes, so its memo keeps, per ``(epsilon, normalize_windows)``, every
-    bin ranked (``kdfh`` at ``k = epsilon``), and per ``k`` the table grouped
-    from its first ``k`` columns, for later epochs and sweep cells. Those
-    columns are ``kdfh`` at ``k``, bit for bit, as both come from one stable
-    argsort; so a sweep over several ``k`` hashes each batch once.
+    changes, so its memo keeps, per ``epsilon``, every bin ranked (``kdfh``
+    at ``k = epsilon``), and per ``k`` the table grouped from its first
+    ``k`` columns, for later epochs and sweep cells. Those columns are
+    ``kdfh`` at ``k``, bit for bit, as both come from one stable argsort;
+    so a sweep over several ``k`` hashes each batch once.
     """
-    settings = (config.epsilon, config.normalize_windows)
-    ranked = ("ranked_bins", *settings)
+    ranked = ("ranked_bins", config.epsilon)
     if ranked not in batch.memo:
-        batch.memo[ranked] = kdfh(
-            batch, config.epsilon, config.epsilon, normalize=config.normalize_windows
-        )
-    key = ("hash_groups", config.k, *settings)
+        batch.memo[ranked] = kdfh(batch, config.epsilon, config.epsilon)
+    key = ("hash_groups", config.k, config.epsilon)
     if key not in batch.memo:
         batch.memo[key] = group_by_hash(batch.memo[ranked][:, : config.k])
     return batch.memo[key]

@@ -75,23 +75,13 @@ def dominant_frequencies(amps: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-amps, axis=1, kind="stable")[:, :k] + 1
 
 
-def kdfh(
-    batch: np.ndarray | WindowBatch,
-    k: int,
-    epsilon: int,
-    normalize: bool = False,
-) -> np.ndarray:
+def kdfh(batch: np.ndarray | WindowBatch, k: int, epsilon: int) -> np.ndarray:
     """Hash every variate of a window batch by its k dominant frequencies.
 
     Composition of batch_mean_spectrum and dominant_frequencies; returns the
-    ``N x k`` int bins array, one row per variate. With ``normalize`` each
-    window row is z-scored over time first (the spectra see normalized
-    values; callers keep the raw data).
+    ``N x k`` int bins array, one row per variate. Scaling a variate scales
+    its spectrum and keeps its ranking, so the hash needs no normalization.
     """
-    if normalize:
-        data = _tensor(batch)
-        mean = data.mean(axis=2, keepdims=True)
-        batch = (data - mean) / np.maximum(data.std(axis=2, keepdims=True), 1e-12)
     return dominant_frequencies(batch_mean_spectrum(batch, epsilon), k)
 
 

@@ -1,8 +1,11 @@
 """The flat ``vardrop`` namespace: exactly the modules' public names, and
 one wording for every range error they raise."""
 
+import contextlib
+import io
 import re
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,3 +194,16 @@ RANGE_ERRORS = {
 def test_range_errors_share_one_wording(call, message):
     with pytest.raises(vardrop.ParameterError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_readme_quickstart_runs():
+    # the one python block in README runs as written and prints what its
+    # comments say
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    lines = out.getvalue().splitlines()
+    assert lines[:2] == ["(345, 64, 96) (345, 64, 16)", "[10  6  7] 8 0.75"]
+    assert len(lines) == 3 and np.isfinite(float(lines[2]))

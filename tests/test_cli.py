@@ -46,9 +46,10 @@ class TestValidateConfig:
         assert "48" in message
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ParameterError) as err:
-            validate_config({"epsilonn": "25"})
-        assert "epsilonn" in str(err.value)
+        for key in ("epsilonn", "normalize_windows"):
+            with pytest.raises(ParameterError, match="^unknown config key") as err:
+                validate_config({key: "25"})
+            assert key in str(err.value)
 
     def test_k_capped_by_epsilon(self):
         with pytest.raises(ParameterError) as err:
@@ -83,13 +84,13 @@ class TestValidateConfig:
         echo = (tmp_path / "config.echo").read_text().splitlines()
         assert "sweep_gss=1,5,10" in echo
 
-    def test_seed_env_fallback(self, monkeypatch):
+    def test_seed_env_fallback(self, monkeypatch, tmp_path):
+        # there is none: the environment cannot change a run's seed
         monkeypatch.setenv("VARDROP_SEED", "777")
-        assert validate_config({}).seed == 777
-        # explicit key beats the environment
-        assert validate_config({"seed": "3"}).seed == 3
-        monkeypatch.delenv("VARDROP_SEED")
         assert validate_config({}).seed == 0
+        assert main(["bench", "-o", str(tmp_path)]) == 0
+        echo = (tmp_path / "config.echo").read_text().splitlines()
+        assert "seed=0" in echo
 
 
 # (key, text, value, message): one case per config range check, in the
@@ -138,9 +139,8 @@ CONFIG_RANGE_ERRORS = [
     CONFIG_RANGE_ERRORS,
     ids=[f"{key}={text}" for key, text, _, _ in CONFIG_RANGE_ERRORS],
 )
-def test_config_checks_itself_however_built(monkeypatch, key, text, value, message):
+def test_config_checks_itself_however_built(key, text, value, message):
     # parsed from text, built in code or replaced: one check, one message
-    monkeypatch.delenv("VARDROP_SEED", raising=False)
     builds = (
         lambda: validate_config({key: text}),
         lambda: RunConfig(**{key: value}),
@@ -707,12 +707,6 @@ class TestExitCodes:
         small = ["--T=4", "--epsilon=2", "--k=1"]
         assert main(["bench", "-o", str(tmp_path / "b"), "--H=2"] + small) == 0
         assert main(["hash", "-o", str(tmp_path / "h"), f"--data={data}"] + small) == 0
-
-    def test_negative_env_seed_is_validation_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("VARDROP_SEED", "-1")
-        code = main(["synth", "-o", str(tmp_path / "o")])
-        assert code == 3
-        assert capsys.readouterr().err.startswith("error [validation]: seed:")
 
     @pytest.mark.parametrize("delimiter", [";;", ""])
     def test_delimiter_must_be_one_character(self, tmp_path, capsys, delimiter):

@@ -27,7 +27,6 @@ def run_cli(*args, warnings_as_errors=False):
     """Run the CLI in a fresh interpreter; the result carries code and text."""
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": f"{SRC}{os.pathsep}{path}" if path else str(SRC)}
-    env.pop("VARDROP_SEED", None)
     flags = ["-W", "error"] if warnings_as_errors else []
     result = subprocess.run(
         [sys.executable, *flags, "-m", "vardrop.cli", *map(str, args)],

@@ -48,9 +48,9 @@ RUNS = {
     "csv_analyze": ["analyze", "--data=synth/data.csv"],
 }
 
-ECHO = "0a0537b219529b7b2e60c8dd6b4a23c51198685dad30df9088531ae43599ad93"
+ECHO = "a15f6b7bb2983b9f9be53854fc698d60296695c41b5d559fd51e21712931f8cf"
 HASHES = "4d689de3a52c0e640e0f2c40ca3d914481bb203a2b94d87229dcaf9d9ce7481f"
-CSV_ECHO = "02dc541702b6c22b54321823c3127ccb4fc7bf88613029699ad3432337ba01bc"
+CSV_ECHO = "c599fbb2612afc5c24f5d6d83d6b44ee6fd80d19162ba978a2d40c96360878c0"
 
 GOLDEN = {
     "synth/config.echo": ECHO,
@@ -73,13 +73,13 @@ GOLDEN = {
     "train/reduction.csv": "0c83d89a59daba7f70d1695b3bb980024793efa225df2f3e482896a1112d2091",
     "train/report.json": "148f68d5efc69fe2d0c0f63f397531708af87f852a237b850ffba91944a93554",
     "train/checkpoint.npz": "aaa318f937d0e6fbead6c99d6c2eda785cc7dcf1deef04383d8c66503fe2f5f6",
-    "dense/config.echo": "6735061f2295edd5c2bfdf0e16ea44fec441b86e47c4c7e952288756acd4a72b",
+    "dense/config.echo": "33d0ef864877f323bcb4b0441fb2e1073e918635c3a9a4db9b75db28686225e3",
     "dense/hashes.json": HASHES,
     "dense/metrics.csv": "0f8976287f1349a5fd8634dccd3969341917cbbeba5ee9c5783bb392cc90bc42",
     "dense/reduction.csv": "3cc2598c9d843311d154da90eecd38035abb6adb6ee2a2ef603dd64f7466aea5",
     "dense/report.json": "dc8e0e2158de13d354b0a0875982793f8868db80d682887b24d6a6df5b34bbb3",
     "dense/checkpoint.npz": "e365f3b76b6000d62d22a5a160c9bee9680ec6ebc236e161f9e7d09fdbdf3d4a",
-    "sweep/config.echo": "0f79a18968a23c59a8d4c6c56a3e2791b711a0fdde80f0ed37a1acbc4ad1e6d7",
+    "sweep/config.echo": "3e231741485bb833d2f6db987c8cfa0a4c43e62a0bb673558feac756dfd18d07",
     "sweep/sweep.csv": "cc8d7279b7a2abe80ff7d2c5dce70c3d32389cddb4b4946ca01537e018b57d43",
     "csv_train/config.echo": CSV_ECHO,
     "csv_train/hashes.json": HASHES,
@@ -99,7 +99,6 @@ def artifacts(tmp_path_factory):
     """Run every subcommand once; map each artifact's relative path to its sha256."""
     root = tmp_path_factory.mktemp("golden")
     with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("VARDROP_SEED", raising=False)
         mp.chdir(root)
         for name, (command, *overrides) in RUNS.items():
             with contextlib.redirect_stdout(io.StringIO()):

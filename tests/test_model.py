@@ -885,19 +885,17 @@ class TestHashGroups:
             replace(cfg, k=2),
         ):
             assert plan_all(same) == 0
-        for other in (replace(cfg, epsilon=20), replace(cfg, normalize_windows=True)):
-            assert plan_all(other) == len(batches)
-            assert plan_all(other) == 0
+        other = replace(cfg, epsilon=20)
+        assert plan_all(other) == len(batches)
+        assert plan_all(other) == 0
 
-    @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("gs", [2, 16])
-    def test_memo_gives_the_same_bits(self, kdfh_calls, normalize, gs):
+    def test_memo_gives_the_same_bits(self, kdfh_calls, gs):
         # gs=16 keeps every variate, so forward gathers every row
         views = make_batches()
         copies = [writable_copy(b) for b in views]
         assert not any(np.shares_memory(c.data, v.data) for c, v in zip(copies, views))
-        cfg = TrainSettings(k=3, epsilon=24, gs=gs, lr=0.02, seed=35,
-                            normalize_windows=normalize)
+        cfg = TrainSettings(k=3, epsilon=24, gs=gs, lr=0.02, seed=35)
         runs = []
         for batches in (views, copies):
             params = initialize_params(48, 8, 16, 8, seed=35)
@@ -947,16 +945,15 @@ class TestHashGroups:
         base[:] = 0.0
         assert hash_groups(batch, cfg) is first
         assert len(kdfh_calls) == 1
-        assert list(batch.memo) == [("ranked_bins", 8, False), ("hash_groups", 2, 8, False)]
+        assert list(batch.memo) == [("ranked_bins", 8), ("hash_groups", 2, 8)]
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_every_k_equals_its_own_kdfh(self, kdfh_calls, normalize):
+    def test_every_k_equals_its_own_kdfh(self, kdfh_calls):
         from vardrop import group_by_hash, kdfh
 
         batch = make_batches(sigma=0.5)[0]
         for k in range(1, 25):
-            cfg = TrainSettings(k=k, epsilon=24, normalize_windows=normalize)
-            want = group_by_hash(kdfh(batch, k, 24, normalize=normalize))
+            cfg = TrainSettings(k=k, epsilon=24)
+            want = group_by_hash(kdfh(batch, k, 24))
             # in the same group order too, which the sampling and reports follow
             assert list(hash_groups(batch, cfg).groups.items()) == list(want.groups.items())
         assert len(kdfh_calls) == 1
