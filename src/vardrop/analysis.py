@@ -41,17 +41,20 @@ def pearson_matrix(data: np.ndarray) -> np.ndarray:
     variance), so its row, column and diagonal entry are 0, which keeps
     downstream histograms total: a 0 on the diagonal marks a constant
     variate, and every other diagonal entry is 1. Raises ``ParameterError``
-    on a non-finite value, or on a row whose variance overflows.
+    on a non-finite value; any finite window has an answer.
     """
     if data.ndim != 2:
         raise ParameterError(f"expected an N x T window, got shape {data.shape}")
     if not np.all(np.isfinite(data)):
         raise ParameterError("correlation input has non-finite values")
-    with np.errstate(over="ignore", invalid="ignore"):
-        centered = data - data.mean(axis=1, keepdims=True)
-        ssq = np.sum(centered * centered, axis=1)
-    if not np.all(np.isfinite(ssq)):
-        raise ParameterError("correlation input too large: a row's variance overflows")
+    # Dividing a row by a power of two just above its largest magnitude is
+    # exact (bar values over 2**1022 times smaller), so every entry keeps its
+    # bits; with every value below 1, no sum can overflow nor a varying row's
+    # squares underflow to 0.
+    _, exponent = np.frexp(np.abs(data).max(axis=1, keepdims=True, initial=0.0))
+    scaled = np.ldexp(data, -exponent)
+    centered = scaled - scaled.mean(axis=1, keepdims=True)
+    ssq = np.sum(centered * centered, axis=1)
     degenerate = ssq == 0.0
     norms = np.where(degenerate, 1.0, np.sqrt(ssq))
     unit = centered / norms[:, None]

@@ -599,7 +599,7 @@ def main(argv: list[str] | None = None) -> int:
         _COMMANDS[args.subcommand](config, out)
     except VardropError as exc:
         print(f"error [{exc.category}]: {exc}", file=sys.stderr)
-        return _EXIT_CODES.get(exc.category, 1)
+        return _EXIT_CODES[exc.category]
     return 0
 
 

@@ -17,15 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import (
-    EmptyInputError,
-    InsufficientLengthError,
-    ParameterError,
-    ParseError,
-    PipelineIOError,
-    SplitError,
-    require,
-)
+from .errors import ParameterError, ParseError, PipelineIOError, require
 
 __all__ = [
     "SeriesTable",
@@ -53,25 +45,30 @@ def _read_only_owner(array: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def _read_only(array) -> np.ndarray:
+    """The one keep-or-copy rule: a float64 array read-only down its chain of
+    bases is kept, and anything else becomes a read-only float64 C-ordered copy."""
+    if _read_only_owner(array) is None or array.dtype != np.float64:
+        array = np.array(array, dtype=np.float64, order="C")
+        array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class SeriesTable:
     """An immutable ``N x L`` table: one row per variate, one column per step.
 
     All rows share the length ``L`` and every value is finite; both are
-    enforced at construction so downstream code never re-validates. The
-    keep-or-copy rule of ``WindowBatch`` holds: a float64 array read-only
-    down its chain of bases (another table's values, or a view of them) is
-    kept, and anything else becomes a read-only C-ordered copy.
+    enforced at construction so downstream code never re-validates. Values
+    read-only down their chain of bases (another table's, or a view of them)
+    are kept; anything else becomes a read-only float64 copy.
     """
 
     names: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = self.values
-        if _read_only_owner(values) is None or values.dtype != np.float64:
-            values = np.array(values, dtype=np.float64, order="C")
-            values.flags.writeable = False
+        values = _read_only(self.values)
         if values.ndim != 2:
             raise ParameterError(f"table values must be 2-D, got shape {values.shape}")
         n, length = values.shape
@@ -104,9 +101,9 @@ class WindowBatch:
 
     ``data`` is the ``B x N x T`` lookbacks; ``horizon`` is the ``B x N x H``
     horizons that follow them, ``B x N x 0`` when ``H = 0``. A batch never changes:
-    an array read-only down its chain of bases (a ``SeriesTable`` view) is
-    kept, and any other is replaced by a read-only copy. ``memo`` holds
-    results derived from ``data``, keyed by their settings.
+    a float64 array read-only down its chain of bases (a ``SeriesTable`` view)
+    is kept, and any other is replaced by a read-only float64 copy. ``memo``
+    holds results derived from ``data``, keyed by their settings.
     """
 
     data: np.ndarray
@@ -127,11 +124,7 @@ class WindowBatch:
         if horizon.ndim != 3 or horizon.shape[:2] != shape[:2]:
             raise ParameterError(f"horizon of shape {horizon.shape} for data of shape {shape}")
         for name in ("data", "horizon"):
-            array = getattr(self, name)
-            if _read_only_owner(array) is None:
-                array = array.copy()
-                array.flags.writeable = False
-                object.__setattr__(self, name, array)
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     @property
     def size(self) -> int:
@@ -294,14 +287,14 @@ def _load_rows(path: str, delimiter: str) -> SeriesTable:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
     if not records:
-        raise EmptyInputError(f"{path}: no header row found")
+        raise ParseError(f"{path}: no header row found")
     if len(records) < 2:
-        raise EmptyInputError(f"{path}: header but no data rows")
+        raise ParseError(f"{path}: header but no data rows")
 
     rows = records[1:]
     names, drop_first = _columns(records[0][0], rows[0][0])
     if not names:
-        raise EmptyInputError(f"{path}: no variate columns after dropping timestamp")
+        raise ParseError(f"{path}: no variate columns after dropping timestamp")
 
     parsed = np.empty((len(rows), len(names)), dtype=np.float64)
     for r, (row, line_num) in enumerate(rows):
@@ -358,7 +351,7 @@ def sliding_windows(
     values = table.values
     length = table.length
     if length < lookback + horizon:
-        raise InsufficientLengthError(
+        raise ParameterError(
             f"need at least {lookback + horizon} timestamps, table has {length}"
         )
     count = (length - lookback - horizon) // stride + 1
@@ -400,7 +393,7 @@ def chronological_split(
     test_len = int(spec.test_frac * length)
     train_len = length - val_len - test_len
     if train_len < 1 or val_len < 1 or test_len < 1:
-        raise SplitError(
+        raise ParameterError(
             f"split of L={length} leaves an empty part "
             f"(train={train_len}, val={val_len}, test={test_len})"
         )

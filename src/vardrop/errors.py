@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all vardrop modules.
 
-Every error carries a ``category`` used by the CLI to map failures to a
-stable exit code and message prefix: ``parse``, ``validation``, ``numeric``
-or ``io``.
+There is one class per CLI exit code, and each carries the ``category`` that
+names its exit code and message prefix: ``ParseError`` (``parse``, 2),
+``ParameterError`` (``validation``, 3), ``NumericError`` (``numeric``, 4) and
+``PipelineIOError`` (``io``, 5).
 """
 
 from __future__ import annotations
@@ -10,10 +11,7 @@ from __future__ import annotations
 __all__ = [
     "VardropError",
     "ParseError",
-    "EmptyInputError",
     "ParameterError",
-    "InsufficientLengthError",
-    "SplitError",
     "NumericError",
     "PipelineIOError",
 ]
@@ -26,27 +24,15 @@ class VardropError(Exception):
 
 
 class ParseError(VardropError):
-    """Malformed input data (bad CSV cell, wrong row length, ...)."""
+    """Malformed or empty input data (bad CSV cell, wrong row length, no rows)."""
 
     category = "parse"
-
-
-class EmptyInputError(ParseError):
-    """Input file or sequence contained no usable data."""
 
 
 class ParameterError(VardropError):
     """An argument violated a documented precondition."""
 
     category = "validation"
-
-
-class InsufficientLengthError(ParameterError):
-    """A series is too short for the requested window geometry."""
-
-
-class SplitError(ParameterError):
-    """A chronological split would leave one part empty."""
 
 
 class NumericError(VardropError):

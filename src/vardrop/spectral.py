@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import WindowBatch
-from .errors import ParameterError, require
+from .errors import NumericError, ParameterError, require
 
 __all__ = [
     "batch_mean_spectrum",
@@ -46,13 +46,15 @@ def _tensor(batch: np.ndarray | WindowBatch) -> np.ndarray:
     return batch
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def batch_mean_spectrum(batch: np.ndarray | WindowBatch, epsilon: int) -> np.ndarray:
     """Low-passed amplitude spectra averaged over the windows of a batch.
 
     Returns an ``N x epsilon`` array whose column ``j`` holds bin ``j + 1``.
     Accepts a WindowBatch, whose lookbacks are read in place, or a
     ``B x N x T`` tensor. Accumulation runs in ascending window order so the
-    result is bit-stable.
+    result is bit-stable. Finite values whose spectrum overflows raise
+    ``NumericError``, not a warning.
     """
     lookbacks = _tensor(batch)
     _, n, lookback = lookbacks.shape
@@ -61,6 +63,8 @@ def batch_mean_spectrum(batch: np.ndarray | WindowBatch, epsilon: int) -> np.nda
     acc = np.zeros((n, epsilon), dtype=np.float64)
     for data in lookbacks:
         acc += np.abs(np.fft.rfft(data, axis=1)[:, 1 : epsilon + 1])
+    if not np.all(np.isfinite(acc)):
+        raise NumericError("non-finite amplitude spectrum")
     return acc / len(lookbacks)
 
 
@@ -104,7 +108,7 @@ def reconstruction_error(signal: np.ndarray, k: int) -> tuple[float, float]:
     positive = np.abs(coeffs[1:])
     n_bins = positive.shape[0]
     require("k", 0 <= k <= n_bins, f"[0, {n_bins}] (the positive bins)", k)
-    ranked = np.argsort(-positive, kind="stable") + 1
+    ranked = dominant_frequencies(positive[None], n_bins)[0]
     kept = ranked[:k]
     dropped = ranked[k:]
 

@@ -71,11 +71,20 @@ class TestPearsonMatrix:
     @pytest.mark.parametrize(
         "row", [[1.7e308, 1.7e308, -1.7e308], [1e200, 3e200, 2e200]], ids=["mean", "square"]
     )
-    def test_overflowing_finite_data_is_refused(self, row):
-        # a row whose mean or squared deviations overflow has no computable
-        # correlation; it is refused, not reported as NaN or as 0
-        with pytest.raises(ParameterError, match="too large"):
-            pearson_matrix(np.array([row, [1.0, 3.0, 2.0]]))
+    def test_rows_whose_sums_would_overflow_are_answered(self, row):
+        # a row whose mean or squared deviations overflow as given correlates
+        # bit for bit as it does scaled down by a power of two
+        data = np.array([row, [1.0, 3.0, 2.0]])
+        small = data.copy()
+        small[0] = np.ldexp(data[0], -1000)
+        rho = pearson_matrix(data)
+        npt.assert_array_equal(rho, pearson_matrix(small))
+        assert abs(rho[0, 1] - pearson_pair(small[0], small[1])) < 1e-12
+
+    def test_tiny_varying_row_is_not_constant(self):
+        # its squared deviations underflow to 0 unless the row is scaled first
+        rho = pearson_matrix(np.array([[1e-170, 3e-170, 2e-170], [1.0, 3.0, 2.0]]))
+        npt.assert_allclose(rho, np.ones((2, 2)), rtol=1e-15)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(5)

@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -128,3 +129,33 @@ def test_analyze_writes_a_forty_bin_histogram(tmp_path):
     assert len((tmp_path / "redundancy.csv").read_text().splitlines()) == 41
     shift = load_strict_json(tmp_path / "shift.json")
     assert len(shift["pair_shift"]) == 16
+
+
+def _huge_table(tmp_path):
+    """A 400 x 4 CSV of N(0, 1) * 1e307 values: finite, but their DFT overflows."""
+    values = np.random.default_rng(0).standard_normal((400, 4)) * 1e307
+    path = tmp_path / "huge.csv"
+    np.savetxt(path, values, delimiter=",", header="a,b,c,d", comments="")
+    return path
+
+
+@pytest.mark.parametrize("command", ["hash", "reduce"])
+def test_overflowing_spectrum_is_a_numeric_error_under_warnings_as_errors(
+    tmp_path, command
+):
+    result = run_cli(
+        command, "-o", tmp_path / "o", f"--data={_huge_table(tmp_path)}",
+        warnings_as_errors=True,
+    )
+    assert result.returncode == 4
+    assert result.stderr == "error [numeric]: non-finite amplitude spectrum\n"
+
+
+def test_analyze_correlates_huge_finite_values(tmp_path):
+    result = run_cli(
+        "analyze", "-o", tmp_path, f"--data={_huge_table(tmp_path)}",
+        warnings_as_errors=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    load_strict_json(tmp_path / "shift.json")

@@ -11,12 +11,9 @@ from hypothesis import strategies as st
 
 from vardrop import dataset
 from vardrop import (
-    EmptyInputError,
-    InsufficientLengthError,
     ParameterError,
     ParseError,
     SeriesTable,
-    SplitError,
     SplitSpec,
     WindowBatch,
     batch_windows,
@@ -234,11 +231,11 @@ class TestLoadCsv(object):
             load_csv(self._write(tmp_path, text))
 
     def test_header_only_is_empty_input(self, tmp_path):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ParseError, match="header but no data rows"):
             load_csv(self._write(tmp_path, "a,b\n"))
 
     def test_empty_file_is_empty_input(self, tmp_path):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ParseError, match="no header row found"):
             load_csv(self._write(tmp_path, ""))
 
     def test_custom_delimiter(self, tmp_path):
@@ -347,7 +344,7 @@ class TestSlidingWindows:
 
     def test_too_short_raises(self):
         table = SeriesTable(("a",), np.zeros((1, 10)))
-        with pytest.raises(InsufficientLengthError):
+        with pytest.raises(ParameterError, match="need at least 12 timestamps"):
             sliding_windows(table, lookback=8, horizon=4)
 
     def test_bad_parameters(self):
@@ -370,7 +367,7 @@ class TestSlidingWindows:
         table = SeriesTable(("a",), np.arange(float(length)).reshape(1, length))
         span = length - lookback - horizon
         if span < 0:
-            with pytest.raises(InsufficientLengthError):
+            with pytest.raises(ParameterError, match="need at least"):
                 sliding_windows(table, lookback, horizon, stride)
             return
         windows = sliding_windows(table, lookback, horizon, stride)
@@ -459,6 +456,14 @@ class TestBatchWindows:
             assert np.shares_memory(part.data, batch.data)
             assert np.shares_memory(part.horizon, batch.horizon)
 
+    def test_read_only_int_input_becomes_a_float_copy(self):
+        data = np.arange(24, dtype=np.int32).reshape(1, 3, 8)
+        data.flags.writeable = False
+        batch = WindowBatch(data, np.zeros((1, 3, 0)))
+        assert batch.data.dtype == np.float64 and not batch.data.flags.writeable
+        assert not np.shares_memory(batch.data, data)
+        npt.assert_array_equal(batch.data, data)
+
     def test_rejects_mixed_shapes(self):
         with pytest.raises(ParameterError):
             WindowBatch(np.zeros((2, 3, 8)), np.zeros((2, 2, 4)))  # variate counts
@@ -525,7 +530,7 @@ class TestChronologicalSplit:
 
     def test_empty_piece_raises(self):
         table = SeriesTable(("a",), np.zeros((1, 5)))
-        with pytest.raises(SplitError):
+        with pytest.raises(ParameterError, match="leaves an empty part"):
             chronological_split(table, SplitSpec(1.0, 0.0, 0.0))
 
     def test_spec_validation(self):

@@ -12,7 +12,9 @@ names the changed artifacts in CHANGES.md.
 import contextlib
 import hashlib
 import io
+import os
 
+import numpy as np
 import pytest
 
 from vardrop.cli import main
@@ -115,6 +117,24 @@ def test_artifact_set_is_pinned(artifacts):
     assert sorted(artifacts) == sorted(GOLDEN)
 
 
+def numpy_build() -> str:
+    """The numpy version, BLAS build and OpenBLAS core a run used.
+
+    Float artifacts are byte-stable within one numpy build and CPU kernel
+    only, so a digest failure names them.
+    """
+    core = os.environ.get("OPENBLAS_CORETYPE", "default")
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
+        return f"numpy {np.__version__}, OPENBLAS_CORETYPE={core}"
+    build = blas.get("openblas configuration", blas.get("version"))
+    return f"numpy {np.__version__}, BLAS {blas.get('name')} {build}, OPENBLAS_CORETYPE={core}"
+
+
 @pytest.mark.parametrize("artifact", sorted(GOLDEN))
 def test_golden_digest(artifacts, artifact):
-    assert artifacts.get(artifact) == GOLDEN[artifact]
+    got = artifacts.get(artifact)
+    assert got == GOLDEN[artifact], (
+        f"{artifact}: sha256 {got}, pinned {GOLDEN[artifact]}; ran on {numpy_build()}"
+    )
