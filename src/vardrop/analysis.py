@@ -41,10 +41,10 @@ def pearson_matrix(data: np.ndarray) -> np.ndarray:
     variance), so its row, column and diagonal entry are 0, which keeps
     downstream histograms total: a 0 on the diagonal marks a constant
     variate, and every other diagonal entry is 1. Raises ``ParameterError``
-    on a non-finite value; any finite window has an answer.
+    on an ``N x 0`` window or a non-finite value; any other has an answer.
     """
-    if data.ndim != 2:
-        raise ParameterError(f"expected an N x T window, got shape {data.shape}")
+    if data.ndim != 2 or data.shape[1] < 1:
+        raise ParameterError(f"expected an N x T window with T >= 1, got shape {data.shape}")
     if not np.all(np.isfinite(data)):
         raise ParameterError("correlation input has non-finite values")
     # Dividing a row by a power of two just above its largest magnitude is

@@ -61,7 +61,7 @@ from .model import (
     train_epoch,
     validation_loss,
 )
-from .reduction import GroupTable, ReductionSummary, reduction_report
+from .reduction import GroupTable
 
 __all__ = ["RunConfig", "validate_config", "parse_config_file", "main"]
 
@@ -363,6 +363,14 @@ def _cmd_hash(config: RunConfig, out: Path) -> None:
     print(f"hash: {batch.n_variates} variates -> {groups.G} groups")
 
 
+def _reduction_stats(plans) -> tuple[float, float, float]:
+    """Mean and population standard deviation (divide by n) of the kept-token
+    counts, and the mean delta, over one ``(tokens, delta)`` pair per plan."""
+    tokens, deltas = zip(*plans)
+    counts = np.array(tokens, dtype=np.float64)
+    return float(counts.mean()), float(counts.std()), float(np.mean(deltas, dtype=np.float64))
+
+
 def _cmd_reduce(config: RunConfig, out: Path) -> None:
     table = _load_table(config)
     batches = _batches(table, config)
@@ -378,11 +386,12 @@ def _cmd_reduce(config: RunConfig, out: Path) -> None:
         "per_group": {key: list(idx) for key, idx in first.per_group.items()},
     }
     _write_text(out / "report.json", canonical_json(payload))
-    summary = reduction_report([len(p.retained) for p in plans], [p.delta for p in plans])
+    mean_tokens, std_tokens, mean_delta = _reduction_stats(
+        (len(p.retained), p.delta) for p in plans
+    )
     print(
         f"reduce: {len(plans)} iterations, mean tokens "
-        f"{_fmt(summary.mean_tokens)} +- {_fmt(summary.std_tokens)}, "
-        f"mean delta {_fmt(summary.mean_delta)}"
+        f"{_fmt(mean_tokens)} +- {_fmt(std_tokens)}, mean delta {_fmt(mean_delta)}"
     )
 
 
@@ -419,10 +428,6 @@ def _cmd_analyze(config: RunConfig, out: Path) -> None:
     )
 
 
-def _reduction_summary(metrics) -> ReductionSummary:
-    return reduction_report([m.tokens_used for m in metrics], [m.delta for m in metrics])
-
-
 def _cmd_train(config: RunConfig, out: Path) -> None:
     table = _load_table(config)
     train_batches, val_batches = _split_batches(table, config)
@@ -437,13 +442,13 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
         elapsed = time.perf_counter() - started
         all_metrics.extend(metrics)
         mean_loss = float(np.mean([m.loss for m in metrics]))
-        summary = _reduction_summary(metrics)
+        mean_tokens, _, mean_delta = _reduction_stats((m.tokens_used, m.delta) for m in metrics)
         epoch_rows.append(
             {
                 "epoch": epoch,
                 "mean_loss": mean_loss,
-                "mean_tokens": summary.mean_tokens,
-                "mean_delta": summary.mean_delta,
+                "mean_tokens": mean_tokens,
+                "mean_delta": mean_delta,
             }
         )
         per_iter = elapsed / len(metrics)
@@ -451,11 +456,13 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
             f"epoch {epoch}: {elapsed:.3f} s ({per_iter:.4f} s/iteration)"
         )
         print(
-            f"epoch {epoch}: loss={_fmt(mean_loss)} tokens={_fmt(summary.mean_tokens)} "
-            f"delta={_fmt(summary.mean_delta)} ({elapsed:.3f} s)"
+            f"epoch {epoch}: loss={_fmt(mean_loss)} tokens={_fmt(mean_tokens)} "
+            f"delta={_fmt(mean_delta)} ({elapsed:.3f} s)"
         )
 
-    summary = _reduction_summary(all_metrics)
+    mean_tokens, std_tokens, mean_delta = _reduction_stats(
+        (m.tokens_used, m.delta) for m in all_metrics
+    )
     val_loss = validation_loss(params, val_batches)
 
     arrays = {f.name: getattr(params, f.name) for f in fields(params)}
@@ -463,9 +470,9 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
     report = {
         "epochs": epoch_rows,
         "reduction": {
-            "mean_tokens": summary.mean_tokens,
-            "std_tokens": summary.std_tokens,
-            "mean_delta": summary.mean_delta,
+            "mean_tokens": mean_tokens,
+            "std_tokens": std_tokens,
+            "mean_delta": mean_delta,
         },
         "flops": {
             "total": sum(m.flops for m in all_metrics),

@@ -124,11 +124,13 @@ class AttentionFragment:
 @dataclass(frozen=True)
 class ForwardTrace(AttentionFragment):
     """One forward pass over a stack of windows: gathered rows and targets,
-    attention, predictions, and each window's loss (``losses[i]``)."""
+    attention, the head's mixed tokens ``context @ w_out``, predictions, and
+    each window's loss (``losses[i]``)."""
 
     rows: np.ndarray
     target: np.ndarray
     tokens: np.ndarray
+    mixed: np.ndarray
     predictions: np.ndarray
     losses: np.ndarray
 
@@ -234,15 +236,17 @@ def attention(tokens: np.ndarray, params: ModelParams) -> AttentionFragment:
 
 def _predict(
     rows: np.ndarray, params: ModelParams
-) -> tuple[np.ndarray, AttentionFragment, np.ndarray]:
+) -> tuple[np.ndarray, AttentionFragment, np.ndarray, np.ndarray]:
     """Embed, attend and project a ``c x N' x T`` stack to ``c x N' x H``
-    forecasts; the one prediction path."""
+    forecasts; the one prediction path. Returns the tokens, the attention,
+    the mixed tokens ``context @ w_out`` and the forecasts."""
     tokens = embed(rows, params)
     frag = attention(tokens, params)
-    predictions = (frag.context @ params.w_out) @ params.w_head + params.b_head
+    mixed = frag.context @ params.w_out
+    predictions = mixed @ params.w_head + params.b_head
     if not np.all(np.isfinite(predictions)):
         raise NumericError("non-finite predictions")
-    return tokens, frag, predictions
+    return tokens, frag, mixed, predictions
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -266,11 +270,10 @@ def forward(
         raise ParameterError(f"forward needs horizons of shape {want}, got {horizon.shape}")
     idx = _check_retained(retained, data.shape[1])
     rows, target = data[:, idx], horizon[:, idx]
-    tokens, frag, predictions = _predict(rows, params)
-    squares = (predictions - target) ** 2
-    losses = np.array([np.mean(window_squares) for window_squares in squares])
+    tokens, frag, mixed, predictions = _predict(rows, params)
+    losses = ((predictions - target) ** 2).mean(axis=(1, 2))
     return ForwardTrace(
-        **vars(frag), rows=rows, target=target, tokens=tokens,
+        **vars(frag), rows=rows, target=target, tokens=tokens, mixed=mixed,
         predictions=predictions, losses=losses,
     )
 
@@ -278,22 +281,21 @@ def forward(
 def _softmax_backward(d_weights: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Turn ``dW`` into ``dS = W * (dW - rowsum(dW * W))`` in place; returns it.
 
-    The products ``dW * W`` are formed a block of rows at a time in one
+    The rows are done a block at a time: the products ``dW * W`` go into one
     buffer of at most ``_CHUNK_BUDGET // 16`` values (128 KiB), so no second
-    ``N' x N'`` array is allocated. Each row's sum is numpy's pairwise sum
-    over that one row, as over the whole stack, so the bits are the same.
+    ``N' x N'`` array is allocated, and the block's rows become ``dS`` before
+    the next block starts. Each row's sum is numpy's pairwise sum over that
+    one row, as over the whole stack, so the bits are the same.
     """
     width = d_weights.shape[-1]
     d_rows, w_rows = d_weights.reshape(-1, width), weights.reshape(-1, width)
     block = max(1, _CHUNK_BUDGET // 16 // width)
-    sums = np.empty(len(d_rows))
     buffer = np.empty((min(block, len(d_rows)), width))
     for start in range(0, len(d_rows), block):
-        part = d_rows[start : start + block]
-        products = np.multiply(part, w_rows[start : start + block], out=buffer[: len(part)])
-        products.sum(axis=-1, out=sums[start : start + block])
-    d_weights -= sums.reshape(*d_weights.shape[:-1], 1)
-    d_weights *= weights
+        part, w_part = d_rows[start : start + block], w_rows[start : start + block]
+        products = np.multiply(part, w_part, out=buffer[: len(part)])
+        part -= products.sum(axis=-1, keepdims=True)
+        part *= w_part
     return d_weights
 
 
@@ -310,8 +312,7 @@ def backward(trace: ForwardTrace, params: ModelParams) -> ModelParams:
     """
     d_pred = 2.0 * (trace.predictions - trace.target) / trace.predictions[0].size
 
-    mixed = trace.context @ params.w_out
-    d_w_head = _mt(mixed) @ d_pred
+    d_w_head = _mt(trace.mixed) @ d_pred
     d_b_head = d_pred.sum(axis=1)
     d_mixed = d_pred @ params.w_head.T
 
@@ -539,10 +540,11 @@ def train_epoch(
     Per batch: ``plan_batch`` gives the retained set and delta for either
     arm, then the batch runs through ``forward`` and ``backward`` in chunks of
     windows sized by ``_chunk_size``, and one descent step is taken on the
-    kept tokens with the gradients averaged over the batch. The windows'
-    gradients and losses are added in place one window at a time in batch
-    order, from 0 as ``sum()`` starts, so every chunk size gives the same
-    bits as one window at a time.
+    kept tokens with the gradients averaged over the batch. Per chunk, each
+    parameter's running sum adds that parameter's window gradients in place
+    one window at a time, in batch order, from 0 as ``sum()`` starts; the
+    losses are summed the same way. Sums of different parameters never mix,
+    so every chunk size gives the same bits as one window at a time.
     Reported FLOPs are the forward and attention cost of the batch at the
     kept token count.
     """
@@ -559,10 +561,11 @@ def train_epoch(
             window = slice(start, start + chunk)
             trace = forward(batch.data[window], batch.horizon[window], params, retained)
             grads = backward(trace, params)
-            for i, loss in enumerate(trace.losses.tolist()):
+            for loss in trace.losses.tolist():
                 loss_sum += loss
-                for name, total in grad_sums.items():
-                    total += getattr(grads, name)[i]
+            for name, total in grad_sums.items():
+                for window_grad in getattr(grads, name):
+                    total += window_grad
         mean_grads = ModelParams(
             **{name: total / batch.size for name, total in grad_sums.items()}
         )
@@ -595,7 +598,7 @@ def predict_full(data: np.ndarray, params: ModelParams) -> np.ndarray:
 
     The window goes through ``_predict`` as a stack of one, a view of ``data``.
     """
-    return _predict(data[None], params)[2][0]
+    return _predict(data[None], params)[3][0]
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -13,7 +13,6 @@ text, its bins joined by ``-`` (``"4-12-8"``).
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +22,9 @@ from .errors import ParameterError, require
 __all__ = [
     "GroupTable",
     "ReductionPlan",
-    "ReductionSummary",
     "derive_seed",
     "group_by_hash",
     "stratified_sample",
-    "reduction_report",
 ]
 
 
@@ -129,32 +126,3 @@ def stratified_sample(table: GroupTable, gs: int, seed: int) -> ReductionPlan:
         retained=retained_sorted, per_group=per_group, delta=delta, seed=seed
     )
 
-
-@dataclass(frozen=True)
-class ReductionSummary:
-    """Spread of retained-token counts over an epoch's plans.
-
-    ``std_tokens`` is the population standard deviation (divide by n): the
-    plans of an epoch are the whole population being described, not a sample
-    from a larger one.
-    """
-
-    mean_tokens: float
-    std_tokens: float
-    mean_delta: float
-
-
-def reduction_report(tokens: Sequence[int], deltas: Sequence[float]) -> ReductionSummary:
-    """Mean/stddev of retained-token counts and mean delta, one entry per plan."""
-    if len(tokens) == 0 or len(tokens) != len(deltas):
-        raise ParameterError(
-            f"reduction report needs equal, non-zero counts of tokens and deltas, "
-            f"got {len(tokens)} and {len(deltas)}"
-        )
-    counts = np.array(tokens, dtype=np.float64)
-    ratios = np.array(deltas, dtype=np.float64)
-    return ReductionSummary(
-        mean_tokens=float(counts.mean()),
-        std_tokens=float(counts.std()),
-        mean_delta=float(ratios.mean()),
-    )

@@ -68,6 +68,12 @@ class TestPearsonMatrix:
         with pytest.raises(ParameterError, match="non-finite"):
             pearson_matrix(data)
 
+    def test_rejects_a_window_with_no_timestamps(self):
+        with pytest.raises(ParameterError, match=r"\(2, 0\)"):
+            pearson_matrix(np.zeros((2, 0)))
+        assert pearson_matrix(np.zeros((0, 5))).shape == (0, 0)
+        npt.assert_array_equal(pearson_matrix(np.array([[1.0], [-2.0]])), np.zeros((2, 2)))
+
     @pytest.mark.parametrize(
         "row", [[1.7e308, 1.7e308, -1.7e308], [1e200, 3e200, 2e200]], ids=["mean", "square"]
     )

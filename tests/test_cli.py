@@ -418,6 +418,28 @@ class TestMain:
         assert off_report["reduction"]["mean_delta"] == 0.0
         assert on_report["flops"]["total"] < off_report["flops"]["total"]
 
+    def test_train_reduction_stats_match_the_metrics(self, tmp_path):
+        # noise this strong splits the two groups differently from batch to
+        # batch, so the kept-token count varies and its spread is not 0
+        out = tmp_path / "o"
+        assert main(["train", "-o", str(out)] + TINY_TRAIN + ["--synth_sigma=1.0"]) == 0
+        rows = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()[1:]]
+        report = json.loads((out / "report.json").read_text())
+
+        def stats(selected):
+            tokens = np.array([float(row[3]) for row in selected])
+            deltas = np.array([float(row[4]) for row in selected])
+            return tokens.mean(), tokens.std(), deltas.mean()
+
+        mean_tokens, std_tokens, mean_delta = stats(rows)
+        assert std_tokens > 0
+        want = {"mean_tokens": mean_tokens, "std_tokens": std_tokens, "mean_delta": mean_delta}
+        assert report["reduction"] == {key: float("%.12g" % v) for key, v in want.items()}
+        for row in report["epochs"]:
+            mean_tokens, _, mean_delta = stats([r for r in rows if int(r[0]) == row["epoch"]])
+            assert row["mean_tokens"] == float("%.12g" % mean_tokens)
+            assert row["mean_delta"] == float("%.12g" % mean_delta)
+
     def test_train_hashes_each_batch_once(self, tmp_path, monkeypatch):
         # hashes.json and every epoch share one hash of each training batch;
         # every hash, whoever asks for it, takes one batch spectrum

@@ -7,16 +7,25 @@ one seeded config, ``timing.txt`` excepted (wall clock), and of ``train``
 and ``analyze`` run again on the CSV the ``synth`` run writes. A refactor
 must keep every digest. A deliberate numeric change refreshes the digests below and
 names the changed artifacts in CHANGES.md.
+
+Float artifacts that pass through a BLAS call are pinned for one CPU kernel
+only. The rest are pinned for every kernel, and one test reruns the config
+under a second OpenBLAS core to check them.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vardrop
 from vardrop.cli import main
 
 CONFIG = [
@@ -96,10 +105,19 @@ GOLDEN = {
 }
 
 
-@pytest.fixture(scope="module")
-def artifacts(tmp_path_factory):
-    """Run every subcommand once; map each artifact's relative path to its sha256."""
-    root = tmp_path_factory.mktemp("golden")
+# no BLAS call shapes these bytes: the synthetic table, the hashes, the
+# plans, the FLOP ledger and the config echoes
+KERNEL_FREE = sorted(
+    name
+    for name in GOLDEN
+    if name.split("/")[0] in ("synth", "hash", "reduce", "bench")
+    or name.split("/")[1] in ("config.echo", "reduction.csv", "hashes.json")
+)
+
+
+def run_golden(root: Path) -> dict[str, str]:
+    """Run every subcommand once under ``root``; map each artifact's relative
+    path to its sha256."""
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(root)
         for name, (command, *overrides) in RUNS.items():
@@ -113,8 +131,21 @@ def artifacts(tmp_path_factory):
     }
 
 
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    return run_golden(tmp_path_factory.mktemp("golden"))
+
+
 def test_artifact_set_is_pinned(artifacts):
     assert sorted(artifacts) == sorted(GOLDEN)
+
+
+def numpy_blas() -> dict:
+    """numpy's BLAS build entry; empty before numpy 1.26, which has no dict mode."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return {}
 
 
 def numpy_build() -> str:
@@ -124,9 +155,8 @@ def numpy_build() -> str:
     only, so a digest failure names them.
     """
     core = os.environ.get("OPENBLAS_CORETYPE", "default")
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
+    blas = numpy_blas()
+    if not blas:
         return f"numpy {np.__version__}, OPENBLAS_CORETYPE={core}"
     build = blas.get("openblas configuration", blas.get("version"))
     return f"numpy {np.__version__}, BLAS {blas.get('name')} {build}, OPENBLAS_CORETYPE={core}"
@@ -138,3 +168,32 @@ def test_golden_digest(artifacts, artifact):
     assert got == GOLDEN[artifact], (
         f"{artifact}: sha256 {got}, pinned {GOLDEN[artifact]}; ran on {numpy_build()}"
     )
+
+
+def test_kernel_free_digests_hold_under_a_second_openblas_core(tmp_path):
+    blas = numpy_blas()
+    if "openblas" not in str(blas.get("name", "")).lower():
+        pytest.skip("numpy does not report OpenBLAS, so there is no core to switch")
+    config = str(blas.get("openblas configuration", ""))
+    if "DYNAMIC_ARCH" not in config:
+        pytest.skip(f"OpenBLAS is not DYNAMIC_ARCH, so its core is fixed: {config!r}")
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = Path(vardrop.__file__).resolve().parents[1]
+    paths = [str(src_dir), str(tests_dir), os.environ.get("PYTHONPATH")]
+    env = {
+        **os.environ,
+        "OPENBLAS_CORETYPE": "Sandybridge",  # AVX without FMA
+        "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+    }
+    script = (
+        "import json, sys, pathlib, test_golden; "
+        "print(json.dumps(test_golden.run_golden(pathlib.Path(sys.argv[1]))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    wrong = [name for name in KERNEL_FREE if got.get(name) != GOLDEN[name]]
+    assert not wrong, f"{wrong} moved under OPENBLAS_CORETYPE=Sandybridge"

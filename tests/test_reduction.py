@@ -1,4 +1,4 @@
-"""Hash grouping, stratified sampling, and reduction summaries."""
+"""Hash grouping and stratified sampling."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from vardrop import (
     derive_seed,
     group_by_hash,
     kdfh,
-    reduction_report,
     stratified_sample,
     synth_redundant_detail,
 )
@@ -218,45 +217,3 @@ class TestStratifiedSample:
         assert plan.delta == 1.0 - expected / sum(sizes)
         assert all(len(v) >= 1 for v in plan.per_group.values())
 
-
-def report_of(plans):
-    return reduction_report([len(p.retained) for p in plans], [p.delta for p in plans])
-
-
-class TestReductionReport:
-    def test_identical_plans_zero_std(self):
-        plans = [stratified_sample(table_of([6, 6]), 2, seed=s) for s in range(4)]
-        summary = report_of(plans)
-        assert summary.mean_tokens == 4.0
-        assert summary.std_tokens == 0.0
-
-    def test_three_counts(self):
-        plans = [
-            stratified_sample(table_of([117]), 117, seed=0),
-            stratified_sample(table_of([118]), 118, seed=0),
-            stratified_sample(table_of([119]), 119, seed=0),
-        ]
-        summary = report_of(plans)
-        assert summary.mean_tokens == 118.0
-        # population stddev of {117, 118, 119}
-        assert abs(summary.std_tokens - np.sqrt(2.0 / 3.0)) < 1e-12
-
-    def test_against_two_pass_oracle(self):
-        rng = np.random.default_rng(17)
-        plans = []
-        for _ in range(50):
-            sizes = rng.integers(1, 25, size=rng.integers(1, 9)).tolist()
-            plans.append(stratified_sample(table_of(sizes), int(rng.integers(1, 9)), 7))
-        counts = [len(p.retained) for p in plans]
-        mean = sum(counts) / len(counts)
-        var = sum((c - mean) ** 2 for c in counts) / len(counts)
-        summary = report_of(plans)
-        assert abs(summary.mean_tokens - mean) < 1e-12
-        assert abs(summary.std_tokens - np.sqrt(var)) < 1e-12
-        assert abs(summary.mean_delta - sum(p.delta for p in plans) / 50) < 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(ParameterError):
-            reduction_report([], [])
-        with pytest.raises(ParameterError):
-            reduction_report([4, 5], [0.5])
