@@ -1,35 +1,26 @@
-"""Redundancy diagnostics: correlation structure, shift, and sensitivity.
+"""Redundancy diagnostics: correlation structure and its shift.
 
-Three questions about a dataset, answered numerically: how strongly are
-variates linearly related (Pearson matrix and per-variate maxima), how much
-does that relation drift across window positions (correlation shift), and
-how do the reduction knobs k and gs trade tokens for accuracy (sweep).
+Two questions about a dataset, answered numerically: how strongly are
+variates linearly related (Pearson matrix and per-variate maxima), and how
+much does that relation drift across window positions (correlation shift).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SeriesTable, WindowBatch
+from .dataset import SeriesTable
 from .errors import ParameterError, require
-from .model import (
-    TrainSettings,
-    initialize_params,
-    train_epoch,
-    validation_loss,
-)
 
 __all__ = [
     "RedundancyProfile",
     "ShiftReport",
-    "SweepCell",
     "pearson_matrix",
     "redundancy_profile",
     "correlation_shift",
-    "sensitivity_sweep",
 ]
 
 
@@ -143,66 +134,3 @@ def correlation_shift(
         mean_frobenius=mean_frobenius,
     )
 
-
-@dataclass(frozen=True)
-class SweepCell:
-    """Result of one (k, gs) training run: mean delta and final val loss."""
-
-    k: int
-    gs: int
-    delta: float
-    val_loss: float
-
-
-def sensitivity_sweep(
-    train_batches: list[WindowBatch],
-    val_batches: list[WindowBatch],
-    ks: Sequence[int],
-    gss: Sequence[int],
-    settings: TrainSettings,
-    *,
-    epochs: int,
-    embed_dim: int,
-    attn_dim: int,
-) -> tuple[SweepCell, ...]:
-    """Train one model per (k, gs) cell; the cells in k-major, then gs order.
-
-    Each cell runs a copy of ``settings`` (any TrainSettings, the CLI's
-    RunConfig included) with its own ``k`` and ``gs`` and reduction on.
-    Every cell starts from the same initialization, seeded by
-    ``settings.seed`` and shaped by the first training batch (so
-    ``initialize_params`` rejects ``H = 0``), and sees the same batches, so
-    cells differ only in the reduction knobs. Mean delta is averaged over
-    every batch of every epoch; the loss is the dense validation MSE of the
-    final parameters. Deterministic given the seed.
-    """
-    require("epochs", epochs >= 1, "[1, inf)", epochs)
-    if not ks or not gss:
-        raise ParameterError("sweep needs at least one k and one gs")
-    if not train_batches:
-        raise ParameterError("sweep needs training batches")
-    lookback = train_batches[0].lookback
-    horizon = train_batches[0].horizon_length
-
-    # every cell's settings are built, and so range-checked, before any trains
-    configs = [
-        replace(settings, k=int(k), gs=int(gs), vardrop_on=True) for k in ks for gs in gss
-    ]
-    # no step writes its input parameters, so every cell can start from one set
-    initial = initialize_params(lookback, horizon, embed_dim, attn_dim, settings.seed)
-    records = []
-    for config in configs:
-        params = initial
-        deltas = []
-        for epoch in range(epochs):
-            params, metrics = train_epoch(train_batches, params, config, epoch)
-            deltas.extend(m.delta for m in metrics)
-        records.append(
-            SweepCell(
-                k=config.k,
-                gs=config.gs,
-                delta=float(np.mean(deltas)),
-                val_loss=validation_loss(params, val_batches),
-            )
-        )
-    return tuple(records)

@@ -2,6 +2,8 @@
 
 Subcommands: synth, hash, reduce, analyze, train, sweep, bench. Each is a
 thin composition over the library modules; no numerical logic lives here.
+A sweep cell is the train run with that cell's k and gs: both go through
+one private run function, the package's one epoch loop.
 
 Configuration is a flat ``key=value`` text file. Precedence: built-in
 defaults, then the config file, then ``--key=value`` command-line
@@ -21,17 +23,12 @@ import json
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    correlation_shift,
-    pearson_matrix,
-    redundancy_profile,
-    sensitivity_sweep,
-)
+from .analysis import correlation_shift, pearson_matrix, redundancy_profile
 from .dataset import (
     SeriesTable,
     SplitSpec,
@@ -138,7 +135,9 @@ class RunConfig(TrainSettings):
         require("bench_delta", 0.0 <= self.bench_delta < 1.0, "[0, 1)", self.bench_delta)
         # a sweep checks each (k, gs) cell against epsilon before training any
         for key in ("sweep_ks", "sweep_gss"):
-            for v in getattr(self, key):
+            values = getattr(self, key)
+            require(key, len(values) >= 1, "non-empty lists", values)
+            for v in values:
                 require(key, v >= 1, "[1, inf) per entry", v)
 
 
@@ -167,9 +166,8 @@ def _parse_scalar(key: str, kind: str, text: str):
 
 
 def _parse_int_list(key: str, text: str) -> tuple[int, ...]:
+    # no entries parse to (), which RunConfig refuses like any range error
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
-    if not items:
-        raise ParameterError(f"{key}: expected a comma-separated list of integers")
     try:
         return tuple(int(piece) for piece in items)
     except ValueError:
@@ -317,9 +315,18 @@ def _batches(table: SeriesTable, config: RunConfig, horizon: int = 0):
     return batch_windows(windows, config.B)
 
 
+def _require_split(name: str, split: SeriesTable, span: str, length: int) -> None:
+    if split.length < length:
+        raise ParameterError(
+            f"T: {name} split of length {split.length} is shorter than {span}={length}"
+        )
+
+
 def _split_batches(table: SeriesTable, config: RunConfig):
     require("H", config.H >= 1, "[1, inf) for training", config.H)
     train, val, _ = chronological_split(table, _split_spec(config))
+    _require_split("training", train, "T+H", config.T + config.H)
+    _require_split("validation", val, "T+H", config.T + config.H)
     return _batches(train, config, config.H), _batches(val, config, config.H)
 
 
@@ -398,10 +405,7 @@ def _cmd_reduce(config: RunConfig, out: Path) -> None:
 def _cmd_analyze(config: RunConfig, out: Path) -> None:
     table = _load_table(config)
     train, _, _ = chronological_split(table, _split_spec(config))
-    if train.length < config.T:
-        raise ParameterError(
-            f"T: training split of length {train.length} is shorter than T={config.T}"
-        )
+    _require_split("training", train, "T", config.T)
     rho = pearson_matrix(train.values[:, -config.T :])
     _write_csv_rows(out / "corr_matrix.csv", list(table.names), [list(row) for row in rho])
     profile = redundancy_profile(rho, config.corr_threshold)
@@ -428,19 +432,33 @@ def _cmd_analyze(config: RunConfig, out: Path) -> None:
     )
 
 
-def _cmd_train(config: RunConfig, out: Path) -> None:
-    table = _load_table(config)
-    train_batches, val_batches = _split_batches(table, config)
-    params = initialize_params(config.T, config.H, config.d, config.d_k, config.seed)
+def _train_run(config: RunConfig, train_batches, val_batches, on_epoch=None):
+    """Initialize from ``seed``, train ``epochs`` epochs, score on validation.
 
+    The package's one epoch loop: ``train`` runs it once and ``sweep`` once
+    per cell. ``on_epoch(epoch, metrics, seconds)`` sees each epoch's batch
+    metrics and wall time as it ends. Returns the final parameters, every
+    batch's metrics in order, and the dense validation loss.
+    """
+    params = initialize_params(config.T, config.H, config.d, config.d_k, config.seed)
     all_metrics = []
-    epoch_rows = []
-    timing_lines = []
     for epoch in range(config.epochs):
         started = time.perf_counter()
         params, metrics = train_epoch(train_batches, params, config, epoch)
-        elapsed = time.perf_counter() - started
+        if on_epoch is not None:
+            on_epoch(epoch, metrics, time.perf_counter() - started)
         all_metrics.extend(metrics)
+    return params, all_metrics, validation_loss(params, val_batches)
+
+
+def _cmd_train(config: RunConfig, out: Path) -> None:
+    table = _load_table(config)
+    train_batches, val_batches = _split_batches(table, config)
+
+    epoch_rows = []
+    timing_lines = []
+
+    def log_epoch(epoch: int, metrics, elapsed: float) -> None:
         mean_loss = float(np.mean([m.loss for m in metrics]))
         mean_tokens, _, mean_delta = _reduction_stats((m.tokens_used, m.delta) for m in metrics)
         epoch_rows.append(
@@ -460,10 +478,10 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
             f"delta={_fmt(mean_delta)} ({elapsed:.3f} s)"
         )
 
+    params, all_metrics, val_loss = _train_run(config, train_batches, val_batches, log_epoch)
     mean_tokens, std_tokens, mean_delta = _reduction_stats(
         (m.tokens_used, m.delta) for m in all_metrics
     )
-    val_loss = validation_loss(params, val_batches)
 
     arrays = {f.name: getattr(params, f.name) for f in fields(params)}
     shapes = {name: list(array.shape) for name, array in arrays.items()}
@@ -511,21 +529,18 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
 def _cmd_sweep(config: RunConfig, out: Path) -> None:
     table = _load_table(config)
     train_batches, val_batches = _split_batches(table, config)
-    cells = sensitivity_sweep(
-        train_batches,
-        val_batches,
-        config.sweep_ks,
-        config.sweep_gss,
-        config,
-        epochs=config.epochs,
-        embed_dim=config.d,
-        attn_dim=config.d_k,
-    )
-    _write_csv_rows(
-        out / "sweep.csv",
-        ["k", "gs", "delta", "val_loss"],
-        [[c.k, c.gs, c.delta, c.val_loss] for c in cells],
-    )
+    # every cell is built, and so range-checked, before any trains
+    cells = [
+        replace(config, k=k, gs=gs, vardrop_on=True)
+        for k in config.sweep_ks
+        for gs in config.sweep_gss
+    ]
+    rows = []
+    for cell in cells:
+        _, metrics, val_loss = _train_run(cell, train_batches, val_batches)
+        _, _, mean_delta = _reduction_stats((m.tokens_used, m.delta) for m in metrics)
+        rows.append([cell.k, cell.gs, mean_delta, val_loss])
+    _write_csv_rows(out / "sweep.csv", ["k", "gs", "delta", "val_loss"], rows)
     print(
         f"sweep: {len(cells)} cells over k={list(config.sweep_ks)} "
         f"gs={list(config.sweep_gss)}"

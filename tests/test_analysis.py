@@ -1,4 +1,4 @@
-"""Correlation diagnostics and the k/gs sensitivity sweep."""
+"""Correlation diagnostics: Pearson structure, redundancy profile and drift."""
 
 import numpy as np
 import numpy.testing as npt
@@ -7,14 +7,9 @@ import pytest
 from vardrop import (
     ParameterError,
     SeriesTable,
-    TrainSettings,
-    batch_windows,
     correlation_shift,
     pearson_matrix,
     redundancy_profile,
-    sensitivity_sweep,
-    sliding_windows,
-    synth_redundant_detail,
 )
 
 from helpers import pearson_pair
@@ -229,88 +224,3 @@ class TestCorrelationShift:
         with pytest.raises(ParameterError):
             correlation_shift(table, 96, [])
 
-
-def sweep_batches(seed=10):
-    table = synth_redundant_detail(16, 4, 170, 0.05, seed=seed).table
-    train = batch_windows(sliding_windows(table, 48, 8, 57), 3)
-    return train, train
-
-
-def sweep_settings(seed):
-    # k and gs are the sweep's own; the other knobs are shared by every cell
-    return TrainSettings(epsilon=24, lr=0.01, seed=seed)
-
-
-class TestSensitivitySweep:
-    def test_generous_gs_zero_deltas(self):
-        train, val = sweep_batches()
-        cells = sensitivity_sweep(
-            train, val, [2, 3], [16], sweep_settings(10),
-            epochs=1, embed_dim=8, attn_dim=4,
-        )
-        assert all(cell.delta == 0.0 for cell in cells)
-
-    def test_delta_monotone_in_gs(self):
-        train, val = sweep_batches()
-        cells = sensitivity_sweep(
-            train, val, [3], [1, 5], sweep_settings(10),
-            epochs=1, embed_dim=8, attn_dim=4,
-        )
-        assert cells[0].delta > cells[1].delta
-        by_gs = {cell.gs: cell.delta for cell in cells}
-        assert by_gs[1] > by_gs[5]
-
-    def test_full_grid_one_record_per_cell(self):
-        train, val = sweep_batches()
-        ks = [2, 3, 4, 5]
-        gss = list(range(1, 16))
-        cells = sensitivity_sweep(
-            train, val, ks, gss, sweep_settings(10),
-            epochs=1, embed_dim=8, attn_dim=4,
-        )
-        assert len(cells) == 60
-        # grid order: k-major, gs within
-        assert [(c.k, c.gs) for c in cells] == [
-            (k, gs) for k in ks for gs in gss
-        ]
-        for k in ks:
-            deltas = [c.delta for c in cells if c.k == k]
-            assert all(a >= b for a, b in zip(deltas, deltas[1:]))
-
-    def test_cells_share_one_initialization(self, monkeypatch):
-        import vardrop.analysis as analysis
-
-        calls = []
-        real = analysis.initialize_params
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        train, val = sweep_batches()
-        kwargs = dict(epochs=1, embed_dim=8, attn_dim=4)
-        monkeypatch.setattr(analysis, "initialize_params", counting)
-        cells = sensitivity_sweep(train, val, [2, 3], [1, 2], sweep_settings(12), **kwargs)
-        assert calls == [(48, 8, 8, 4, 12)]
-        # no cell's training leaks into the next: each equals its own sweep
-        assert cells[3:] == sensitivity_sweep(train, val, [3], [2], sweep_settings(12), **kwargs)
-
-    def test_deterministic(self):
-        train, val = sweep_batches()
-        kwargs = dict(epochs=2, embed_dim=8, attn_dim=4)
-        a = sensitivity_sweep(train, val, [3], [2], sweep_settings(11), **kwargs)
-        b = sensitivity_sweep(train, val, [3], [2], sweep_settings(11), **kwargs)
-        assert a == b
-
-    def test_validation(self):
-        train, val = sweep_batches()
-        with pytest.raises(ParameterError):
-            sensitivity_sweep(
-                train, val, [], [1], sweep_settings(0),
-                epochs=1, embed_dim=8, attn_dim=4,
-            )
-        with pytest.raises(ParameterError):
-            sensitivity_sweep(
-                train, val, [3], [1], sweep_settings(0),
-                epochs=0, embed_dim=8, attn_dim=4,
-            )

@@ -158,18 +158,6 @@ RANGE_ERRORS = {
         lambda: vardrop.correlation_shift(_table(), 8, [0, 33]),
         "starts: must be in [0, 32] (windows inside the table), got 33",
     ),
-    "sensitivity_sweep": (
-        lambda: vardrop.sensitivity_sweep(
-            [], [], [1], [1], vardrop.TrainSettings(), epochs=0, embed_dim=4, attn_dim=2
-        ),
-        "epochs: must be in [1, inf), got 0",
-    ),
-    "sensitivity_sweep_batches": (
-        lambda: vardrop.sensitivity_sweep(
-            [], [], [1], [1], vardrop.TrainSettings(), epochs=1, embed_dim=4, attn_dim=2
-        ),
-        "sweep needs training batches",
-    ),
     "validation_loss": (
         lambda: vardrop.validation_loss(_params(), []),
         "validation needs at least one batch",

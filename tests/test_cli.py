@@ -120,7 +120,9 @@ CONFIG_RANGE_ERRORS = [
     ("shift_count", "0", 0, "shift_count: must be in [1, inf), got 0"),
     ("bench_n", "0", 0, "bench_n: must be in [1, inf), got 0"),
     ("bench_delta", "1", 1.0, "bench_delta: must be in [0, 1), got 1.0"),
+    ("sweep_ks", ",", (), "sweep_ks: must be in non-empty lists, got ()"),
     ("sweep_ks", "0", (0,), "sweep_ks: must be in [1, inf) per entry, got 0"),
+    ("sweep_gss", "", (), "sweep_gss: must be in non-empty lists, got ()"),
     ("sweep_gss", "2,0", (2, 0), "sweep_gss: must be in [1, inf) per entry, got 0"),
     ("k", "26", 26, "k: must be in [1, 25] (at most epsilon), got 26"),
     ("epsilon", "49", 49, "epsilon: must be in [1, 48] (floor(T/2) for T=96), got 49"),
@@ -640,7 +642,7 @@ class TestExitCodes:
         code = main(["sweep", "-o", str(tmp_path / "o"), "--sweep_ks=,"])
         assert code == 3
         assert capsys.readouterr().err == (
-            "error [validation]: sweep_ks: expected a comma-separated list of integers\n"
+            "error [validation]: sweep_ks: must be in non-empty lists, got ()\n"
         )
 
     def test_analyze_split_shorter_than_t(self, tmp_path, capsys):
@@ -683,16 +685,16 @@ class TestExitCodes:
 
     def test_sweep_checks_every_cell_before_training_any(self, tmp_path, capsys,
                                                          monkeypatch):
-        import vardrop.analysis as analysis
+        import vardrop.cli as cli
 
         calls = []
-        real = analysis.train_epoch
+        real = cli.train_epoch
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(analysis, "train_epoch", counting)
+        monkeypatch.setattr(cli, "train_epoch", counting)
         code = main([
             "sweep", "-o", str(tmp_path / "o"),
             "--synth_n=8", "--synth_g=2", "--synth_length=1200", "--T=96",
@@ -737,9 +739,83 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error [validation]: delimiter:")
 
     def test_short_split_is_validation_error(self, tmp_path, capsys):
-        code = main([
-            "train", "-o", str(tmp_path / "o"),
-            "--synth_n=4", "--synth_g=2", "--synth_length=300",
-        ])
-        assert code == 3
-        assert "error [validation]:" in capsys.readouterr().err
+        # the message names the split that is too short and its length, not
+        # the table's; a training window spans T+H = 192 timestamps
+        cases = [
+            ("300", "validation split of length 30"),
+            ("250", "training split of length 175"),
+        ]
+        for command in ("train", "sweep"):
+            for length, split in cases:
+                code = main([
+                    command, "-o", str(tmp_path / "o"),
+                    "--synth_n=4", "--synth_g=2", f"--synth_length={length}",
+                ])
+                assert code == 3
+                assert capsys.readouterr().err == (
+                    f"error [validation]: T: {split} is shorter than T+H=192\n"
+                )
+
+
+def sweep_rows(out, *overrides):
+    """Run ``sweep`` on the tiny config; its rows as (k, gs, delta, val_loss)."""
+    assert main(["sweep", "-o", str(out)] + TINY_TRAIN + ["--stride=8", *overrides]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "k,gs,delta,val_loss"
+    rows = [line.split(",") for line in lines[1:]]
+    return [(int(k), int(gs), float(delta), float(loss)) for k, gs, delta, loss in rows]
+
+
+class TestSweep:
+    def test_generous_gs_zero_deltas(self, tmp_path):
+        rows = sweep_rows(tmp_path, "--sweep_ks=2,3", "--sweep_gss=16")
+        assert [row[2] for row in rows] == [0.0, 0.0]
+
+    def test_delta_monotone_in_gs(self, tmp_path):
+        rows = sweep_rows(tmp_path, "--sweep_ks=3", "--sweep_gss=1,5")
+        by_gs = {gs: delta for _, gs, delta, _ in rows}
+        assert by_gs[1] > by_gs[5]
+
+    def test_full_grid_one_row_per_cell(self, tmp_path):
+        ks = [2, 3, 4, 5]
+        gss = list(range(1, 10))
+        rows = sweep_rows(
+            tmp_path,
+            "--sweep_ks=" + ",".join(map(str, ks)),
+            "--sweep_gss=" + ",".join(map(str, gss)),
+        )
+        # grid order: k-major, gs within
+        assert [(k, gs) for k, gs, _, _ in rows] == [(k, gs) for k in ks for gs in gss]
+        for k in ks:
+            deltas = [delta for row_k, _, delta, _ in rows if row_k == k]
+            assert all(a >= b for a, b in zip(deltas, deltas[1:]))
+            assert deltas[-1] == 0.0
+
+    def test_reruns_are_byte_identical(self, tmp_path):
+        grid = ("--sweep_ks=3", "--sweep_gss=2", "--epochs=2")
+        sweep_rows(tmp_path / "a", *grid)
+        sweep_rows(tmp_path / "b", *grid)
+        assert read(tmp_path / "a" / "sweep.csv") == read(tmp_path / "b" / "sweep.csv")
+
+    def test_validation(self, tmp_path, capsys):
+        cases = [
+            ("--sweep_gss=,", "sweep_gss: must be in non-empty lists, got ()"),
+            ("--epochs=0", "epochs: must be in [1, inf), got 0"),
+        ]
+        for i, (override, message) in enumerate(cases):
+            out = tmp_path / str(i)
+            assert main(["sweep", "-o", str(out)] + TINY_TRAIN + [override]) == 3
+            assert capsys.readouterr().err == f"error [validation]: {message}\n"
+            assert not (out / "sweep.csv").exists()
+
+    def test_each_cell_equals_a_train_run(self, tmp_path):
+        # a cell is the train run with that k and gs, and no cell's training
+        # leaks into the next
+        rows = sweep_rows(tmp_path / "sweep", "--sweep_ks=2,3", "--sweep_gss=1,2")
+        assert len(rows) == 4
+        for k, gs, delta, val_loss in rows:
+            out = tmp_path / f"train_{k}_{gs}"
+            args = TINY_TRAIN + ["--stride=8", f"--k={k}", f"--gs={gs}"]
+            assert main(["train", "-o", str(out)] + args) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert (delta, val_loss) == (report["reduction"]["mean_delta"], report["val_loss"])

@@ -32,7 +32,6 @@ from vardrop import (
     initialize_params,
     plan_batch,
     predict_full,
-    sensitivity_sweep,
     sgd_step,
     sliding_windows,
     synth_redundant_detail,
@@ -973,15 +972,6 @@ class TestHashGroups:
         hashed = [id(b) for b in kdfh_calls]
         # 1400 training steps in windows of 96 + 16 at stride 16: 81 windows
         assert len(hashed) == len(set(hashed)) == math.ceil(81 / 8)
-
-    def test_sweep_hashes_once_per_batch(self, kdfh_calls):
-        batches = make_batches()
-        sensitivity_sweep(
-            batches[:-1], batches[-1:], ks=[3], gss=[1, 2],
-            settings=TrainSettings(epsilon=24, lr=0.02, seed=38),
-            epochs=2, embed_dim=16, attn_dim=8,
-        )
-        assert len(kdfh_calls) == len(batches) - 1
 
 
 class TestPredictFull:

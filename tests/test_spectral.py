@@ -259,7 +259,7 @@ class TestKdfh:
         keys = oracle_hash_keys(tensor, k=3, epsilon=20)
         assert [tuple(row) for row in bins.tolist()] == keys
 
-    def test_normalize_flag(self):
+    def test_scaling_a_row_keeps_its_hash(self):
         # scaling a row scales its spectrum and keeps its ranking, so its hash
         rng = np.random.default_rng(12)
         row = sines(96, [4, 9, 17], [3.0, 2.0, 1.0]) + 0.01 * rng.normal(size=96)
