@@ -15,6 +15,11 @@ window, each window's loss is the mean of its own slice, and the batch
 gradient adds the windows' gradients one by one in batch order. The chunk
 size changes the speed, never the bits.
 
+No ``N' x N'`` array is ever normalised: as in FlashAttention (Dao et al.,
+2022), attention divides the ``N' x d_k`` context by the exponentials' row
+sums, and its backward needs no second square array. Only the rounding
+differs from the textbook softmax.
+
 All math is explicit numpy so gradients can be checked against finite
 differences; there is no framework underneath. One attention block, no
 layer norm, no feed-forward sublayer, plain gradient descent: enough to
@@ -48,13 +53,13 @@ from .reduction import (
 from .spectral import kdfh
 
 # Float64 values one training chunk may hold (2 MiB, one core's L2 cache).
-# One step of B=32 windows at T=H=96, d=64, d_k=32, minimum of 15 runs on
+# One step of B=32 windows at T=H=96, d=64, d_k=32, minimum of 75 runs on
 # one BLAS thread (2-core Xeon, 2 MiB L2 per core, numpy 2.4.6 / OpenBLAS):
-#   N'=8:   one window at a time 9.6 ms, chunks of 6-8 5.5 ms, of 32 8.7 ms
-#   N'=16:  12.7 ms, chunks of 8 6.4 ms, of 32 10.9 ms
-#   N'=32:  17.4 ms, chunks of 4-8 9.7-11.5 ms, of 32 17.5 ms
-#   N'=64:  17.1 ms, chunks of 2-4 15.0-15.6 ms, of 32 27.9 ms
-#   N'=128: 35.8 ms, chunks of 2 44.0 ms; N'=321: 189 ms, chunks of 2 204 ms
+#   N'=8:   one window at a time 4.6 ms, chunks of 6-9 3.0-3.2 ms, of 32 3.7 ms
+#   N'=16:  5.3 ms, chunks of 4-8 2.7-3.0 ms, of 32 4.5 ms
+#   N'=32:  7.1 ms, chunks of 4-8 4.6-5.2 ms, of 32 8.2 ms
+#   N'=64:  11.4 ms, chunks of 2-4 9.2-10.6 ms, of 32 16.1 ms
+#   N'=128: 21.8 ms, chunks of 2 21.0 ms; N'=321: 77.8 ms, chunks of 2 81.0 ms
 # _chunk_size gives 9, 7, 4, 2, 1 and 1 windows at these widths.
 _CHUNK_BUDGET = 2**18
 
@@ -112,13 +117,20 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class AttentionFragment:
-    """Attention intermediates for a stack of windows: Q/K/V, weights, context."""
+    """Attention intermediates for a stack of windows: Q/K/V, the scores'
+    shifted exponentials ``E``, their row sums and the context."""
 
     queries: np.ndarray
     keys: np.ndarray
     values: np.ndarray
-    weights: np.ndarray
+    exp_scores: np.ndarray
+    row_sums: np.ndarray
     context: np.ndarray
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The softmax ``E / row_sums``, computed on read."""
+        return self.exp_scores / self.row_sums
 
 
 @dataclass(frozen=True)
@@ -204,10 +216,10 @@ def embed(rows: np.ndarray, params: ModelParams) -> np.ndarray:
 def attention(tokens: np.ndarray, params: ModelParams) -> AttentionFragment:
     """Scaled dot-product attention within each window of ``c x N' x d`` tokens.
 
-    Q/K/V are linear maps of the tokens; scores are ``Q K^T / sqrt(d_k)``;
-    each score row is softmaxed with its max subtracted first so large
-    scores cannot overflow. One ``N' x N'`` array per window holds the scores
-    and is scaled, shifted, exponentiated and normalised in place: the weights.
+    Q/K/V are linear maps of the tokens; scores are ``(Q / sqrt(d_k)) K^T``.
+    One ``N' x N'`` array per window holds the scores, which are checked,
+    shifted by their row max (so exp cannot overflow) and exponentiated in
+    place: ``E``. The context divides ``E @ V`` by ``E``'s row sums.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 3:
@@ -219,18 +231,19 @@ def attention(tokens: np.ndarray, params: ModelParams) -> AttentionFragment:
     queries = tokens @ params.w_query
     keys = tokens @ params.w_key
     values = tokens @ params.w_value
-    weights = queries @ _mt(keys)
-    weights /= math.sqrt(params.attn_dim)
-    if not np.all(np.isfinite(weights)):
+    exp_scores = (queries / math.sqrt(params.attn_dim)) @ _mt(keys)
+    if not np.all(np.isfinite(exp_scores)):
         raise NumericError("non-finite attention scores")
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    context = weights @ values
+    exp_scores -= exp_scores.max(axis=-1, keepdims=True)
+    np.exp(exp_scores, out=exp_scores)
+    row_sums = exp_scores.sum(axis=-1, keepdims=True)
+    context = exp_scores @ values
+    context /= row_sums
     if not np.all(np.isfinite(context)):
         raise NumericError("non-finite attention context")
     return AttentionFragment(
-        queries=queries, keys=keys, values=values, weights=weights, context=context
+        queries=queries, keys=keys, values=values, exp_scores=exp_scores,
+        row_sums=row_sums, context=context,
     )
 
 
@@ -278,37 +291,16 @@ def forward(
     )
 
 
-def _softmax_backward(d_weights: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Turn ``dW`` into ``dS = W * (dW - rowsum(dW * W))`` in place; returns it.
-
-    The rows are done a block at a time: the products ``dW * W`` go into one
-    buffer of at most ``_CHUNK_BUDGET // 16`` values (128 KiB), so no second
-    ``N' x N'`` array is allocated, and the block's rows become ``dS`` before
-    the next block starts. Each row's sum is numpy's pairwise sum over that
-    one row, as over the whole stack, so the bits are the same.
-    """
-    width = d_weights.shape[-1]
-    d_rows, w_rows = d_weights.reshape(-1, width), weights.reshape(-1, width)
-    block = max(1, _CHUNK_BUDGET // 16 // width)
-    buffer = np.empty((min(block, len(d_rows)), width))
-    for start in range(0, len(d_rows), block):
-        part, w_part = d_rows[start : start + block], w_rows[start : start + block]
-        products = np.multiply(part, w_part, out=buffer[: len(part)])
-        part -= products.sum(axis=-1, keepdims=True)
-        part *= w_part
-    return d_weights
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def backward(trace: ForwardTrace, params: ModelParams) -> ModelParams:
     """Analytic gradients of each window's MSE loss, stacked per window.
 
     Every returned array has a leading window axis: ``grads.w_embed[i]`` is
-    the gradient of ``trace.losses[i]``. The softmax backward uses the row
-    Jacobian ``dS = W * (dW - sum(dW * W, axis=-1))``, with the
-    ``1/sqrt(d_k)`` score scale folded into the query/key gradients. The
-    one ``N' x N'`` array per window that holds ``dW`` becomes ``dS`` in place
-    (``_softmax_backward``); no array of the trace is written.
+    the gradient of ``trace.losses[i]``. With ``g = dC / rowsum(E)``, the
+    softmax backward is ``dV = E^T g`` and ``dS = E * (g V^T - rowsum(g * C))``
+    (as ``rowsum(dW * W) = rowsum(dC * C)``), with the ``1/sqrt(d_k)`` score
+    scale folded into the query/key gradients. The one ``N' x N'`` array per
+    window holds ``g V^T`` and becomes ``dS`` in place; no trace array is written.
     """
     d_pred = 2.0 * (trace.predictions - trace.target) / trace.predictions[0].size
 
@@ -319,10 +311,11 @@ def backward(trace: ForwardTrace, params: ModelParams) -> ModelParams:
     d_w_out = _mt(trace.context) @ d_mixed
     d_context = d_mixed @ params.w_out.T
 
-    d_weights = d_context @ _mt(trace.values)
-    d_values = _mt(trace.weights) @ d_context
-
-    d_scores = _softmax_backward(d_weights, trace.weights)
+    g = d_context / trace.row_sums
+    d_values = _mt(trace.exp_scores) @ g
+    d_scores = g @ _mt(trace.values)
+    d_scores -= (g * trace.context).sum(axis=-1, keepdims=True)
+    d_scores *= trace.exp_scores
 
     scale = 1.0 / math.sqrt(params.attn_dim)
     d_queries = d_scores @ trace.keys * scale
@@ -373,6 +366,9 @@ class FlopLedger:
     softmax costs exactly 4 per score (subtract, exp, sum, divide), and the
     ``1/sqrt(d_k)`` score scale is not counted. The scores, softmax and
     context stages all scale with the square of the token count.
+
+    ``attention`` divides context entries, not scores (3 FLOPs per score and
+    1 per context entry); the ledger keeps the textbook softmax count.
     """
 
     embed: int
@@ -607,7 +603,7 @@ def validation_loss(params: ModelParams, batches: list[WindowBatch]) -> float:
 
     Every batch's horizon length must be the model's ``H``; this is the
     validation path's one horizon check. Windows are predicted one at a
-    time, so only one window's ``N x N`` attention weights are alive at once.
+    time, so only one window's ``N x N`` attention array is alive at once.
     """
     if not batches:
         raise ParameterError("validation needs at least one batch")

@@ -126,44 +126,45 @@ def numeric_gradients(data, horizon, params, retained, step=1e-5):
 
 
 def softmax_attention_out_of_place(tokens, params):
-    """``attention``'s weights and context, each step a fresh array.
+    """``attention``'s exponentials, row sums and context, each step a fresh array.
 
-    The score, shift, exp and normalisation steps in the library's order,
+    The score, shift, exp, row-sum and context steps in the library's order,
     written out of place, so an in-place implementation must match bit for bit.
     """
     queries = tokens @ params.w_query
     keys = tokens @ params.w_key
     values = tokens @ params.w_value
+    scores = (queries / math.sqrt(params.attn_dim)) @ np.swapaxes(keys, -1, -2)
+    expo = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    row_sums = expo.sum(axis=-1, keepdims=True)
+    return expo, row_sums, (expo @ values) / row_sums
+
+
+def textbook_attention(tokens, params):
+    """Softmax attention as textbooks write it: scores ``Q K^T / sqrt(d_k)``,
+    weights ``W`` normalised row by row, then ``context = W V``.
+
+    A tolerance oracle: ``attention`` divides ``E V`` by the row sums instead
+    of ``E``, so the two agree to rounding, not to the bit.
+    """
+    queries = tokens @ params.w_query
+    keys = tokens @ params.w_key
+    values = tokens @ params.w_value
     scores = queries @ np.swapaxes(keys, -1, -2) / math.sqrt(params.attn_dim)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    expo = np.exp(shifted)
+    expo = np.exp(scores - scores.max(axis=-1, keepdims=True))
     weights = expo / expo.sum(axis=-1, keepdims=True)
     return weights, weights @ values
 
 
-def softmax_backward_out_of_place(d_weights, weights):
-    """Softmax row-Jacobian product ``W * (dW - sum(dW * W))``, out of place."""
-    inner = np.sum(d_weights * weights, axis=-1, keepdims=True)
-    return weights * (d_weights - inner)
-
-
-def softmax_backward_two_buffers(d_weights, weights):
-    """The softmax backward step with a second ``N' x N'`` array for
-    ``dW * W``, then ``dS``, next to ``dW`` reduced in place. ``backward``
-    still holds ``dW``, so both arrays stay alive to its end."""
-    d_scores = d_weights * weights
-    d_weights -= d_scores.sum(axis=-1, keepdims=True)
-    np.multiply(weights, d_weights, out=d_scores)
-    return d_scores
-
-
 def query_key_gradients_out_of_place(trace, params):
     """``backward``'s query and key weight gradients for a ``ForwardTrace``,
-    through ``softmax_backward_out_of_place`` and the library's other steps."""
+    with ``dS = E * (g V^T - rowsum(g * C))`` for ``g = dC / rowsum(E)`` out of
+    place and the library's other steps."""
     d_pred = 2.0 * (trace.predictions - trace.target) / trace.predictions[0].size
     d_context = (d_pred @ params.w_head.T) @ params.w_out.T
-    d_weights = d_context @ np.swapaxes(trace.values, -1, -2)
-    d_scores = softmax_backward_out_of_place(d_weights, trace.weights)
+    g = d_context / trace.row_sums
+    inner = np.sum(g * trace.context, axis=-1, keepdims=True)
+    d_scores = trace.exp_scores * (g @ np.swapaxes(trace.values, -1, -2) - inner)
     scale = 1.0 / math.sqrt(params.attn_dim)
     d_queries = d_scores @ trace.keys * scale
     d_keys = np.swapaxes(d_scores, -1, -2) @ trace.queries * scale
@@ -171,28 +172,45 @@ def query_key_gradients_out_of_place(trace, params):
     return tokens_t @ d_queries, tokens_t @ d_keys
 
 
-def _window_loss_and_gradients(rows, target, p):
-    """One window's MSE and its analytic gradients, on 2-D arrays."""
+def window_loss_and_gradients(rows, target, p, textbook=False):
+    """One window's MSE and its analytic gradients, on 2-D arrays.
+
+    By default the softmax runs in the library's order, so the bits match
+    ``backward``'s. With ``textbook`` it runs as textbooks write it, through
+    the normalised weights ``W``: ``context = W V``, ``dW = dC V^T``,
+    ``dV = W^T dC`` and ``dS = W * (dW - rowsum(dW * W))``, a tolerance oracle.
+    """
     tokens = rows @ p.w_embed + p.b_embed
     queries = tokens @ p.w_query
     keys = tokens @ p.w_key
     values = tokens @ p.w_value
-    scores = queries @ keys.T / math.sqrt(p.attn_dim)
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    expo = np.exp(shifted)
-    weights = expo / expo.sum(axis=1, keepdims=True)
-    context = weights @ values
-    predictions = (context @ p.w_out) @ p.w_head + p.b_head
+    if textbook:
+        scores = queries @ keys.T / math.sqrt(p.attn_dim)
+    else:
+        scores = (queries / math.sqrt(p.attn_dim)) @ keys.T
+    expo = np.exp(scores - scores.max(axis=1, keepdims=True))
+    row_sums = expo.sum(axis=1, keepdims=True)
+    if textbook:
+        weights = expo / row_sums
+        context = weights @ values
+    else:
+        context = (expo @ values) / row_sums
+    mixed = context @ p.w_out
+    predictions = mixed @ p.w_head + p.b_head
     loss = float(np.mean((predictions - target) ** 2))
 
     d_pred = 2.0 * (predictions - target) / predictions.size
-    mixed = context @ p.w_out
     d_mixed = d_pred @ p.w_head.T
     d_context = d_mixed @ p.w_out.T
-    d_weights = d_context @ values.T
-    d_values = weights.T @ d_context
-    inner = np.sum(d_weights * weights, axis=1, keepdims=True)
-    d_scores = weights * (d_weights - inner)
+    if textbook:
+        d_weights = d_context @ values.T
+        d_values = weights.T @ d_context
+        inner = np.sum(d_weights * weights, axis=1, keepdims=True)
+        d_scores = weights * (d_weights - inner)
+    else:
+        g = d_context / row_sums
+        d_values = expo.T @ g
+        d_scores = expo * (g @ values.T - np.sum(g * context, axis=1, keepdims=True))
     scale = 1.0 / math.sqrt(p.attn_dim)
     d_queries = d_scores @ keys * scale
     d_keys = d_scores.T @ queries * scale
@@ -225,7 +243,7 @@ def reference_train_epoch(batches, params, config, epoch=0):
         window_grads = []
         loss_sum = 0.0
         for data, horizon in zip(batch.data, batch.horizon):
-            loss, grads = _window_loss_and_gradients(
+            loss, grads = window_loss_and_gradients(
                 data[retained], horizon[retained], params
             )
             window_grads.append(grads)

@@ -83,13 +83,13 @@ GOLDEN = {
     "train/metrics.csv": "2ac4c84d2abfae3886e80b3bbf5fc77e212d251ad1c9f371608ba8633e52fcfb",
     "train/reduction.csv": "0c83d89a59daba7f70d1695b3bb980024793efa225df2f3e482896a1112d2091",
     "train/report.json": "148f68d5efc69fe2d0c0f63f397531708af87f852a237b850ffba91944a93554",
-    "train/checkpoint.npz": "aaa318f937d0e6fbead6c99d6c2eda785cc7dcf1deef04383d8c66503fe2f5f6",
+    "train/checkpoint.npz": "50cf42da118d6333adcba97fe288d60d81d4d203dea4f9cd0507cce1dca4399d",
     "dense/config.echo": "33d0ef864877f323bcb4b0441fb2e1073e918635c3a9a4db9b75db28686225e3",
     "dense/hashes.json": HASHES,
     "dense/metrics.csv": "0f8976287f1349a5fd8634dccd3969341917cbbeba5ee9c5783bb392cc90bc42",
     "dense/reduction.csv": "3cc2598c9d843311d154da90eecd38035abb6adb6ee2a2ef603dd64f7466aea5",
     "dense/report.json": "dc8e0e2158de13d354b0a0875982793f8868db80d682887b24d6a6df5b34bbb3",
-    "dense/checkpoint.npz": "e365f3b76b6000d62d22a5a160c9bee9680ec6ebc236e161f9e7d09fdbdf3d4a",
+    "dense/checkpoint.npz": "2f36f0ba5c67e9647fa46752c587d4a8bb6f1290050f657df4cda7d8137e7e68",
     "sweep/config.echo": "3e231741485bb833d2f6db987c8cfa0a4c43e62a0bb673558feac756dfd18d07",
     "sweep/sweep.csv": "cc8d7279b7a2abe80ff7d2c5dce70c3d32389cddb4b4946ca01537e018b57d43",
     "csv_train/config.echo": CSV_ECHO,
@@ -97,7 +97,7 @@ GOLDEN = {
     "csv_train/metrics.csv": "9d1606af3f8a32c7f14ad83f32b9f77c756a6040df03d00318b475f633320455",
     "csv_train/reduction.csv": "0c83d89a59daba7f70d1695b3bb980024793efa225df2f3e482896a1112d2091",
     "csv_train/report.json": "148f68d5efc69fe2d0c0f63f397531708af87f852a237b850ffba91944a93554",
-    "csv_train/checkpoint.npz": "3b20bc70bf3af27e4e8a3a541563baef134dea1d4ad16c5ba2ce8ff24a1eca45",
+    "csv_train/checkpoint.npz": "67ee46d3fd93841f93f3ebab85ff86f7730ec6a4a5d22845eb5eb4527f1152b3",
     "csv_analyze/config.echo": CSV_ECHO,
     "csv_analyze/corr_matrix.csv": "7b18162ea8c30f5d849b5c2c5e575ab8102e5fc52ceee57c02a11c2837164e90",
     "csv_analyze/redundancy.csv": "9ece649bedd2e3ef465c39b80644e07f5ea1aff42db68c51c202edebe7c871d2",
