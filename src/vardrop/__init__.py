@@ -5,8 +5,8 @@ a batch of lookback windows), group variates with equal hashes, keep at most
 ``gs`` per group via seeded stratified sampling, and train a variate-token
 attention forecaster on the survivors. Attention cost scales with the square
 of the kept token count; the FLOP ledger makes that exact. Analysis helpers
-quantify the redundancy (Pearson structure, correlation shift) that makes
-the reduction safe.
+quantify the redundancy (the Pearson structure) that makes the reduction
+safe.
 
 The flat namespace is each module's ``__all__``, so a public name is listed
 once, in the module that defines it.

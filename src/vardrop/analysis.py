@@ -1,27 +1,19 @@
-"""Redundancy diagnostics: correlation structure and its shift.
+"""Redundancy diagnostics: the correlation structure of a window.
 
-Two questions about a dataset, answered numerically: how strongly are
-variates linearly related (Pearson matrix and per-variate maxima), and how
-much does that relation drift across window positions (correlation shift).
+How strongly are a dataset's variates linearly related, answered
+numerically: the Pearson matrix of a window and each variate's strongest
+off-diagonal correlation.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SeriesTable
 from .errors import ParameterError, require
 
-__all__ = [
-    "RedundancyProfile",
-    "ShiftReport",
-    "pearson_matrix",
-    "redundancy_profile",
-    "correlation_shift",
-]
+__all__ = ["RedundancyProfile", "pearson_matrix", "redundancy_profile"]
 
 
 def pearson_matrix(data: np.ndarray) -> np.ndarray:
@@ -92,45 +84,3 @@ def redundancy_profile(rho: np.ndarray, threshold: float) -> RedundancyProfile:
     return RedundancyProfile(
         max_corr=tuple(float(m) for m in max_corr), strong_frac=strong_frac
     )
-
-
-@dataclass(frozen=True)
-class ShiftReport:
-    """How inter-variate correlation moves across window positions.
-
-    ``pair_shift[i, j]`` is the largest absolute difference of ``rho[i, j]``
-    between any two windows; ``mean_frobenius`` averages the Frobenius
-    distance between consecutive windows' matrices (0 for a single window).
-    """
-
-    pair_shift: np.ndarray
-    max_shift: float
-    mean_frobenius: float
-
-
-def correlation_shift(
-    table: SeriesTable, lookback: int, starts: Sequence[int]
-) -> ShiftReport:
-    """Correlation drift of the table across the windows at ``starts``."""
-    require("lookback", lookback >= 2, "[2, inf)", lookback)
-    starts = tuple(int(s) for s in starts)
-    if not starts:
-        raise ParameterError("correlation shift needs at least one start")
-    last = table.length - lookback
-    for s in starts:
-        require("starts", 0 <= s <= last, f"[0, {last}] (windows inside the table)", s)
-    mats = np.stack([pearson_matrix(table.values[:, s : s + lookback]) for s in starts])
-    pair_shift = mats.max(axis=0) - mats.min(axis=0)
-    if len(starts) > 1:
-        consecutive = np.linalg.norm(
-            (mats[1:] - mats[:-1]).reshape(len(starts) - 1, -1), axis=1
-        )
-        mean_frobenius = float(consecutive.mean())
-    else:
-        mean_frobenius = 0.0
-    return ShiftReport(
-        pair_shift=pair_shift,
-        max_shift=float(pair_shift.max()),
-        mean_frobenius=mean_frobenius,
-    )
-

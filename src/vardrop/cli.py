@@ -1,6 +1,6 @@
 """Command-line runner: config handling, subcommands, report emission.
 
-Subcommands: synth, hash, reduce, analyze, train, sweep, bench. Each is a
+Subcommands: synth, hash, reduce, analyze, train, sweep. Each is a
 thin composition over the library modules; no numerical logic lives here.
 A sweep cell is the train run with that cell's k and gs: both go through
 one private run function, the package's one epoch loop.
@@ -23,12 +23,12 @@ import json
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import correlation_shift, pearson_matrix, redundancy_profile
+from .analysis import pearson_matrix, redundancy_profile
 from .dataset import (
     SeriesTable,
     SplitSpec,
@@ -95,11 +95,8 @@ class RunConfig(TrainSettings):
     val_frac: float = 0.1
     test_frac: float = 0.2
     corr_threshold: float = 0.9
-    shift_count: int = 4
     sweep_ks: tuple[int, ...] = (2, 3, 4, 5)
     sweep_gss: tuple[int, ...] = (1, 5, 10, 15)
-    bench_n: int = 64
-    bench_delta: float = 0.5
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -125,14 +122,12 @@ class RunConfig(TrainSettings):
             f"[1, {self.synth_n}] (at most synth_n)",
             self.synth_g,
         )
-        require("synth_sigma", self.synth_sigma >= 0, "[0, inf)", self.synth_sigma)
+        sigma = self.synth_sigma
+        require("synth_sigma", 0 <= sigma < np.inf, "[0, inf)", sigma)
         require("synth_length", self.synth_length >= 1, "[1, inf)", self.synth_length)
         _split_spec(self)  # checks the split fractions
         corr = self.corr_threshold
         require("corr_threshold", -1.0 <= corr <= 1.0, "[-1, 1]", corr)
-        require("shift_count", self.shift_count >= 1, "[1, inf)", self.shift_count)
-        require("bench_n", self.bench_n >= 1, "[1, inf)", self.bench_n)
-        require("bench_delta", 0.0 <= self.bench_delta < 1.0, "[0, 1)", self.bench_delta)
         # a sweep checks each (k, gs) cell against epsilon before training any
         for key in ("sweep_ks", "sweep_gss"):
             values = getattr(self, key)
@@ -414,21 +409,9 @@ def _cmd_analyze(config: RunConfig, out: Path) -> None:
     max_corr = np.clip(profile.max_corr, -1.0, 1.0)
     counts, edges = np.histogram(max_corr, bins=40, range=(-1.0, 1.0))
     _write_csv_rows(out / "redundancy.csv", ["bin", "count"], list(zip(edges, counts)))
-    span = table.length - config.T
-    starts = sorted({round(span * i / max(1, config.shift_count - 1))
-                     for i in range(config.shift_count)})
-    shift = correlation_shift(table, config.T, starts)
-    payload = {
-        "T": config.T,
-        "starts": starts,
-        "max_shift": shift.max_shift,
-        "mean_frobenius": shift.mean_frobenius,
-        "pair_shift": shift.pair_shift,
-    }
-    _write_text(out / "shift.json", canonical_json(payload))
     print(
         f"analyze: strong_frac {_fmt(profile.strong_frac)} at threshold "
-        f"{_fmt(config.corr_threshold)}, max shift {_fmt(shift.max_shift)}"
+        f"{_fmt(config.corr_threshold)}"
     )
 
 
@@ -483,6 +466,12 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
         (m.tokens_used, m.delta) for m in all_metrics
     )
 
+    # the attention FLOPs the same run would spend with every variate kept,
+    # so flops.attention / flops.dense_attention is its measured ratio
+    dense_attention = config.epochs * sum(
+        b.size * count_flops(b.n_variates, config.T, config.d, config.d_k, config.H).attention
+        for b in train_batches
+    )
     arrays = {f.name: getattr(params, f.name) for f in fields(params)}
     shapes = {name: list(array.shape) for name, array in arrays.items()}
     report = {
@@ -495,6 +484,7 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
         "flops": {
             "total": sum(m.flops for m in all_metrics),
             "attention": sum(m.attention_flops for m in all_metrics),
+            "dense_attention": dense_attention,
         },
         "val_loss": val_loss,
         "checkpoint": {"shapes": shapes, "seed": config.seed},
@@ -547,34 +537,6 @@ def _cmd_sweep(config: RunConfig, out: Path) -> None:
     )
 
 
-def _cmd_bench(config: RunConfig, out: Path) -> None:
-    require("H", config.H >= 1, "[1, inf) for bench", config.H)
-    n = config.bench_n
-    delta = config.bench_delta
-    n_reduced = max(1, round((1.0 - delta) * n))
-    dense = count_flops(n, config.T, config.d, config.d_k, config.H)
-    reduced = count_flops(n_reduced, config.T, config.d, config.d_k, config.H)
-
-    def stages(ledger) -> dict:
-        return {**asdict(ledger), "attention": ledger.attention, "total": ledger.total}
-
-    ratio = reduced.attention / dense.attention
-    payload = {
-        "n": n,
-        "delta": delta,
-        "n_reduced": n_reduced,
-        "dense": stages(dense),
-        "reduced": stages(reduced),
-        "attention_ratio": ratio,
-        "predicted_ratio": (1.0 - delta) ** 2,
-    }
-    _write_text(out / "report.json", canonical_json(payload))
-    print(
-        f"bench: attention ratio {_fmt(ratio)} vs predicted "
-        f"{_fmt((1.0 - delta) ** 2)} at delta={_fmt(delta)}"
-    )
-
-
 _COMMANDS = {
     "synth": _cmd_synth,
     "hash": _cmd_hash,
@@ -582,7 +544,6 @@ _COMMANDS = {
     "analyze": _cmd_analyze,
     "train": _cmd_train,
     "sweep": _cmd_sweep,
-    "bench": _cmd_bench,
 }
 
 _OVERRIDE_RE = re.compile(r"^--([A-Za-z_][A-Za-z_0-9]*)=(.*)$", re.DOTALL)

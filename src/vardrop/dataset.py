@@ -485,7 +485,7 @@ def synth_redundant_detail(
         f"[1, {n_variates}] (at most n_variates)",
         n_prototypes,
     )
-    require("noise_sigma", noise_sigma >= 0, "[0, inf)", noise_sigma)
+    require("noise_sigma", 0 <= noise_sigma < math.inf, "[0, inf)", noise_sigma)
     require("length", length >= 1, "[1, inf)", length)
     require("period", period >= 10, "[10, inf)", period)
     require("seed", seed >= 0, "[0, inf)", seed)
@@ -503,7 +503,9 @@ def synth_redundant_detail(
     labels = tuple(i % n_prototypes for i in range(n_variates))
     values = signals[np.array(labels)]
     if noise_sigma > 0:
-        values = values + noise_sigma * rng.standard_normal((n_variates, length))
+        # a huge sigma overflows to inf, which SeriesTable refuses by name
+        with np.errstate(over="ignore"):
+            values = values + noise_sigma * rng.standard_normal((n_variates, length))
 
     names = tuple(f"v{i:03d}" for i in range(n_variates))
     table = SeriesTable(names=names, values=values)

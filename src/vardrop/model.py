@@ -348,7 +348,7 @@ def backward(trace: ForwardTrace, params: ModelParams) -> ModelParams:
 @np.errstate(over="ignore", invalid="ignore")
 def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     """Plain gradient descent; returns new params, inputs untouched."""
-    require("lr", lr > 0, "(0, inf)", lr)
+    require("lr", 0 < lr < math.inf, "(0, inf)", lr)
     return ModelParams(
         **{
             f.name: getattr(params, f.name) - lr * getattr(grads, f.name)
@@ -447,7 +447,7 @@ class TrainSettings:
             "k", self.k <= self.epsilon, f"[1, {self.epsilon}] (at most epsilon)", self.k
         )
         require("gs", self.gs >= 1, "[1, inf)", self.gs)
-        require("lr", self.lr > 0, "(0, inf)", self.lr)
+        require("lr", 0 < self.lr < math.inf, "(0, inf)", self.lr)
         require("seed", self.seed >= 0, "[0, inf)", self.seed)
 
 

@@ -1,16 +1,10 @@
-"""Correlation diagnostics: Pearson structure, redundancy profile and drift."""
+"""Correlation diagnostics: Pearson structure and redundancy profile."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vardrop import (
-    ParameterError,
-    SeriesTable,
-    correlation_shift,
-    pearson_matrix,
-    redundancy_profile,
-)
+from vardrop import ParameterError, pearson_matrix, redundancy_profile
 
 from helpers import pearson_pair
 
@@ -165,62 +159,3 @@ class TestRedundancyProfile:
         matrix = pearson_matrix(np.eye(2, 10) + 1.0)
         with pytest.raises(ParameterError):
             redundancy_profile(matrix, 1.5)
-
-
-def periodic_table(n=2, length=192, period=96, seed=0):
-    rng = np.random.default_rng(seed)
-    t = np.arange(length)
-    rows = []
-    for i in range(n):
-        phase = rng.uniform(0, 2 * np.pi)
-        rows.append(np.sin(2 * np.pi * 4 * t / period + phase) + (i + 1.0))
-    return SeriesTable(tuple(f"v{i}" for i in range(n)), np.stack(rows))
-
-
-class TestCorrelationShift:
-    def test_single_window_zero(self):
-        table = periodic_table()
-        report = correlation_shift(table, 96, [0])
-        assert report.max_shift == 0.0
-        assert report.mean_frobenius == 0.0
-        npt.assert_array_equal(report.pair_shift, 0.0)
-
-    def test_identical_windows_exactly_zero(self):
-        # tiled segment: windows one period apart repeat bit-for-bit
-        rng = np.random.default_rng(30)
-        segment = rng.normal(size=(3, 96))
-        table = SeriesTable(("a", "b", "c"), np.tile(segment, 3))
-        report = correlation_shift(table, 96, [0, 96, 192])
-        npt.assert_array_equal(report.pair_shift, 0.0)
-        assert report.max_shift == 0.0
-        assert report.mean_frobenius == 0.0
-
-    def test_stationary_iid_near_zero(self):
-        rng = np.random.default_rng(20)
-        table = SeriesTable(
-            tuple(f"v{i}" for i in range(8)), rng.normal(size=(8, 160))
-        )
-        report = correlation_shift(table, 96, range(0, 33))
-        assert report.mean_frobenius < 0.1
-
-    def test_regime_switch_shifts_exactly_the_pair(self):
-        # second half flips v1 onto the anticorrelated prototype
-        t = np.arange(96)
-        proto = np.sin(2 * np.pi * 3 * t / 96)
-        v0 = np.concatenate([proto, proto])
-        v1 = np.concatenate([proto, -proto])
-        table = SeriesTable(("a", "b"), np.stack([v0, v1]))
-        report = correlation_shift(table, 96, [0, 96])
-        assert abs(report.pair_shift[0, 1] - 2.0) < 1e-9
-        assert abs(report.max_shift - 2.0) < 1e-9
-        assert report.pair_shift[0, 0] == 0.0
-
-    def test_start_validation(self):
-        table = periodic_table()
-        with pytest.raises(ParameterError):
-            correlation_shift(table, 96, [100])
-        with pytest.raises(ParameterError):
-            correlation_shift(table, 96, [-1])
-        with pytest.raises(ParameterError):
-            correlation_shift(table, 96, [])
-

@@ -90,6 +90,10 @@ RANGE_ERRORS = {
         lambda: vardrop.sgd_step(_params(), _params(), 0.0),
         "lr: must be in (0, inf), got 0.0",
     ),
+    "sgd_step_inf": (
+        lambda: vardrop.sgd_step(_params(), _params(), float("inf")),
+        "lr: must be in (0, inf), got inf",
+    ),
     "batch_mean_spectrum": (
         lambda: vardrop.batch_mean_spectrum(np.zeros((1, 2, 8)), 5),
         "epsilon: must be in [1, 4] (at most T // 2), got 5",
@@ -134,6 +138,10 @@ RANGE_ERRORS = {
         lambda: _synth(noise_sigma=-0.5),
         "noise_sigma: must be in [0, inf), got -0.5",
     ),
+    "synth_sigma_inf": (
+        lambda: _synth(noise_sigma=float("inf")),
+        "noise_sigma: must be in [0, inf), got inf",
+    ),
     "synth_length": (
         lambda: _synth(length=0),
         "length: must be in [1, inf), got 0",
@@ -149,14 +157,6 @@ RANGE_ERRORS = {
     "redundancy_profile": (
         lambda: vardrop.redundancy_profile(vardrop.pearson_matrix(np.eye(2)), 1.5),
         "threshold: must be in [-1, 1], got 1.5",
-    ),
-    "correlation_shift_lookback": (
-        lambda: vardrop.correlation_shift(_table(), 1, [0]),
-        "lookback: must be in [2, inf), got 1",
-    ),
-    "correlation_shift_starts": (
-        lambda: vardrop.correlation_shift(_table(), 8, [0, 33]),
-        "starts: must be in [0, 32] (windows inside the table), got 33",
     ),
     "validation_loss": (
         lambda: vardrop.validation_loss(_params(), []),

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from vardrop import (
     ParseError,
     RedundancyProfile,
     TrainSettings,
+    count_flops,
 )
+from vardrop import cli
 from vardrop.cli import (
     RunConfig,
     canonical_json,
@@ -80,7 +83,7 @@ class TestValidateConfig:
         # entries parse to ints, so the echo is canonical
         config = validate_config({"sweep_gss": " 1, 5 ,10 "})
         assert config.sweep_gss == (1, 5, 10)
-        assert main(["bench", "-o", str(tmp_path), "--sweep_gss= 1, 5 ,10 "]) == 0
+        assert main(["hash", "-o", str(tmp_path), "--sweep_gss= 1, 5 ,10 "]) == 0
         echo = (tmp_path / "config.echo").read_text().splitlines()
         assert "sweep_gss=1,5,10" in echo
 
@@ -88,7 +91,7 @@ class TestValidateConfig:
         # there is none: the environment cannot change a run's seed
         monkeypatch.setenv("VARDROP_SEED", "777")
         assert validate_config({}).seed == 0
-        assert main(["bench", "-o", str(tmp_path)]) == 0
+        assert main(["hash", "-o", str(tmp_path)]) == 0
         echo = (tmp_path / "config.echo").read_text().splitlines()
         assert "seed=0" in echo
 
@@ -100,6 +103,7 @@ CONFIG_RANGE_ERRORS = [
     ("epsilon", "0", 0, "epsilon: must be in [1, inf), got 0"),
     ("gs", "0", 0, "gs: must be in [1, inf), got 0"),
     ("lr", "0", 0.0, "lr: must be in (0, inf), got 0.0"),
+    ("lr", "inf", math.inf, "lr: must be in (0, inf), got inf"),
     ("seed", "-1", -1, "seed: must be in [0, inf), got -1"),
     ("delimiter", "ab", "ab", "delimiter: must be in one-character strings, got 'ab'"),
     ("T", "1", 1, "T: must be in [2, inf), got 1"),
@@ -112,14 +116,12 @@ CONFIG_RANGE_ERRORS = [
     ("synth_n", "0", 0, "synth_n: must be in [1, inf), got 0"),
     ("synth_g", "0", 0, "synth_g: must be in [1, 64] (at most synth_n), got 0"),
     ("synth_sigma", "-0.5", -0.5, "synth_sigma: must be in [0, inf), got -0.5"),
+    ("synth_sigma", "inf", math.inf, "synth_sigma: must be in [0, inf), got inf"),
     ("synth_length", "0", 0, "synth_length: must be in [1, inf), got 0"),
     ("train_frac", "-0.1", -0.1, "train_frac: must be in [0, 1], got -0.1"),
     ("val_frac", "1.5", 1.5, "val_frac: must be in [0, 1], got 1.5"),
     ("test_frac", "-0.2", -0.2, "test_frac: must be in [0, 1], got -0.2"),
     ("corr_threshold", "1.5", 1.5, "corr_threshold: must be in [-1, 1], got 1.5"),
-    ("shift_count", "0", 0, "shift_count: must be in [1, inf), got 0"),
-    ("bench_n", "0", 0, "bench_n: must be in [1, inf), got 0"),
-    ("bench_delta", "1", 1.0, "bench_delta: must be in [0, 1), got 1.0"),
     ("sweep_ks", ",", (), "sweep_ks: must be in non-empty lists, got ()"),
     ("sweep_ks", "0", (0,), "sweep_ks: must be in [1, inf) per entry, got 0"),
     ("sweep_gss", "", (), "sweep_gss: must be in non-empty lists, got ()"),
@@ -345,7 +347,7 @@ class TestMain:
         code = main([
             "analyze", "-o", str(out),
             "--synth_n=8", "--synth_g=2", "--synth_length=300",
-            "--T=48", "--epsilon=24", "--shift_count=3", "--seed=2",
+            "--T=48", "--epsilon=24", "--seed=2",
         ])
         assert code == 0
         corr = (out / "corr_matrix.csv").read_text().splitlines()
@@ -356,11 +358,10 @@ class TestMain:
         assert len(hist) == 41
         counts = [int(line.split(",")[1]) for line in hist[1:]]
         assert sum(counts) == 8
-        shift = json.loads((out / "shift.json").read_text())
-        assert set(shift) == {"T", "starts", "max_shift", "mean_frobenius",
-                              "pair_shift"}
-        assert len(shift["starts"]) == 3
-        assert "strong_frac" in capsys.readouterr().out
+        assert {p.name for p in out.iterdir()} == {
+            "config.echo", "corr_matrix.csv", "redundancy.csv",
+        }
+        assert capsys.readouterr().out == "analyze: strong_frac 1 at threshold 0.9\n"
 
     def test_analyze_bins_edges_into_the_bin_they_open(self, tmp_path, monkeypatch):
         # -0.9, -0.8 and -0.55 open bins 2, 4 and 9; 1.0 closes the last bin,
@@ -391,6 +392,7 @@ class TestMain:
                                "checkpoint"}
         assert len(report["epochs"]) == 2
         assert report["reduction"]["mean_tokens"] == 2.0  # two groups, gs=1
+        assert set(report["flops"]) == {"total", "attention", "dense_attention"}
         assert report["flops"]["attention"] < report["flops"]["total"]
         ck = np.load(out / "checkpoint.npz")
         assert ck["w_embed"].shape == (24, 8)
@@ -419,6 +421,10 @@ class TestMain:
         assert on_report["reduction"]["mean_delta"] > 0.5
         assert off_report["reduction"]["mean_delta"] == 0.0
         assert on_report["flops"]["total"] < off_report["flops"]["total"]
+        # a dense run spends exactly its dense attention cost
+        dense_attention = off_report["flops"]["dense_attention"]
+        assert off_report["flops"]["attention"] == dense_attention
+        assert on_report["flops"]["dense_attention"] == dense_attention
 
     def test_train_reduction_stats_match_the_metrics(self, tmp_path):
         # noise this strong splits the two groups differently from batch to
@@ -486,25 +492,35 @@ class TestMain:
             ["2", "1"], ["2", "4"], ["3", "1"], ["3", "4"],
         ]
 
-    def test_bench_ratio(self, tmp_path, capsys):
+    def test_train_reports_its_dense_attention_cost(self, tmp_path):
+        # each batch's FLOPs are its size times the ledger at its kept count,
+        # so metrics.csv gives every batch's size and token count
         out = tmp_path / "o"
-        code = main([
-            "bench", "-o", str(out),
-            "--bench_n=321", "--bench_delta=0.6333", "--T=96", "--d=512",
-        ])
-        assert code == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["n_reduced"] == round(0.3667 * 321)
-        predicted = (1.0 - 0.6333) ** 2
-        assert math.isclose(report["predicted_ratio"], predicted, rel_tol=1e-9)
-        assert abs(report["attention_ratio"] - predicted) < 2e-3
-        assert abs(report["attention_ratio"] - 0.1345) < 1e-3
-        for side in ("dense", "reduced"):
-            assert set(report[side]) == {
-                "embed", "qkv", "scores", "softmax", "context", "head",
-                "attention", "total",
-            }
-        assert "bench: attention ratio" in capsys.readouterr().out
+        assert main(["train", "-o", str(out)] + TINY_TRAIN + ["--synth_sigma=1.0"]) == 0
+        flops = json.loads((out / "report.json").read_text())["flops"]
+        rows = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()[1:]]
+
+        def ledger(n_tokens):
+            return count_flops(n_tokens, lookback=24, embed_dim=8, attn_dim=4, horizon=8)
+
+        sizes, tokens, deltas = [], [], []
+        for row in rows:
+            size, rest = divmod(int(row[5]), ledger(int(row[3])).total)
+            assert rest == 0
+            sizes.append(size)
+            tokens.append(int(row[3]))
+            deltas.append(float(row[4]))
+        assert len(set(sizes)) > 1 and len(set(tokens)) > 1
+        n = 8
+        assert flops["dense_attention"] == sum(s * ledger(n).attention for s in sizes)
+        # attention scales with the square of the kept count, so the ratio
+        # is exactly the size-weighted mean of (N' / N)^2 = (1 - delta)^2
+        weighted = sum(s * t * t for s, t in zip(sizes, tokens))
+        assert flops["attention"] * n * n * sum(sizes) == flops["dense_attention"] * weighted
+        ratio = flops["attention"] / flops["dense_attention"]
+        mean_sq = sum(s * (1.0 - d) ** 2 for s, d in zip(sizes, deltas)) / sum(sizes)
+        assert math.isclose(ratio, mean_sq, rel_tol=1e-9)
+        assert ratio < 1.0
 
     def test_config_file_and_override_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -522,6 +538,15 @@ class TestMain:
         raw = parse_config_file(str(out / "config.echo"))
         config = validate_config(raw)
         assert config == validate_config({"synth_length": "150"})
+
+
+def test_readme_lists_exactly_the_subcommands():
+    # the README's subcommand table names every choice main accepts and no
+    # other, so adding or deleting a subcommand cannot leave the docs behind
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| subcommand | what it does |", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"^\| `([a-z]+)` +\|", table, re.M)
+    assert sorted(listed) == sorted(cli._COMMANDS)
 
 
 class TestExitCodes:
@@ -566,7 +591,7 @@ class TestExitCodes:
     def test_invalid_utf8_config_is_parse_error(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_bytes(b"\xff\n")
-        code = main(["bench", "-c", str(config), "-o", str(tmp_path / "o")])
+        code = main(["hash", "-c", str(config), "-o", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error [parse]: {config}: not UTF-8 text (invalid start byte)\n"
@@ -601,7 +626,7 @@ class TestExitCodes:
         afile = tmp_path / "afile"
         afile.write_text("")
         out = afile / "sub"
-        code = main(["bench", "-o", str(out)])
+        code = main(["hash", "-o", str(out)])
         assert code == 5
         reason = f"[Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{out}'"
         assert capsys.readouterr().err == (
@@ -611,7 +636,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command, blocked, message",
         [
-            (["bench"], "config.echo", "cannot write {path}"),
+            (["hash"], "config.echo", "cannot write {path}"),
             (
                 ["synth", "--synth_n=4", "--synth_g=2", "--synth_length=50",
                  "--T=10", "--epsilon=5", "--k=2"],
@@ -685,8 +710,6 @@ class TestExitCodes:
 
     def test_sweep_checks_every_cell_before_training_any(self, tmp_path, capsys,
                                                          monkeypatch):
-        import vardrop.cli as cli
-
         calls = []
         real = cli.train_epoch
 
@@ -725,11 +748,10 @@ class TestExitCodes:
             "error [validation]: T: must be in [10, inf) for synthetic data, got 4\n"
         )
 
-    def test_short_t_still_runs_bench_and_data(self, tmp_path):
+    def test_short_t_still_runs_on_data(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("a,b\n" + "".join(f"{i % 3},{i % 5}\n" for i in range(12)))
         small = ["--T=4", "--epsilon=2", "--k=1"]
-        assert main(["bench", "-o", str(tmp_path / "b"), "--H=2"] + small) == 0
         assert main(["hash", "-o", str(tmp_path / "h"), f"--data={data}"] + small) == 0
 
     @pytest.mark.parametrize("delimiter", [";;", ""])

@@ -49,8 +49,8 @@ def load_strict_json(path):
     return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
 
 
-def test_bench_exits_zero_with_a_strict_json_report(tmp_path):
-    result = run_cli("bench", "-o", tmp_path)
+def test_reduce_exits_zero_with_a_strict_json_report(tmp_path):
+    result = run_cli("reduce", "-o", tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
     load_strict_json(tmp_path / "report.json")
@@ -59,10 +59,10 @@ def test_bench_exits_zero_with_a_strict_json_report(tmp_path):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["bench", "--B=0"], "B: must be in [1, inf), got 0"),
+        (["reduce", "--B=0"], "B: must be in [1, inf), got 0"),
         (["train", "--H=0"], "H: must be in [1, inf) for training, got 0"),
     ],
-    ids=["bench-B0", "train-H0"],
+    ids=["reduce-B0", "train-H0"],
 )
 def test_validation_errors_exit_three(tmp_path, args, message):
     result = run_cli(args[0], "-o", tmp_path / "o", *args[1:])
@@ -73,7 +73,7 @@ def test_validation_errors_exit_three(tmp_path, args, message):
 def test_config_that_is_not_utf8_exits_two(tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_bytes(b"\xff\n")
-    result = run_cli("bench", "-c", config, "-o", tmp_path / "o")
+    result = run_cli("hash", "-c", config, "-o", tmp_path / "o")
     assert result.returncode == 2
     assert result.stderr == (
         f"error [parse]: {config}: not UTF-8 text (invalid start byte)\n"
@@ -90,6 +90,20 @@ def test_diverging_train_is_a_numeric_error_under_warnings_as_errors(tmp_path, l
     assert result.returncode == 4
     assert result.stderr.startswith("error [numeric]:")
     assert [p.name for p in out.iterdir()] == ["config.echo"]
+
+
+@pytest.mark.parametrize("command", ["synth", "hash"])
+def test_overflowing_synthetic_noise_is_a_validation_error_under_warnings_as_errors(
+    tmp_path, command
+):
+    # sigma * N(0, 1) overflows to inf, and the table refuses it by name
+    result = run_cli(
+        command, "-o", tmp_path, "--synth_sigma=1e308", "--synth_length=300",
+        warnings_as_errors=True,
+    )
+    assert result.returncode == 3
+    assert result.stderr.startswith("error [validation]: non-finite value in variate")
+    assert result.stderr.count("\n") == 1
 
 
 def test_healthy_train_warns_about_nothing(tmp_path):
@@ -127,8 +141,9 @@ def test_analyze_writes_a_forty_bin_histogram(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert len((tmp_path / "redundancy.csv").read_text().splitlines()) == 41
-    shift = load_strict_json(tmp_path / "shift.json")
-    assert len(shift["pair_shift"]) == 16
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "config.echo", "corr_matrix.csv", "redundancy.csv",
+    }
 
 
 def _huge_table(tmp_path):
@@ -158,4 +173,9 @@ def test_analyze_correlates_huge_finite_values(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
-    load_strict_json(tmp_path / "shift.json")
+    rows = (tmp_path / "corr_matrix.csv").read_text().splitlines()
+    assert rows[0] == "a,b,c,d"
+    rho = np.array([[float(cell) for cell in row.split(",")] for row in rows[1:]])
+    assert rho.shape == (4, 4)
+    assert np.all(np.isfinite(rho))
+    assert np.all(np.abs(rho) <= 1.0)

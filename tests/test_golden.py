@@ -49,7 +49,6 @@ RUNS = {
     "hash": ["hash"],
     "reduce": ["reduce"],
     "analyze": ["analyze"],
-    "bench": ["bench"],
     "train": ["train"],
     "dense": ["train", "--vardrop_on=false"],
     "sweep": ["sweep", "--sweep_ks=2,3", "--sweep_gss=1,2", "--epochs=1"],
@@ -59,9 +58,9 @@ RUNS = {
     "csv_analyze": ["analyze", "--data=synth/data.csv"],
 }
 
-ECHO = "a15f6b7bb2983b9f9be53854fc698d60296695c41b5d559fd51e21712931f8cf"
+ECHO = "a5774a60e2b0c6981f67760eae7143c7f0f68dcc23edd6554d64dc289578cfd8"
 HASHES = "4d689de3a52c0e640e0f2c40ca3d914481bb203a2b94d87229dcaf9d9ce7481f"
-CSV_ECHO = "c599fbb2612afc5c24f5d6d83d6b44ee6fd80d19162ba978a2d40c96360878c0"
+CSV_ECHO = "5eaa833c161fe1a663992d159cfe0d594592985ca13e12b8024196e2fc37b9f2"
 
 GOLDEN = {
     "synth/config.echo": ECHO,
@@ -75,42 +74,38 @@ GOLDEN = {
     "analyze/config.echo": ECHO,
     "analyze/corr_matrix.csv": "e7465d4bccf315d9ddeb175c8b6fa4b424e59b97287a30779979d176f8b093be",
     "analyze/redundancy.csv": "9ece649bedd2e3ef465c39b80644e07f5ea1aff42db68c51c202edebe7c871d2",
-    "analyze/shift.json": "02e18b63e094ac9a9edb1e02dee1b208b9ee8e83ddd524711fbc55eb6f7063c5",
-    "bench/config.echo": ECHO,
-    "bench/report.json": "1f3933f71edd85cf941b2e8da6f7d3c6884b5507f70eeaaeba988187928f97d1",
     "train/config.echo": ECHO,
     "train/hashes.json": HASHES,
     "train/metrics.csv": "2ac4c84d2abfae3886e80b3bbf5fc77e212d251ad1c9f371608ba8633e52fcfb",
     "train/reduction.csv": "0c83d89a59daba7f70d1695b3bb980024793efa225df2f3e482896a1112d2091",
-    "train/report.json": "148f68d5efc69fe2d0c0f63f397531708af87f852a237b850ffba91944a93554",
+    "train/report.json": "57f27aa8e69e53acd8d0234b9102978c8897f385eedb2f340685f4db3cae3f31",
     "train/checkpoint.npz": "50cf42da118d6333adcba97fe288d60d81d4d203dea4f9cd0507cce1dca4399d",
-    "dense/config.echo": "33d0ef864877f323bcb4b0441fb2e1073e918635c3a9a4db9b75db28686225e3",
+    "dense/config.echo": "5642a26b313557cb22dc77702853b77c864f1f32e610255e4392e810b125a8a2",
     "dense/hashes.json": HASHES,
     "dense/metrics.csv": "0f8976287f1349a5fd8634dccd3969341917cbbeba5ee9c5783bb392cc90bc42",
     "dense/reduction.csv": "3cc2598c9d843311d154da90eecd38035abb6adb6ee2a2ef603dd64f7466aea5",
-    "dense/report.json": "dc8e0e2158de13d354b0a0875982793f8868db80d682887b24d6a6df5b34bbb3",
+    "dense/report.json": "1d89c3bdd6334a27c32e9d954927e07fd1abeb55ab4f64370e7616a367267326",
     "dense/checkpoint.npz": "2f36f0ba5c67e9647fa46752c587d4a8bb6f1290050f657df4cda7d8137e7e68",
-    "sweep/config.echo": "3e231741485bb833d2f6db987c8cfa0a4c43e62a0bb673558feac756dfd18d07",
+    "sweep/config.echo": "1946a12a7b95fc03716bd9acb887bb108c25e3d78154039325897e1338120f31",
     "sweep/sweep.csv": "cc8d7279b7a2abe80ff7d2c5dce70c3d32389cddb4b4946ca01537e018b57d43",
     "csv_train/config.echo": CSV_ECHO,
     "csv_train/hashes.json": HASHES,
     "csv_train/metrics.csv": "9d1606af3f8a32c7f14ad83f32b9f77c756a6040df03d00318b475f633320455",
     "csv_train/reduction.csv": "0c83d89a59daba7f70d1695b3bb980024793efa225df2f3e482896a1112d2091",
-    "csv_train/report.json": "148f68d5efc69fe2d0c0f63f397531708af87f852a237b850ffba91944a93554",
+    "csv_train/report.json": "57f27aa8e69e53acd8d0234b9102978c8897f385eedb2f340685f4db3cae3f31",
     "csv_train/checkpoint.npz": "67ee46d3fd93841f93f3ebab85ff86f7730ec6a4a5d22845eb5eb4527f1152b3",
     "csv_analyze/config.echo": CSV_ECHO,
     "csv_analyze/corr_matrix.csv": "7b18162ea8c30f5d849b5c2c5e575ab8102e5fc52ceee57c02a11c2837164e90",
     "csv_analyze/redundancy.csv": "9ece649bedd2e3ef465c39b80644e07f5ea1aff42db68c51c202edebe7c871d2",
-    "csv_analyze/shift.json": "d93d78e25b0a6a8f1634c061b48c3a091517b4491b04187ebf4810cdc3a0f409",
 }
 
 
 # no BLAS call shapes these bytes: the synthetic table, the hashes, the
-# plans, the FLOP ledger and the config echoes
+# plans and the config echoes
 KERNEL_FREE = sorted(
     name
     for name in GOLDEN
-    if name.split("/")[0] in ("synth", "hash", "reduce", "bench")
+    if name.split("/")[0] in ("synth", "hash", "reduce")
     or name.split("/")[1] in ("config.echo", "reduction.csv", "hashes.json")
 )
 
