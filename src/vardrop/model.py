@@ -17,8 +17,13 @@ size changes the speed, never the bits.
 
 No ``N' x N'`` array is ever normalised: as in FlashAttention (Dao et al.,
 2022), attention divides the ``N' x d_k`` context by the exponentials' row
-sums, and its backward needs no second square array. Only the rounding
-differs from the textbook softmax.
+sums, and its backward needs no second square array. Softmax is the same
+for any shift of a row, so scores are checked for finiteness and shifted by
+their row max only in a window whose Q and K norms cannot bound them within
+``_SCORE_LIMIT`` (or whose values exceed ``_VALUE_LIMIT``); every other
+window exponentiates its raw scores. Each window is judged alone, so the
+guard, like the chunk size, never lets one window's bits depend on
+another's. Only the rounding differs from the textbook softmax.
 
 All math is explicit numpy so gradients can be checked against finite
 differences; there is no framework underneath. One attention block, no
@@ -60,8 +65,28 @@ from .spectral import kdfh
 #   N'=32:  7.1 ms, chunks of 4-8 4.6-5.2 ms, of 32 8.2 ms
 #   N'=64:  11.4 ms, chunks of 2-4 9.2-10.6 ms, of 32 16.1 ms
 #   N'=128: 21.8 ms, chunks of 2 21.0 ms; N'=321: 77.8 ms, chunks of 2 81.0 ms
-# _chunk_size gives 9, 7, 4, 2, 1 and 1 windows at these widths.
+# _chunk_size gives 9, 7, 4, 2, 1 and 1 windows at these widths. The table
+# still holds with attention's guarded shift: timed interleaved with the
+# always-shifted attention on the same machine, the size _chunk_size picks
+# beat one window at a time and chunks of 32 at every width, and at N'=16
+# chunks of 7 took 3.1 ms against 3.0 ms shifted.
 _CHUNK_BUDGET = 2**18
+
+# A window may exponentiate its raw scores, unchecked and unshifted, when its
+# scores and values are provably small. By Cauchy-Schwarz each score
+# s = q.k / sqrt(d_k) obeys |s| <= b, the largest scaled query norm times the
+# largest key norm (up to rounding, which moves b by a few ulp). With
+# b <= _SCORE_LIMIT = 64, exp(s) lies within 2^(+-92.4), far inside
+# float64's normal range, and a row sum of N' exponentials is finite for any
+# N' below 2^931. With N' times the largest value norm at most
+# _VALUE_LIMIT = 2^500 as well, every entry of E @ V, partial sums included,
+# is at most 2^592.4 unshifted and 2^500 shifted (where E <= 1), so both
+# paths give a finite context and differ only in rounding. Norms are
+# compared squared; a square that overflows is inf and fails the guard. A
+# window whose bound is NaN, infinite or above either limit takes the
+# checked, shifted path, so failures are unchanged.
+_SCORE_LIMIT = 64.0
+_VALUE_LIMIT = 2.0**500
 
 __all__ = [
     "ModelParams",
@@ -118,7 +143,8 @@ class ModelParams:
 @dataclass(frozen=True)
 class AttentionFragment:
     """Attention intermediates for a stack of windows: Q/K/V, the scores'
-    shifted exponentials ``E``, their row sums and the context."""
+    exponentials ``E`` (shifted by their row max only in windows whose
+    scores are not provably small), their row sums and the context."""
 
     queries: np.ndarray
     keys: np.ndarray
@@ -217,9 +243,13 @@ def attention(tokens: np.ndarray, params: ModelParams) -> AttentionFragment:
     """Scaled dot-product attention within each window of ``c x N' x d`` tokens.
 
     Q/K/V are linear maps of the tokens; scores are ``(Q / sqrt(d_k)) K^T``.
-    One ``N' x N'`` array per window holds the scores, which are checked,
-    shifted by their row max (so exp cannot overflow) and exponentiated in
-    place: ``E``. The context divides ``E @ V`` by ``E``'s row sums.
+    One ``N' x N'`` array per window holds the scores, exponentiated in
+    place: ``E``. A window whose largest scaled query and key norms bound
+    its scores within ``_SCORE_LIMIT``, and whose largest value norm times
+    ``N'`` stays within ``_VALUE_LIMIT``, exponentiates them as they are.
+    Any other window's scores are checked for finiteness and shifted by
+    their row max first, so exp cannot overflow. The context divides
+    ``E @ V`` by ``E``'s row sums.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 3:
@@ -231,10 +261,24 @@ def attention(tokens: np.ndarray, params: ModelParams) -> AttentionFragment:
     queries = tokens @ params.w_query
     keys = tokens @ params.w_key
     values = tokens @ params.w_value
-    exp_scores = (queries / math.sqrt(params.attn_dim)) @ _mt(keys)
-    if not np.all(np.isfinite(exp_scores)):
-        raise NumericError("non-finite attention scores")
-    exp_scores -= exp_scores.max(axis=-1, keepdims=True)
+    scaled = queries / math.sqrt(params.attn_dim)
+    exp_scores = scaled @ _mt(keys)
+    # each window's largest squared row norm of Q / sqrt(d_k), of K and of V,
+    # compared as Python floats: few numpy calls, as chunks are often small
+    query_sq, key_sq, value_sq = np.max(
+        [np.einsum("cnd,cnd->cn", x, x) for x in (scaled, keys, values)], axis=2
+    ).tolist()
+    n_sq = tokens.shape[1] ** 2
+    for w in range(len(tokens)):
+        # NaN or inf fails a comparison, so the window takes the checked shift
+        if not (
+            query_sq[w] * key_sq[w] <= _SCORE_LIMIT**2
+            and n_sq * value_sq[w] <= _VALUE_LIMIT**2
+        ):
+            scores = exp_scores[w]
+            if not np.all(np.isfinite(scores)):
+                raise NumericError("non-finite attention scores")
+            scores -= scores.max(axis=-1, keepdims=True)
     np.exp(exp_scores, out=exp_scores)
     row_sums = exp_scores.sum(axis=-1, keepdims=True)
     context = exp_scores @ values
@@ -367,8 +411,11 @@ class FlopLedger:
     ``1/sqrt(d_k)`` score scale is not counted. The scores, softmax and
     context stages all scale with the square of the token count.
 
-    ``attention`` divides context entries, not scores (3 FLOPs per score and
-    1 per context entry); the ledger keeps the textbook softmax count.
+    ``attention`` divides context entries, not scores, and shifts only the
+    scores of windows it cannot prove small: 2 FLOPs per score (exp, sum)
+    in a window within the guard, 3 (subtract, exp, sum) in any other, plus
+    1 per context entry and the guard's ``O(N' d_k)`` norms. The ledger
+    keeps the textbook softmax count.
     """
 
     embed: int

@@ -11,7 +11,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from vardrop.model import BatchMetrics, ModelParams, count_flops, forward, plan_batch
+from vardrop.model import (
+    _SCORE_LIMIT,
+    _VALUE_LIMIT,
+    BatchMetrics,
+    ModelParams,
+    count_flops,
+    forward,
+    plan_batch,
+)
 
 
 def dft_amps_loop(signal):
@@ -125,17 +133,42 @@ def numeric_gradients(data, horizon, params, retained, step=1e-5):
     return out
 
 
-def softmax_attention_out_of_place(tokens, params):
+def scores_are_small(scaled, keys, values):
+    """Whether ``attention`` may exponentiate a window's raw scores, per window
+    of ``c x N' x d_k`` stacks or for one ``N' x d_k`` window.
+
+    Scores are small when the largest scaled query norm times the largest key
+    norm is at most the score limit, and ``N'`` times the largest value norm
+    at most the value limit, both compared squared. NaN or inf anywhere, or a
+    square that overflows, makes a window not small.
+    """
+    query_sq, key_sq, value_sq = (
+        np.max(np.sum(x * x, axis=-1), axis=-1) for x in (scaled, keys, values)
+    )
+    n_tokens = values.shape[-2]
+    return (query_sq * key_sq <= _SCORE_LIMIT**2) & (
+        n_tokens**2 * value_sq <= _VALUE_LIMIT**2
+    )
+
+
+def softmax_attention_out_of_place(tokens, params, guard=True):
     """``attention``'s exponentials, row sums and context, each step a fresh array.
 
     The score, shift, exp, row-sum and context steps in the library's order,
     written out of place, so an in-place implementation must match bit for bit.
+    Windows whose scores are small are shifted by 0.0 (which keeps every bit)
+    and all others by their row max; without ``guard`` every window is shifted
+    by its row max, the fallback path everywhere.
     """
     queries = tokens @ params.w_query
     keys = tokens @ params.w_key
     values = tokens @ params.w_value
-    scores = (queries / math.sqrt(params.attn_dim)) @ np.swapaxes(keys, -1, -2)
-    expo = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    scaled = queries / math.sqrt(params.attn_dim)
+    scores = scaled @ np.swapaxes(keys, -1, -2)
+    shift = scores.max(axis=-1, keepdims=True)
+    if guard:
+        shift = np.where(scores_are_small(scaled, keys, values)[:, None, None], 0.0, shift)
+    expo = np.exp(scores - shift)
     row_sums = expo.sum(axis=-1, keepdims=True)
     return expo, row_sums, (expo @ values) / row_sums
 
@@ -176,9 +209,11 @@ def window_loss_and_gradients(rows, target, p, textbook=False):
     """One window's MSE and its analytic gradients, on 2-D arrays.
 
     By default the softmax runs in the library's order, so the bits match
-    ``backward``'s. With ``textbook`` it runs as textbooks write it, through
-    the normalised weights ``W``: ``context = W V``, ``dW = dC V^T``,
-    ``dV = W^T dC`` and ``dS = W * (dW - rowsum(dW * W))``, a tolerance oracle.
+    ``backward``'s: the scores are shifted by their row max only when
+    ``scores_are_small`` says they are not small. With ``textbook`` it runs as
+    textbooks write it, always shifted, through the normalised weights ``W``:
+    ``context = W V``, ``dW = dC V^T``, ``dV = W^T dC`` and
+    ``dS = W * (dW - rowsum(dW * W))``, a tolerance oracle.
     """
     tokens = rows @ p.w_embed + p.b_embed
     queries = tokens @ p.w_query
@@ -187,8 +222,11 @@ def window_loss_and_gradients(rows, target, p, textbook=False):
     if textbook:
         scores = queries @ keys.T / math.sqrt(p.attn_dim)
     else:
-        scores = (queries / math.sqrt(p.attn_dim)) @ keys.T
-    expo = np.exp(scores - scores.max(axis=1, keepdims=True))
+        scaled = queries / math.sqrt(p.attn_dim)
+        scores = scaled @ keys.T
+    if textbook or not scores_are_small(scaled, keys, values):
+        scores = scores - scores.max(axis=1, keepdims=True)
+    expo = np.exp(scores)
     row_sums = expo.sum(axis=1, keepdims=True)
     if textbook:
         weights = expo / row_sums

@@ -79,13 +79,13 @@ GOLDEN = {
     "train/metrics.csv": "2ac4c84d2abfae3886e80b3bbf5fc77e212d251ad1c9f371608ba8633e52fcfb",
     "train/reduction.csv": "0c83d89a59daba7f70d1695b3bb980024793efa225df2f3e482896a1112d2091",
     "train/report.json": "57f27aa8e69e53acd8d0234b9102978c8897f385eedb2f340685f4db3cae3f31",
-    "train/checkpoint.npz": "50cf42da118d6333adcba97fe288d60d81d4d203dea4f9cd0507cce1dca4399d",
+    "train/checkpoint.npz": "192f71e8111015a607f7a2b6086a64b8ca9d8546c5b2ca8ba7baec2f2fb56208",
     "dense/config.echo": "5642a26b313557cb22dc77702853b77c864f1f32e610255e4392e810b125a8a2",
     "dense/hashes.json": HASHES,
     "dense/metrics.csv": "0f8976287f1349a5fd8634dccd3969341917cbbeba5ee9c5783bb392cc90bc42",
     "dense/reduction.csv": "3cc2598c9d843311d154da90eecd38035abb6adb6ee2a2ef603dd64f7466aea5",
     "dense/report.json": "1d89c3bdd6334a27c32e9d954927e07fd1abeb55ab4f64370e7616a367267326",
-    "dense/checkpoint.npz": "2f36f0ba5c67e9647fa46752c587d4a8bb6f1290050f657df4cda7d8137e7e68",
+    "dense/checkpoint.npz": "a1e057e2904b0d556fe3d9d61d2a672ded4dff55a923bd2326dd220f45a0c74f",
     "sweep/config.echo": "1946a12a7b95fc03716bd9acb887bb108c25e3d78154039325897e1338120f31",
     "sweep/sweep.csv": "cc8d7279b7a2abe80ff7d2c5dce70c3d32389cddb4b4946ca01537e018b57d43",
     "csv_train/config.echo": CSV_ECHO,
@@ -93,7 +93,7 @@ GOLDEN = {
     "csv_train/metrics.csv": "9d1606af3f8a32c7f14ad83f32b9f77c756a6040df03d00318b475f633320455",
     "csv_train/reduction.csv": "0c83d89a59daba7f70d1695b3bb980024793efa225df2f3e482896a1112d2091",
     "csv_train/report.json": "57f27aa8e69e53acd8d0234b9102978c8897f385eedb2f340685f4db3cae3f31",
-    "csv_train/checkpoint.npz": "67ee46d3fd93841f93f3ebab85ff86f7730ec6a4a5d22845eb5eb4527f1152b3",
+    "csv_train/checkpoint.npz": "4f1a5f2c4874a331bba5db6e2ba825d612b28b490411d142ecaefb6a7a1ef6b6",
     "csv_analyze/config.echo": CSV_ECHO,
     "csv_analyze/corr_matrix.csv": "7b18162ea8c30f5d849b5c2c5e575ab8102e5fc52ceee57c02a11c2837164e90",
     "csv_analyze/redundancy.csv": "9ece649bedd2e3ef465c39b80644e07f5ea1aff42db68c51c202edebe7c871d2",

@@ -45,6 +45,7 @@ from helpers import (
     numeric_gradients,
     query_key_gradients_out_of_place,
     reference_train_epoch,
+    scores_are_small,
     softmax_attention_out_of_place,
     textbook_attention,
     window_loss_and_gradients,
@@ -470,6 +471,10 @@ class TestInPlaceSoftmax:
             (1e160, 1e160),
             (1e308, 1.0),  # the queries themselves overflow
             (1e307, -1.0),
+            (np.nan, 1.0),  # non-finite weights: the bound is NaN or inf
+            (1.0, np.nan),
+            (np.inf, 1.0),
+            (1.0, -np.inf),
         ],
     )
     def test_scores_overflowing_from_finite_tokens_raise(self, w_query, w_key):
@@ -483,6 +488,85 @@ class TestInPlaceSoftmax:
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="^non-finite attention scores$"):
                 attention(tokens, p)
+
+
+class TestShiftGuard:
+    """A window whose Q and K norms bound its scores within the score limit
+    (and whose values are within the value limit) exponentiates its raw
+    scores; any other window is checked and shifted by its row max."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=30),
+        embed_dim=st.integers(min_value=1, max_value=8),
+        attn_dim=st.integers(min_value=1, max_value=6),
+        scales=st.lists(st.sampled_from([0.1, 1.0, 10.0, 100.0]), min_size=1, max_size=4),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_each_window_takes_its_own_branch(self, n, embed_dim, attn_dim, scales, seed):
+        rng = np.random.default_rng(seed)
+        p = initialize_params(4, 2, embed_dim, attn_dim, seed=seed)
+        tokens = np.array(scales)[:, None, None] * rng.normal(size=(len(scales), n, embed_dim))
+        frag = attention(tokens, p)
+        scaled = frag.queries / math.sqrt(attn_dim)
+        small = scores_are_small(scaled, frag.keys, frag.values)
+        for w in range(len(scales)):
+            if small[w]:
+                raw = scaled[w] @ frag.keys[w].T
+                npt.assert_array_equal(frag.exp_scores[w], np.exp(raw))
+            else:
+                npt.assert_array_equal(frag.exp_scores[w].max(axis=1), 1.0)
+            alone = attention(tokens[w : w + 1], p)
+            for name in ("exp_scores", "row_sums", "context"):
+                npt.assert_array_equal(getattr(frag, name)[w], getattr(alone, name)[0])
+
+    def test_a_chunk_of_both_branches_keeps_each_windows_bits(self):
+        rng = np.random.default_rng(46)
+        p = initialize_params(4, 2, 8, 4, seed=46)
+        tokens = rng.normal(size=(2, 12, 8)) * np.array([1.0, 100.0])[:, None, None]
+        frag = attention(tokens, p)
+        scaled = frag.queries / math.sqrt(4)
+        npt.assert_array_equal(scores_are_small(scaled, frag.keys, frag.values), [True, False])
+        assert np.max(frag.exp_scores[0]) != 1.0
+        npt.assert_array_equal(frag.exp_scores[1].max(axis=1), 1.0)
+        for w in range(2):
+            alone = attention(tokens[w : w + 1], p)
+            for name in ("exp_scores", "row_sums", "context"):
+                npt.assert_array_equal(getattr(frag, name)[w], getattr(alone, name)[0])
+
+    @pytest.mark.parametrize(
+        "value_scale, token_scale, outcome",
+        [
+            (1e140, 1.0, "unshifted"),  # N' max ||v|| within the value limit
+            (1e300, 1.0, "finite"),
+            (3e306, 30.0, "finite"),  # values up to 7e307, scores far from 0
+            (1e308, 1.0, "non-finite attention context"),  # finite values, E V overflows
+            (1e308, 30.0, "non-finite attention context"),  # the values overflow
+        ],
+    )
+    def test_huge_values_match_the_shift_everywhere(self, value_scale, token_scale, outcome):
+        # beyond the value limit a window takes the shifted path, so the
+        # context, or the error, is the one shifting every window gives
+        p = initialize_params(8, 2, 4, 4, seed=9)
+        p = replace(p, w_value=p.w_value * value_scale)
+        tokens = token_scale * np.random.default_rng(9).uniform(1.0, 2.0, size=(2, 5, 4))
+        with np.errstate(over="ignore", invalid="ignore"):
+            expo, _, context = softmax_attention_out_of_place(tokens, p, guard=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not np.all(np.isfinite(context)):
+                assert outcome == "non-finite attention context"
+                with pytest.raises(NumericError, match=f"^{outcome}$"):
+                    attention(tokens, p)
+                return
+            frag = attention(tokens, p)
+        if outcome == "unshifted":
+            npt.assert_allclose(frag.context, context, rtol=1e-12)
+            assert np.all(frag.exp_scores.max(axis=-1) != 1.0)
+        else:
+            assert outcome == "finite"
+            npt.assert_array_equal(frag.exp_scores, expo)
+            npt.assert_array_equal(frag.context, context)
 
 
 class TestSgdStep:
