@@ -23,7 +23,9 @@ their row max only in a window whose Q and K norms cannot bound them within
 ``_SCORE_LIMIT`` (or whose values exceed ``_VALUE_LIMIT``); every other
 window exponentiates its raw scores. Each window is judged alone, so the
 guard, like the chunk size, never lets one window's bits depend on
-another's. Only the rounding differs from the textbook softmax.
+another's. Only the rounding differs from the textbook softmax, in forward
+and in backward; backward's overflow threshold is lower in unshifted
+windows (see ``_SCORE_LIMIT``).
 
 All math is explicit numpy so gradients can be checked against finite
 differences; there is no framework underneath. One attention block, no
@@ -39,6 +41,7 @@ step surfaces at the next forward's check, not as a warning mid-update.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from collections.abc import Sequence
@@ -65,11 +68,7 @@ from .spectral import kdfh
 #   N'=32:  7.1 ms, chunks of 4-8 4.6-5.2 ms, of 32 8.2 ms
 #   N'=64:  11.4 ms, chunks of 2-4 9.2-10.6 ms, of 32 16.1 ms
 #   N'=128: 21.8 ms, chunks of 2 21.0 ms; N'=321: 77.8 ms, chunks of 2 81.0 ms
-# _chunk_size gives 9, 7, 4, 2, 1 and 1 windows at these widths. The table
-# still holds with attention's guarded shift: timed interleaved with the
-# always-shifted attention on the same machine, the size _chunk_size picks
-# beat one window at a time and chunks of 32 at every width, and at N'=16
-# chunks of 7 took 3.1 ms against 3.0 ms shifted.
+# _chunk_size gives 9, 7, 4, 2, 1 and 1 windows at these widths.
 _CHUNK_BUDGET = 2**18
 
 # A window may exponentiate its raw scores, unchecked and unshifted, when its
@@ -81,10 +80,19 @@ _CHUNK_BUDGET = 2**18
 # N' below 2^931. With N' times the largest value norm at most
 # _VALUE_LIMIT = 2^500 as well, every entry of E @ V, partial sums included,
 # is at most 2^592.4 unshifted and 2^500 shifted (where E <= 1), so both
-# paths give a finite context and differ only in rounding. Norms are
+# paths give a finite context, a weighted mean of the values, and differ
+# only in rounding; the context of such a window needs no check. Norms are
 # compared squared; a square that overflows is inf and fails the guard. A
 # window whose bound is NaN, infinite or above either limit takes the
-# checked, shifted path, so failures are unchanged.
+# checked, shifted path, so forward's failures are unchanged.
+# backward gets the same gradients up to rounding, but not the same
+# overflow threshold: an unshifted row sum is e^m times the shifted one, m
+# the row's largest score, so g = dC / rowsum(E) and the N' x N' g V^T are
+# e^-m times, at most e^64 = 2^92.3 times, what the shift would give. Where
+# the shift keeps g V^T finite up to |dC| max|v| near 2^1024, an unshifted
+# window may overflow it from 2^931.7 on. A diverging run may then get
+# non-finite gradients where the shift's were finite; like any non-finite
+# step, they surface at the next forward's checks.
 _SCORE_LIMIT = 64.0
 _VALUE_LIMIT = 2.0**500
 
@@ -249,7 +257,8 @@ def attention(tokens: np.ndarray, params: ModelParams) -> AttentionFragment:
     ``N'`` stays within ``_VALUE_LIMIT``, exponentiates them as they are.
     Any other window's scores are checked for finiteness and shifted by
     their row max first, so exp cannot overflow. The context divides
-    ``E @ V`` by ``E``'s row sums.
+    ``E @ V`` by ``E``'s row sums; it is checked for finiteness unless
+    every window is small.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 3:
@@ -269,21 +278,28 @@ def attention(tokens: np.ndarray, params: ModelParams) -> AttentionFragment:
         [np.einsum("cnd,cnd->cn", x, x) for x in (scaled, keys, values)], axis=2
     ).tolist()
     n_sq = tokens.shape[1] ** 2
-    for w in range(len(tokens)):
-        # NaN or inf fails a comparison, so the window takes the checked shift
-        if not (
-            query_sq[w] * key_sq[w] <= _SCORE_LIMIT**2
-            and n_sq * value_sq[w] <= _VALUE_LIMIT**2
-        ):
-            scores = exp_scores[w]
+    # NaN or inf fails a comparison, so such a window takes the checked shift
+    small = [
+        q * k <= _SCORE_LIMIT**2 and n_sq * v <= _VALUE_LIMIT**2
+        for q, k, v in zip(query_sq, key_sq, value_sq)
+    ]
+    start = 0
+    for is_small, run in itertools.groupby(small):
+        stop = start + len(list(run))
+        if not is_small:
+            # one slice per run of windows, the whole chunk when none is
+            # small; rows are shifted alone, so slicing changes no bit
+            scores = exp_scores[start:stop]
             if not np.all(np.isfinite(scores)):
                 raise NumericError("non-finite attention scores")
             scores -= scores.max(axis=-1, keepdims=True)
+        start = stop
     np.exp(exp_scores, out=exp_scores)
     row_sums = exp_scores.sum(axis=-1, keepdims=True)
     context = exp_scores @ values
     context /= row_sums
-    if not np.all(np.isfinite(context)):
+    # a small window's context is a weighted mean of its values, so finite
+    if not all(small) and not np.all(np.isfinite(context)):
         raise NumericError("non-finite attention context")
     return AttentionFragment(
         queries=queries, keys=keys, values=values, exp_scores=exp_scores,

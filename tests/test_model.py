@@ -568,6 +568,54 @@ class TestShiftGuard:
             npt.assert_array_equal(frag.exp_scores, expo)
             npt.assert_array_equal(frag.context, context)
 
+    def test_backward_overflows_at_most_e64_earlier(self):
+        # Every score of this window is near -60, inside the score limit, so
+        # its unshifted row sums are e^-60 times the shifted ones. backward's
+        # g = dC / rowsum(E), and with it the N' x N' g V^T, is e^60 times
+        # larger: the gradients equal the shifted ones to rounding, but
+        # overflow at a |dC| about 2^80 smaller. A row max m within the score
+        # limit makes that factor e^-m, never more than e^64 (2^92.3).
+        n, horizon = 5, 2
+        p = initialize_params(8, horizon, 4, 4, seed=5)
+        a = math.sqrt(30.0)  # tokens near (1, 1, 1, 1): scores -a^2 * 4 / 2
+        p = replace(
+            p, w_embed=0.01 * p.w_embed, b_embed=np.ones(4),
+            w_query=a * np.eye(4), w_key=-a * np.eye(4),
+        )
+        rows = np.random.default_rng(5).normal(size=(1, n, 8))
+
+        def shifted(trace):
+            expo, row_sums, context = softmax_attention_out_of_place(trace.tokens, p, guard=False)
+            mixed = context @ p.w_out
+            return replace(
+                trace, exp_scores=expo, row_sums=row_sums, context=context, mixed=mixed,
+                predictions=mixed @ p.w_head + p.b_head,
+            )
+
+        first_inf = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1024):  # dC grows with the target's magnitude 2^k
+                trace = forward(rows, np.full((1, n, horizon), -(2.0**k)), p, range(n))
+                if k == 0:
+                    scaled = trace.queries / math.sqrt(4)
+                    assert scores_are_small(scaled, trace.keys, trace.values)[0]
+                    assert np.all(trace.exp_scores < math.exp(-59))
+                for side, grads in (("guard", backward(trace, p)),
+                                    ("shift", backward(shifted(trace), p))):
+                    finite = all(np.all(np.isfinite(getattr(grads, f.name)))
+                                 for f in fields(grads))
+                    if not finite:
+                        first_inf.setdefault(side, k)
+                    elif side == "shift" and "guard" not in first_inf:
+                        guarded = backward(trace, p)
+                        for f in fields(grads):
+                            want = getattr(grads, f.name)
+                            npt.assert_allclose(getattr(guarded, f.name), want, rtol=0,
+                                                atol=1e-10 * np.max(np.abs(want)))
+        # the shift overflows only where d_pred itself does, at 2^1023
+        assert first_inf["shift"] == 1023
+        assert 60 <= first_inf["shift"] - first_inf["guard"] <= 64 / math.log(2)
+
 
 class TestSgdStep:
     def test_moves_against_gradient(self):
