@@ -18,14 +18,13 @@ size changes the speed, never the bits.
 No ``N' x N'`` array is ever normalised: as in FlashAttention (Dao et al.,
 2022), attention divides the ``N' x d_k`` context by the exponentials' row
 sums, and its backward needs no second square array. Softmax is the same
-for any shift of a row, so scores are checked for finiteness and shifted by
-their row max only in a window whose Q and K norms cannot bound them within
-``_SCORE_LIMIT`` (or whose values exceed ``_VALUE_LIMIT``); every other
-window exponentiates its raw scores. Each window is judged alone, so the
-guard, like the chunk size, never lets one window's bits depend on
-another's. Only the rounding differs from the textbook softmax, in forward
-and in backward; backward's overflow threshold is lower in unshifted
-windows (see ``_SCORE_LIMIT``).
+for any shift of a row, so a window whose Q and K norms bound its scores
+within ``_SCORE_LIMIT`` exponentiates them unshifted. A chunk holding any
+other window checks its scores for finiteness and shifts that window by
+its row max and each small window by 0.0, which changes no bit: like the
+chunk size, the guard never lets one window's bits depend on another's.
+Only the rounding differs from the textbook softmax, in forward and in
+backward, and one overflow rule covers both (see ``_SCORE_LIMIT``).
 
 All math is explicit numpy so gradients can be checked against finite
 differences; there is no framework underneath. One attention block, no
@@ -41,7 +40,6 @@ step surfaces at the next forward's check, not as a warning mid-update.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from collections.abc import Sequence
@@ -71,30 +69,20 @@ from .spectral import kdfh
 # _chunk_size gives 9, 7, 4, 2, 1 and 1 windows at these widths.
 _CHUNK_BUDGET = 2**18
 
-# A window may exponentiate its raw scores, unchecked and unshifted, when its
-# scores and values are provably small. By Cauchy-Schwarz each score
-# s = q.k / sqrt(d_k) obeys |s| <= b, the largest scaled query norm times the
-# largest key norm (up to rounding, which moves b by a few ulp). With
-# b <= _SCORE_LIMIT = 64, exp(s) lies within 2^(+-92.4), far inside
-# float64's normal range, and a row sum of N' exponentials is finite for any
-# N' below 2^931. With N' times the largest value norm at most
-# _VALUE_LIMIT = 2^500 as well, every entry of E @ V, partial sums included,
-# is at most 2^592.4 unshifted and 2^500 shifted (where E <= 1), so both
-# paths give a finite context, a weighted mean of the values, and differ
-# only in rounding; the context of such a window needs no check. Norms are
-# compared squared; a square that overflows is inf and fails the guard. A
-# window whose bound is NaN, infinite or above either limit takes the
-# checked, shifted path, so forward's failures are unchanged.
-# backward gets the same gradients up to rounding, but not the same
-# overflow threshold: an unshifted row sum is e^m times the shifted one, m
-# the row's largest score, so g = dC / rowsum(E) and the N' x N' g V^T are
-# e^-m times, at most e^64 = 2^92.3 times, what the shift would give. Where
-# the shift keeps g V^T finite up to |dC| max|v| near 2^1024, an unshifted
-# window may overflow it from 2^931.7 on. A diverging run may then get
-# non-finite gradients where the shift's were finite; like any non-finite
-# step, they surface at the next forward's checks.
+# A window may exponentiate its raw scores, unchecked and unshifted, when
+# they are provably small. By Cauchy-Schwarz each score s = q.k / sqrt(d_k)
+# obeys |s| <= b, the largest scaled query norm times the largest key norm
+# (up to rounding, which moves b by a few ulp). Norms are compared squared;
+# a square that overflows is inf, and inf or NaN fails the guard. With
+# b <= _SCORE_LIMIT = 64, every entry of E lies within e^(+-64) = 2^(+-92.3),
+# far inside float64's normal range, and a row sum of N' < 2^931 of them is
+# finite. One overflow rule then covers forward and backward: an unshifted
+# row of E is e^m times the shifted one, m the row max, |m| <= 64, so any
+# product with E or with 1 / rowsum(E), E V forward and g V^T backward
+# (g = dC / rowsum(E)), can overflow at most e^64 = 2^92.3 sooner than with
+# the shift. Forward's context check catches it, and a step built from
+# non-finite gradients fails the next forward's checks.
 _SCORE_LIMIT = 64.0
-_VALUE_LIMIT = 2.0**500
 
 __all__ = [
     "ModelParams",
@@ -151,8 +139,9 @@ class ModelParams:
 @dataclass(frozen=True)
 class AttentionFragment:
     """Attention intermediates for a stack of windows: Q/K/V, the scores'
-    exponentials ``E`` (shifted by their row max only in windows whose
-    scores are not provably small), their row sums and the context."""
+    exponentials ``E`` (shifted by their row max only in windows whose Q
+    and K norms do not bound them within ``_SCORE_LIMIT``), their row sums
+    and the context."""
 
     queries: np.ndarray
     keys: np.ndarray
@@ -253,16 +242,18 @@ def attention(tokens: np.ndarray, params: ModelParams) -> AttentionFragment:
     Q/K/V are linear maps of the tokens; scores are ``(Q / sqrt(d_k)) K^T``.
     One ``N' x N'`` array per window holds the scores, exponentiated in
     place: ``E``. A window whose largest scaled query and key norms bound
-    its scores within ``_SCORE_LIMIT``, and whose largest value norm times
-    ``N'`` stays within ``_VALUE_LIMIT``, exponentiates them as they are.
-    Any other window's scores are checked for finiteness and shifted by
-    their row max first, so exp cannot overflow. The context divides
-    ``E @ V`` by ``E``'s row sums; it is checked for finiteness unless
-    every window is small.
+    its scores within ``_SCORE_LIMIT`` exponentiates them as they are. If
+    any window of the stack is not that small, the whole stack's scores are
+    checked for finiteness and shifted: every window that is not small by
+    its row max, so exp cannot overflow, and every small one by 0.0. The
+    context divides ``E @ V`` by ``E``'s row sums and is always checked for
+    finiteness.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim != 3:
-        raise ParameterError(f"expected c x N' x d tokens, got shape {tokens.shape}")
+    if tokens.ndim != 3 or tokens.shape[1] == 0:
+        raise ParameterError(
+            f"expected c x N' x d tokens with N' >= 1, got shape {tokens.shape}"
+        )
     if tokens.shape[2] != params.embed_dim:
         raise ParameterError(
             f"token width {tokens.shape[2]} does not match embed dim {params.embed_dim}"
@@ -272,34 +263,23 @@ def attention(tokens: np.ndarray, params: ModelParams) -> AttentionFragment:
     values = tokens @ params.w_value
     scaled = queries / math.sqrt(params.attn_dim)
     exp_scores = scaled @ _mt(keys)
-    # each window's largest squared row norm of Q / sqrt(d_k), of K and of V,
-    # compared as Python floats: few numpy calls, as chunks are often small
-    query_sq, key_sq, value_sq = np.max(
-        [np.einsum("cnd,cnd->cn", x, x) for x in (scaled, keys, values)], axis=2
-    ).tolist()
-    n_sq = tokens.shape[1] ** 2
-    # NaN or inf fails a comparison, so such a window takes the checked shift
-    small = [
-        q * k <= _SCORE_LIMIT**2 and n_sq * v <= _VALUE_LIMIT**2
-        for q, k, v in zip(query_sq, key_sq, value_sq)
-    ]
-    start = 0
-    for is_small, run in itertools.groupby(small):
-        stop = start + len(list(run))
-        if not is_small:
-            # one slice per run of windows, the whole chunk when none is
-            # small; rows are shifted alone, so slicing changes no bit
-            scores = exp_scores[start:stop]
-            if not np.all(np.isfinite(scores)):
-                raise NumericError("non-finite attention scores")
-            scores -= scores.max(axis=-1, keepdims=True)
-        start = stop
+    # each window's largest squared row norm of Q / sqrt(d_k) and of K
+    query_sq, key_sq = (np.einsum("cnd,cnd->cn", x, x).max(axis=1) for x in (scaled, keys))
+    # NaN or inf fails the comparison, so such a window is not small
+    small = query_sq * key_sq <= _SCORE_LIMIT**2
+    if not small.all():
+        # a small window's scores are finite by its bound, and its shift of
+        # 0.0 keeps every bit
+        if not np.all(np.isfinite(exp_scores)):
+            raise NumericError("non-finite attention scores")
+        shift = exp_scores.max(axis=-1, keepdims=True)
+        shift[small] = 0.0
+        exp_scores -= shift
     np.exp(exp_scores, out=exp_scores)
     row_sums = exp_scores.sum(axis=-1, keepdims=True)
     context = exp_scores @ values
     context /= row_sums
-    # a small window's context is a weighted mean of its values, so finite
-    if not all(small) and not np.all(np.isfinite(context)):
+    if not np.all(np.isfinite(context)):
         raise NumericError("non-finite attention context")
     return AttentionFragment(
         queries=queries, keys=keys, values=values, exp_scores=exp_scores,
@@ -427,11 +407,11 @@ class FlopLedger:
     ``1/sqrt(d_k)`` score scale is not counted. The scores, softmax and
     context stages all scale with the square of the token count.
 
-    ``attention`` divides context entries, not scores, and shifts only the
-    scores of windows it cannot prove small: 2 FLOPs per score (exp, sum)
-    in a window within the guard, 3 (subtract, exp, sum) in any other, plus
-    1 per context entry and the guard's ``O(N' d_k)`` norms. The ledger
-    keeps the textbook softmax count.
+    ``attention`` divides context entries, not scores, and shifts scores
+    only in a chunk it cannot prove small: 2 FLOPs per score (exp, sum)
+    when every window is within the guard, 3 (subtract, exp, sum)
+    otherwise, plus 1 per context entry and the guard's two ``O(N' d_k)``
+    norm passes. The ledger keeps the textbook softmax count.
     """
 
     embed: int

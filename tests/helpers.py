@@ -13,7 +13,6 @@ import numpy as np
 
 from vardrop.model import (
     _SCORE_LIMIT,
-    _VALUE_LIMIT,
     BatchMetrics,
     ModelParams,
     count_flops,
@@ -133,22 +132,16 @@ def numeric_gradients(data, horizon, params, retained, step=1e-5):
     return out
 
 
-def scores_are_small(scaled, keys, values):
+def scores_are_small(scaled, keys):
     """Whether ``attention`` may exponentiate a window's raw scores, per window
     of ``c x N' x d_k`` stacks or for one ``N' x d_k`` window.
 
     Scores are small when the largest scaled query norm times the largest key
-    norm is at most the score limit, and ``N'`` times the largest value norm
-    at most the value limit, both compared squared. NaN or inf anywhere, or a
-    square that overflows, makes a window not small.
+    norm is at most the score limit, compared squared. NaN or inf anywhere, or
+    a square that overflows, makes a window not small.
     """
-    query_sq, key_sq, value_sq = (
-        np.max(np.sum(x * x, axis=-1), axis=-1) for x in (scaled, keys, values)
-    )
-    n_tokens = values.shape[-2]
-    return (query_sq * key_sq <= _SCORE_LIMIT**2) & (
-        n_tokens**2 * value_sq <= _VALUE_LIMIT**2
-    )
+    query_sq, key_sq = (np.max(np.sum(x * x, axis=-1), axis=-1) for x in (scaled, keys))
+    return query_sq * key_sq <= _SCORE_LIMIT**2
 
 
 def softmax_attention_out_of_place(tokens, params, guard=True):
@@ -167,7 +160,7 @@ def softmax_attention_out_of_place(tokens, params, guard=True):
     scores = scaled @ np.swapaxes(keys, -1, -2)
     shift = scores.max(axis=-1, keepdims=True)
     if guard:
-        shift = np.where(scores_are_small(scaled, keys, values)[:, None, None], 0.0, shift)
+        shift = np.where(scores_are_small(scaled, keys)[:, None, None], 0.0, shift)
     expo = np.exp(scores - shift)
     row_sums = expo.sum(axis=-1, keepdims=True)
     return expo, row_sums, (expo @ values) / row_sums
@@ -224,7 +217,7 @@ def window_loss_and_gradients(rows, target, p, textbook=False):
     else:
         scaled = queries / math.sqrt(p.attn_dim)
         scores = scaled @ keys.T
-    if textbook or not scores_are_small(scaled, keys, values):
+    if textbook or not scores_are_small(scaled, keys):
         scores = scores - scores.max(axis=1, keepdims=True)
     expo = np.exp(scores)
     row_sums = expo.sum(axis=1, keepdims=True)

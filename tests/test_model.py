@@ -224,6 +224,10 @@ class TestAttention:
             attention(np.zeros(4), p)
         with pytest.raises(ParameterError):
             attention(np.zeros((3, 4)), p)  # one window's tokens, not a stack
+        with pytest.raises(ParameterError, match="N' >= 1"):
+            attention(np.zeros((1, 0, 4)), p)  # windows of no tokens
+        with pytest.raises(ParameterError, match="N' >= 1"):
+            attention(np.zeros((3, 0, 4)), p)
 
 
 class TestForward:
@@ -492,8 +496,8 @@ class TestInPlaceSoftmax:
 
 class TestShiftGuard:
     """A window whose Q and K norms bound its scores within the score limit
-    (and whose values are within the value limit) exponentiates its raw
-    scores; any other window is checked and shifted by its row max."""
+    exponentiates its raw scores. A chunk holding any other window checks its
+    scores and shifts that window by its row max, and each small one by 0.0."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -509,7 +513,7 @@ class TestShiftGuard:
         tokens = np.array(scales)[:, None, None] * rng.normal(size=(len(scales), n, embed_dim))
         frag = attention(tokens, p)
         scaled = frag.queries / math.sqrt(attn_dim)
-        small = scores_are_small(scaled, frag.keys, frag.values)
+        small = scores_are_small(scaled, frag.keys)
         for w in range(len(scales)):
             if small[w]:
                 raw = scaled[w] @ frag.keys[w].T
@@ -520,16 +524,24 @@ class TestShiftGuard:
             for name in ("exp_scores", "row_sums", "context"):
                 npt.assert_array_equal(getattr(frag, name)[w], getattr(alone, name)[0])
 
-    def test_a_chunk_of_both_branches_keeps_each_windows_bits(self):
+    @pytest.mark.parametrize(
+        "scales",
+        [(1.0, 100.0), (1.0, 100.0, 1.0)],  # the last pins a zeroed shift between small windows
+        ids=["small-fallback", "small-fallback-small"],
+    )
+    def test_a_chunk_of_both_branches_keeps_each_windows_bits(self, scales):
         rng = np.random.default_rng(46)
         p = initialize_params(4, 2, 8, 4, seed=46)
-        tokens = rng.normal(size=(2, 12, 8)) * np.array([1.0, 100.0])[:, None, None]
+        tokens = rng.normal(size=(len(scales), 12, 8)) * np.array(scales)[:, None, None]
         frag = attention(tokens, p)
         scaled = frag.queries / math.sqrt(4)
-        npt.assert_array_equal(scores_are_small(scaled, frag.keys, frag.values), [True, False])
-        assert np.max(frag.exp_scores[0]) != 1.0
-        npt.assert_array_equal(frag.exp_scores[1].max(axis=1), 1.0)
-        for w in range(2):
+        small = np.array(scales) == 1.0
+        npt.assert_array_equal(scores_are_small(scaled, frag.keys), small)
+        for w in range(len(scales)):
+            if small[w]:
+                assert np.max(frag.exp_scores[w]) != 1.0
+            else:
+                npt.assert_array_equal(frag.exp_scores[w].max(axis=1), 1.0)
             alone = attention(tokens[w : w + 1], p)
             for name in ("exp_scores", "row_sums", "context"):
                 npt.assert_array_equal(getattr(frag, name)[w], getattr(alone, name)[0])
@@ -537,16 +549,15 @@ class TestShiftGuard:
     @pytest.mark.parametrize(
         "value_scale, token_scale, outcome",
         [
-            (1e140, 1.0, "unshifted"),  # N' max ||v|| within the value limit
-            (1e300, 1.0, "finite"),
             (3e306, 30.0, "finite"),  # values up to 7e307, scores far from 0
             (1e308, 1.0, "non-finite attention context"),  # finite values, E V overflows
             (1e308, 30.0, "non-finite attention context"),  # the values overflow
         ],
     )
     def test_huge_values_match_the_shift_everywhere(self, value_scale, token_scale, outcome):
-        # beyond the value limit a window takes the shifted path, so the
-        # context, or the error, is the one shifting every window gives
+        # a window whose scores are not small takes the shifted path, so its
+        # context is the one shifting every window gives, bit for bit; where
+        # the shift overflows, the guard raises too
         p = initialize_params(8, 2, 4, 4, seed=9)
         p = replace(p, w_value=p.w_value * value_scale)
         tokens = token_scale * np.random.default_rng(9).uniform(1.0, 2.0, size=(2, 5, 4))
@@ -554,19 +565,50 @@ class TestShiftGuard:
             expo, _, context = softmax_attention_out_of_place(tokens, p, guard=False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if not np.all(np.isfinite(context)):
-                assert outcome == "non-finite attention context"
+            if outcome != "finite":
+                assert not np.all(np.isfinite(context))
                 with pytest.raises(NumericError, match=f"^{outcome}$"):
                     attention(tokens, p)
                 return
             frag = attention(tokens, p)
-        if outcome == "unshifted":
-            npt.assert_allclose(frag.context, context, rtol=1e-12)
-            assert np.all(frag.exp_scores.max(axis=-1) != 1.0)
-        else:
-            assert outcome == "finite"
-            npt.assert_array_equal(frag.exp_scores, expo)
-            npt.assert_array_equal(frag.context, context)
+        npt.assert_array_equal(frag.exp_scores, expo)
+        npt.assert_array_equal(frag.context, context)
+
+    def test_context_overflows_at_most_e64_earlier(self):
+        # Every score of this window is near +60, inside the score limit, so
+        # its unshifted E and E V are e^60 times the shifted ones. The
+        # context equals the shifted one to rounding, but E V overflows at a
+        # max |v| about 2^86.6 smaller. A row max m within the score limit
+        # makes that factor e^m, never more than e^64 (2^92.3).
+        n = 5
+        p = initialize_params(8, 2, 4, 4, seed=5)
+        a = math.sqrt(30.0)  # tokens near (1, 1, 1, 1): scores a^2 * 4 / 2
+        p = replace(
+            p, w_embed=0.01 * p.w_embed, b_embed=np.ones(4),
+            w_query=a * np.eye(4), w_key=a * np.eye(4),
+        )
+        tokens = embed(np.random.default_rng(5).normal(size=(1, n, 8)), p)
+
+        first_inf = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1024):  # every value near 4 * 2^k
+                grown = replace(p, w_value=np.full((4, 4), 2.0**k))
+                _, _, shifted = softmax_attention_out_of_place(tokens, grown, guard=False)
+                try:
+                    frag = attention(tokens, grown)
+                except NumericError as err:
+                    assert str(err) == "non-finite attention context"
+                    first_inf.setdefault("guard", k)
+                else:
+                    if k == 0:
+                        scaled = frag.queries / math.sqrt(4)
+                        assert scores_are_small(scaled, frag.keys)[0]
+                        assert np.all(frag.exp_scores > math.exp(59))
+                    npt.assert_allclose(frag.context, shifted, rtol=1e-12)
+                if not np.all(np.isfinite(shifted)):
+                    first_inf.setdefault("shift", k)
+                    break
+        assert 60 <= first_inf["shift"] - first_inf["guard"] <= 64 / math.log(2)
 
     def test_backward_overflows_at_most_e64_earlier(self):
         # Every score of this window is near -60, inside the score limit, so
@@ -598,7 +640,7 @@ class TestShiftGuard:
                 trace = forward(rows, np.full((1, n, horizon), -(2.0**k)), p, range(n))
                 if k == 0:
                     scaled = trace.queries / math.sqrt(4)
-                    assert scores_are_small(scaled, trace.keys, trace.values)[0]
+                    assert scores_are_small(scaled, trace.keys)[0]
                     assert np.all(trace.exp_scores < math.exp(-59))
                 for side, grads in (("guard", backward(trace, p)),
                                     ("shift", backward(shifted(trace), p))):
@@ -1144,6 +1186,11 @@ class TestPredictFull:
         window = rng.normal(size=(5, 16))
         p = initialize_params(16, 4, 8, 4, seed=25)
         assert predict_full(window, p).shape == (5, 4)
+
+    def test_window_of_no_variates_is_refused(self):
+        p = initialize_params(16, 4, 8, 4, seed=25)
+        with pytest.raises(ParameterError, match="N' >= 1"):
+            predict_full(np.zeros((0, 16)), p)
 
     def test_permuting_variates_permutes_predictions(self):
         rng = np.random.default_rng(26)
