@@ -549,6 +549,8 @@ class TestShiftGuard:
     @pytest.mark.parametrize(
         "value_scale, token_scale, outcome",
         [
+            (1e140, 1.0, "unshifted"),  # both windows small: raw scores exponentiated
+            (1e300, 1.0, "finite"),  # small windows whose N' max |v| nears the overflow
             (3e306, 30.0, "finite"),  # values up to 7e307, scores far from 0
             (1e308, 1.0, "non-finite attention context"),  # finite values, E V overflows
             (1e308, 30.0, "non-finite attention context"),  # the values overflow
@@ -556,8 +558,9 @@ class TestShiftGuard:
     )
     def test_huge_values_match_the_shift_everywhere(self, value_scale, token_scale, outcome):
         # a window whose scores are not small takes the shifted path, so its
-        # context is the one shifting every window gives, bit for bit; where
-        # the shift overflows, the guard raises too
+        # context is the one shifting every window gives, bit for bit; a small
+        # window's unshifted context equals it to rounding; where the shift
+        # overflows, the guard raises too
         p = initialize_params(8, 2, 4, 4, seed=9)
         p = replace(p, w_value=p.w_value * value_scale)
         tokens = token_scale * np.random.default_rng(9).uniform(1.0, 2.0, size=(2, 5, 4))
@@ -565,14 +568,22 @@ class TestShiftGuard:
             expo, _, context = softmax_attention_out_of_place(tokens, p, guard=False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if outcome != "finite":
+            if outcome.startswith("non-finite"):
                 assert not np.all(np.isfinite(context))
                 with pytest.raises(NumericError, match=f"^{outcome}$"):
                     attention(tokens, p)
                 return
             frag = attention(tokens, p)
-        npt.assert_array_equal(frag.exp_scores, expo)
-        npt.assert_array_equal(frag.context, context)
+        small = scores_are_small(frag.queries / math.sqrt(4), frag.keys)
+        if outcome == "unshifted":
+            assert np.all(small)
+            assert np.all(frag.exp_scores.max(axis=-1) != 1.0)
+        for w in range(len(tokens)):
+            if small[w]:
+                npt.assert_allclose(frag.context[w], context[w], rtol=1e-12)
+            else:
+                npt.assert_array_equal(frag.exp_scores[w], expo[w])
+                npt.assert_array_equal(frag.context[w], context[w])
 
     def test_context_overflows_at_most_e64_earlier(self):
         # Every score of this window is near +60, inside the score limit, so
