@@ -515,18 +515,12 @@ def hash_groups(batch: WindowBatch, config: TrainSettings) -> GroupTable:
     """The batch's hash groups under ``config``'s k and epsilon.
 
     The one composition of ``kdfh`` and ``group_by_hash``. A batch never
-    changes, so its memo keeps, per ``epsilon``, every bin ranked (``kdfh``
-    at ``k = epsilon``), and per ``k`` the table grouped from its first
-    ``k`` columns, for later epochs and sweep cells. Those columns are
-    ``kdfh`` at ``k``, bit for bit, as both come from one stable argsort;
-    so a sweep over several ``k`` hashes each batch once.
+    changes, so its memo keeps one table per ``(k, epsilon)``, for later
+    epochs and sweep cells at the same setting.
     """
-    ranked = ("ranked_bins", config.epsilon)
-    if ranked not in batch.memo:
-        batch.memo[ranked] = kdfh(batch, config.epsilon, config.epsilon)
     key = ("hash_groups", config.k, config.epsilon)
     if key not in batch.memo:
-        batch.memo[key] = group_by_hash(batch.memo[ranked][:, : config.k])
+        batch.memo[key] = group_by_hash(kdfh(batch, config.k, config.epsilon))
     return batch.memo[key]
 
 

@@ -1074,17 +1074,13 @@ class TestHashGroups:
             return len(kdfh_calls) - before
 
         assert plan_all(cfg) == len(batches)
-        # a new k slices the memoised ranking of bins 1..epsilon
-        for same in (
-            replace(cfg, gs=1),
-            replace(cfg, seed=34),
-            replace(cfg, lr=0.5),
-            replace(cfg, k=2),
-        ):
+        for same in (replace(cfg, gs=1), replace(cfg, seed=34), replace(cfg, lr=0.5)):
             assert plan_all(same) == 0
-        other = replace(cfg, epsilon=20)
-        assert plan_all(other) == len(batches)
-        assert plan_all(other) == 0
+        # a new k or epsilon hashes each batch once, and a repeat reuses it
+        for other in (replace(cfg, k=2), replace(cfg, epsilon=20)):
+            assert plan_all(other) == len(batches)
+            assert plan_all(other) == 0
+        assert plan_all(cfg) == 0
 
     @pytest.mark.parametrize("gs", [2, 16])
     def test_memo_gives_the_same_bits(self, kdfh_calls, gs):
@@ -1142,7 +1138,11 @@ class TestHashGroups:
         base[:] = 0.0
         assert hash_groups(batch, cfg) is first
         assert len(kdfh_calls) == 1
-        assert list(batch.memo) == [("ranked_bins", 8), ("hash_groups", 2, 8)]
+        assert list(batch.memo) == [("hash_groups", 2, 8)]
+        hash_groups(batch, TrainSettings(k=3, epsilon=8))
+        hash_groups(batch, TrainSettings(k=2, epsilon=6))
+        # one entry per (k, epsilon) and no other
+        assert list(batch.memo) == [("hash_groups", k, e) for k, e in ((2, 8), (3, 8), (2, 6))]
 
     def test_every_k_equals_its_own_kdfh(self, kdfh_calls):
         from vardrop import group_by_hash, kdfh
@@ -1153,9 +1153,9 @@ class TestHashGroups:
             want = group_by_hash(kdfh(batch, k, 24))
             # in the same group order too, which the sampling and reports follow
             assert list(hash_groups(batch, cfg).groups.items()) == list(want.groups.items())
-        assert len(kdfh_calls) == 1
+        assert len(kdfh_calls) == 24
 
-    def test_cli_sweep_over_two_ks_hashes_once_per_batch(self, kdfh_calls, tmp_path):
+    def test_cli_sweep_over_two_ks_hashes_each_batch_once_per_k(self, kdfh_calls, tmp_path):
         import contextlib
         import io
 
@@ -1167,9 +1167,11 @@ class TestHashGroups:
                 "--sweep_ks=2,3", "--sweep_gss=1,2"]
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(args) == 0
-        hashed = [id(b) for b in kdfh_calls]
         # 1400 training steps in windows of 96 + 16 at stride 16: 81 windows
-        assert len(hashed) == len(set(hashed)) == math.ceil(81 / 8)
+        n_batches = math.ceil(81 / 8)
+        hashed = [id(b) for b in kdfh_calls]
+        assert len(hashed) == 2 * n_batches
+        assert len(set(hashed)) == n_batches
 
 
 class TestPredictFull:
