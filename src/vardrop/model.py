@@ -17,14 +17,16 @@ size changes the speed, never the bits.
 
 No ``N' x N'`` array is ever normalised: as in FlashAttention (Dao et al.,
 2022), attention divides the ``N' x d_k`` context by the exponentials' row
-sums, and its backward needs no second square array. Softmax is the same
-for any shift of a row, so a window whose Q and K norms bound its scores
-within ``_SCORE_LIMIT`` exponentiates them unshifted. A chunk holding any
-other window checks its scores for finiteness and shifts that window by
-its row max and each small window by 0.0, which changes no bit: like the
-chunk size, the guard never lets one window's bits depend on another's.
+sums, and its backward builds the score gradient in the exponentials' place,
+a block of rows at a time, so a training step holds one square array per
+window. Softmax is the same for any shift of a row, so a window whose Q
+and K norms bound its scores within ``_SCORE_LIMIT`` exponentiates them
+unshifted. A chunk holding any other window checks its scores for
+finiteness and shifts that window by its row max and each small window by
+0.0, which changes no bit: like the chunk size, the guard never lets one
+window's bits depend on another's.
 Only the rounding differs from the textbook softmax, in forward and in
-backward, and one overflow rule covers both (see ``_SCORE_LIMIT``).
+backward, and ``_SCORE_LIMIT`` bounds how much sooner either can overflow.
 
 All math is explicit numpy so gradients can be checked against finite
 differences; there is no framework underneath. One attention block, no
@@ -69,6 +71,12 @@ from .spectral import kdfh
 # _chunk_size gives 9, 7, 4, 2, 1 and 1 windows at these widths.
 _CHUNK_BUDGET = 2**18
 
+# Float64 values of one block of rows of g V^T in backward (2 MiB). It is
+# fixed, not the chunk budget, so the rows per block depend on N' alone and
+# the chunk size never changes the bits. Every N' <= 512 is one block, one
+# gemm per window; more blocks can move the last bits of g V^T.
+_BACKWARD_BLOCK = 2**18
+
 # A window may exponentiate its raw scores, unchecked and unshifted, when
 # they are provably small. By Cauchy-Schwarz each score s = q.k / sqrt(d_k)
 # obeys |s| <= b, the largest scaled query norm times the largest key norm
@@ -76,12 +84,15 @@ _CHUNK_BUDGET = 2**18
 # a square that overflows is inf, and inf or NaN fails the guard. With
 # b <= _SCORE_LIMIT = 64, every entry of E lies within e^(+-64) = 2^(+-92.3),
 # far inside float64's normal range, and a row sum of N' < 2^931 of them is
-# finite. One overflow rule then covers forward and backward: an unshifted
-# row of E is e^m times the shifted one, m the row max, |m| <= 64, so any
-# product with E or with 1 / rowsum(E), E V forward and g V^T backward
-# (g = dC / rowsum(E)), can overflow at most e^64 = 2^92.3 sooner than with
-# the shift. Forward's context check catches it, and a step built from
-# non-finite gradients fails the next forward's checks.
+# finite. An unshifted row of E is e^m times the shifted one, m the row
+# max, |m| <= 64, so forward's E V can overflow at most e^64 = 2^92.3 sooner
+# than with the shift, and the context check catches it. A shifted row sum
+# lies in [1, N']; backward scales each window's row sums by the power of two
+# 2^p that lifts the smallest into [1, 2), so g = dC / rowsum(E) and g V^T
+# are at most N' times the shifted path's and overflow within log2(N') + 1
+# powers of two of it. Scaling dV, dQ and dK back by 2^p is exact (short of
+# subnormals), and a step built from non-finite gradients fails the next
+# forward's checks.
 _SCORE_LIMIT = 64.0
 
 __all__ = [
@@ -160,7 +171,9 @@ class AttentionFragment:
 class ForwardTrace(AttentionFragment):
     """One forward pass over a stack of windows: gathered rows and targets,
     attention, the head's mixed tokens ``context @ w_out``, predictions, and
-    each window's loss (``losses[i]``)."""
+    each window's loss (``losses[i]``). ``backward`` consumes ``exp_scores``:
+    afterwards it holds the score gradient (see ``backward``), so ``weights``
+    no longer reads the softmax. Every other array stays as forward made it."""
 
     rows: np.ndarray
     target: np.ndarray
@@ -339,8 +352,17 @@ def backward(trace: ForwardTrace, params: ModelParams) -> ModelParams:
     the gradient of ``trace.losses[i]``. With ``g = dC / rowsum(E)``, the
     softmax backward is ``dV = E^T g`` and ``dS = E * (g V^T - rowsum(g * C))``
     (as ``rowsum(dW * W) = rowsum(dC * C)``), with the ``1/sqrt(d_k)`` score
-    scale folded into the query/key gradients. The one ``N' x N'`` array per
-    window holds ``g V^T`` and becomes ``dS`` in place; no trace array is written.
+    scale folded into the query/key gradients. Each window's row sums are
+    scaled by the power of two ``2^p`` that lifts the smallest into ``[1, 2)``
+    first, and ``dV``, ``dQ`` and ``dK`` are scaled back by it, which is exact
+    and keeps ``g V^T`` within ``N'`` times the shifted path's (see
+    ``_SCORE_LIMIT``).
+
+    ``backward`` consumes ``trace.exp_scores``, the one ``N' x N'`` array per
+    window: ``dS`` is built in its place, ``_BACKWARD_BLOCK`` values of
+    ``g V^T`` at a time, and afterwards it holds each window's ``dS / 2^p``.
+    Every other trace array is left untouched. A trace goes through
+    ``backward`` once.
     """
     d_pred = 2.0 * (trace.predictions - trace.target) / trace.predictions[0].size
 
@@ -349,15 +371,26 @@ def backward(trace: ForwardTrace, params: ModelParams) -> ModelParams:
     d_mixed = d_pred @ params.w_head.T
 
     d_w_out = _mt(trace.context) @ d_mixed
-    d_context = d_mixed @ params.w_out.T
+    g = d_mixed @ params.w_out.T  # dC, divided in place below
+    del d_pred, d_mixed  # the N' x N' pass runs beside as few arrays as it can
 
-    g = d_context / trace.row_sums
+    # scale each window's row sums by 2^p, so that its smallest lies in [1, 2)
+    exponent = np.frexp(trace.row_sums.min(axis=1, keepdims=True))[1]
+    up = np.ldexp(1.0, np.maximum(0, 1 - exponent))
+    g /= trace.row_sums * up
     d_values = _mt(trace.exp_scores) @ g
-    d_scores = g @ _mt(trace.values)
-    d_scores -= (g * trace.context).sum(axis=-1, keepdims=True)
-    d_scores *= trace.exp_scores
+    d_values *= up
+    inner = (g * trace.context).sum(axis=-1, keepdims=True)
+    d_scores = trace.exp_scores
+    step = max(1, _BACKWARD_BLOCK // d_scores.shape[-1])
+    for start in range(0, d_scores.shape[1], step):
+        block = slice(start, start + step)
+        part = g[:, block] @ _mt(trace.values)
+        part -= inner[:, block]
+        d_scores[:, block] *= part
+        del part  # before the next block's product is made
 
-    scale = 1.0 / math.sqrt(params.attn_dim)
+    scale = 1.0 / math.sqrt(params.attn_dim) * up
     d_queries = d_scores @ trace.keys * scale
     d_keys = _mt(d_scores) @ trace.queries * scale
 
@@ -599,6 +632,8 @@ def train_epoch(
             for name, total in grad_sums.items():
                 for window_grad in getattr(grads, name):
                     total += window_grad
+            # the next chunk's forward must not run beside this chunk's E
+            del trace, grads
         mean_grads = ModelParams(
             **{name: total / batch.size for name, total in grad_sums.items()}
         )

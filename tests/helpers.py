@@ -182,20 +182,28 @@ def textbook_attention(tokens, params):
     return weights, weights @ values
 
 
-def query_key_gradients_out_of_place(trace, params):
-    """``backward``'s query and key weight gradients for a ``ForwardTrace``,
-    with ``dS = E * (g V^T - rowsum(g * C))`` for ``g = dC / rowsum(E)`` out of
-    place and the library's other steps."""
+def score_gradients_out_of_place(trace, params):
+    """``backward``'s score gradient and query and key weight gradients for a
+    ``ForwardTrace``, each step a fresh array and ``g V^T`` one gemm per window.
+
+    Each window's row sums are scaled by ``2^p``, ``p = max(0, 1 - e)`` for
+    ``e`` the ``frexp`` exponent of its smallest row sum; then
+    ``g = dC / (rowsum(E) 2^p)`` and ``dS = E * (g V^T - rowsum(g * C))``,
+    which is the score gradient over ``2^p``, as ``backward`` leaves it in
+    ``trace.exp_scores``. The weight gradients are scaled back by ``2^p``.
+    """
     d_pred = 2.0 * (trace.predictions - trace.target) / trace.predictions[0].size
     d_context = (d_pred @ params.w_head.T) @ params.w_out.T
-    g = d_context / trace.row_sums
+    smallest = np.min(trace.row_sums, axis=1, keepdims=True)
+    up = 2.0 ** np.maximum(0, 1 - np.frexp(smallest)[1])
+    g = d_context / (trace.row_sums * up)
     inner = np.sum(g * trace.context, axis=-1, keepdims=True)
     d_scores = trace.exp_scores * (g @ np.swapaxes(trace.values, -1, -2) - inner)
-    scale = 1.0 / math.sqrt(params.attn_dim)
+    scale = up / math.sqrt(params.attn_dim)
     d_queries = d_scores @ trace.keys * scale
     d_keys = np.swapaxes(d_scores, -1, -2) @ trace.queries * scale
     tokens_t = np.swapaxes(trace.tokens, -1, -2)
-    return tokens_t @ d_queries, tokens_t @ d_keys
+    return d_scores, tokens_t @ d_queries, tokens_t @ d_keys
 
 
 def window_loss_and_gradients(rows, target, p, textbook=False):

@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vardrop.model as model
@@ -43,8 +43,8 @@ from helpers import (
     matmul_loops,
     max_rel_error,
     numeric_gradients,
-    query_key_gradients_out_of_place,
     reference_train_epoch,
+    score_gradients_out_of_place,
     scores_are_small,
     softmax_attention_out_of_place,
     textbook_attention,
@@ -389,6 +389,8 @@ class TestInPlaceSoftmax:
         spread=st.sampled_from([0.01, 1.0, 30.0]),
         seed=st.integers(min_value=0, max_value=2**16),
     )
+    # three windows whose row sums backward scales by 2^13, 2^3 and 2^0
+    @example(c=3, n=1, lookback=6, horizon=2, embed_dim=2, attn_dim=2, spread=30.0, seed=63676)
     def test_same_bits_and_inputs_untouched(self, c, n, lookback, horizon, embed_dim,
                                             attn_dim, spread, seed):
         rng = np.random.default_rng(seed)
@@ -405,12 +407,15 @@ class TestInPlaceSoftmax:
         npt.assert_array_equal(frag.row_sums, row_sums)
         npt.assert_array_equal(frag.context, context)
 
+        # backward turns exp_scores into dS (over 2^p) and writes no other field
         trace = forward(data, target, p, range(n))
         before = {f.name: getattr(trace, f.name).copy() for f in fields(trace)}
+        d_scores, d_w_query, d_w_key = score_gradients_out_of_place(trace, p)
         grads = backward(trace, p)
         for name, array in before.items():
-            npt.assert_array_equal(getattr(trace, name), array, err_msg=name)
-        d_w_query, d_w_key = query_key_gradients_out_of_place(trace, p)
+            if name != "exp_scores":
+                npt.assert_array_equal(getattr(trace, name), array, err_msg=name)
+        npt.assert_array_equal(trace.exp_scores, d_scores)
         npt.assert_array_equal(grads.w_query, d_w_query)
         npt.assert_array_equal(grads.w_key, d_w_key)
 
@@ -450,23 +455,65 @@ class TestInPlaceSoftmax:
                 npt.assert_allclose(getattr(grads, name)[i], array, rtol=1e-9,
                                     atol=1e-11 * scale, err_msg=name)
 
+    @pytest.mark.parametrize("n", [600, 862])
+    def test_several_blocks_match_the_textbook_and_keep_the_bits(self, n):
+        # 2**18 // n rows per block of g V^T: 436 rows at n = 600 (two
+        # blocks) and 304 at n = 862 (three), each ending in a short block.
+        # The second window's scores are large, so the chunk holds both branches.
+        rows = model._BACKWARD_BLOCK // n
+        assert rows < n and n % rows
+        rng = np.random.default_rng(n)
+        data = np.array([1.0, 30.0])[:, None, None] * rng.normal(size=(2, n, 6))
+        target = rng.normal(size=(2, n, 3))
+        p = initialize_params(6, 3, 8, 4, seed=n)
+        trace = forward(data, target, p, range(n))
+        small = scores_are_small(trace.queries / math.sqrt(4), trace.keys)
+        npt.assert_array_equal(small, [True, False])
+        grads = backward(trace, p)
+        for i in range(2):
+            alone = backward(forward(data[i : i + 1], target[i : i + 1], p, range(n)), p)
+            _, want = window_loss_and_gradients(data[i], target[i], p, textbook=True)
+            scale = max(np.max(np.abs(array)) for array in want.values())
+            for name, array in want.items():
+                got = getattr(grads, name)[i]
+                npt.assert_array_equal(got, getattr(alone, name)[0], err_msg=name)
+                npt.assert_allclose(got, array, rtol=1e-9, atol=1e-11 * scale, err_msg=name)
+
     def test_backward_holds_one_square_array(self):
-        # g V^T becomes dS in place and the other temporaries are N' x d-sized:
-        # 11.7 MB at this size, against 8 MB for one N' x N' array
+        # dS is built in E's place a block of rows at a time, and the other
+        # temporaries are N' x d-sized: 2.7 MB at this size, against 8 MB for
+        # one N' x N' array
         n = 1000
         rng = np.random.default_rng(41)
         p = initialize_params(96, 96, 64, 32, seed=41)
-        trace = forward(
-            rng.normal(size=(1, n, 96)), rng.normal(size=(1, n, 96)), p, range(n)
-        )
-        backward(trace, p)  # first-call caches are not the step's memory
+        data, target = rng.normal(size=(1, n, 96)), rng.normal(size=(1, n, 96))
+        backward(forward(data, target, p, range(n)), p)  # first-call caches
+        trace = forward(data, target, p, range(n))
         tracemalloc.start()
         try:
             backward(trace, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.6 * n * n * 8
+        assert peak < 1.0 * n * n * 8
+
+    def test_a_dense_step_holds_one_square_array(self):
+        # one window per chunk at this width; each chunk's trace, E included
+        # (8 MB), is freed before the next forward, so a step peaks at 15.3 MB
+        n = 1000
+        rng = np.random.default_rng(42)
+        p = initialize_params(96, 96, 64, 32, seed=42)
+        batch = WindowBatch(rng.normal(size=(3, n, 96)), rng.normal(size=(3, n, 96)))
+        cfg = TrainSettings(vardrop_on=False)
+        assert model._chunk_size(n, p) == 1
+        train_epoch([batch], p, cfg)  # first-call caches
+        tracemalloc.start()
+        try:
+            train_epoch([batch], p, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * n * n * 8
 
     @pytest.mark.parametrize(
         "w_query, w_key",
@@ -621,13 +668,14 @@ class TestShiftGuard:
                     break
         assert 60 <= first_inf["shift"] - first_inf["guard"] <= 64 / math.log(2)
 
-    def test_backward_overflows_at_most_e64_earlier(self):
+    def test_backward_overflows_where_the_shift_does(self):
         # Every score of this window is near -60, inside the score limit, so
-        # its unshifted row sums are e^-60 times the shifted ones. backward's
-        # g = dC / rowsum(E), and with it the N' x N' g V^T, is e^60 times
-        # larger: the gradients equal the shifted ones to rounding, but
-        # overflow at a |dC| about 2^80 smaller. A row max m within the score
-        # limit makes that factor e^-m, never more than e^64 (2^92.3).
+        # its unshifted row sums are e^-60 times the shifted ones. backward
+        # scales each window's row sums by the power of two 2^p that lifts
+        # the smallest into [1, 2), so g = dC / rowsum(E) and the N' x N'
+        # g V^T are at most N' times the shifted path's, not e^60: the
+        # gradients equal the shifted ones to rounding and overflow within
+        # log2(N') + 1 powers of two of where the shift does.
         n, horizon = 5, 2
         p = initialize_params(8, horizon, 4, 4, seed=5)
         a = math.sqrt(30.0)  # tokens near (1, 1, 1, 1): scores -a^2 * 4 / 2
@@ -648,26 +696,25 @@ class TestShiftGuard:
         first_inf = {}
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1024):  # dC grows with the target's magnitude 2^k
+                # backward consumes a trace's exp_scores, so each side gets its own
                 trace = forward(rows, np.full((1, n, horizon), -(2.0**k)), p, range(n))
                 if k == 0:
                     scaled = trace.queries / math.sqrt(4)
                     assert scores_are_small(scaled, trace.keys)[0]
                     assert np.all(trace.exp_scores < math.exp(-59))
-                for side, grads in (("guard", backward(trace, p)),
-                                    ("shift", backward(shifted(trace), p))):
-                    finite = all(np.all(np.isfinite(getattr(grads, f.name)))
-                                 for f in fields(grads))
-                    if not finite:
+                grads = {"shift": backward(shifted(trace), p), "guard": backward(trace, p)}
+                for side, side_grads in grads.items():
+                    if not all(np.all(np.isfinite(getattr(side_grads, f.name)))
+                               for f in fields(side_grads)):
                         first_inf.setdefault(side, k)
-                    elif side == "shift" and "guard" not in first_inf:
-                        guarded = backward(trace, p)
-                        for f in fields(grads):
-                            want = getattr(grads, f.name)
-                            npt.assert_allclose(getattr(guarded, f.name), want, rtol=0,
-                                                atol=1e-10 * np.max(np.abs(want)))
+                if not first_inf:
+                    for f in fields(ModelParams):
+                        want = getattr(grads["shift"], f.name)
+                        npt.assert_allclose(getattr(grads["guard"], f.name), want, rtol=0,
+                                            atol=1e-10 * np.max(np.abs(want)))
         # the shift overflows only where d_pred itself does, at 2^1023
         assert first_inf["shift"] == 1023
-        assert 60 <= first_inf["shift"] - first_inf["guard"] <= 64 / math.log(2)
+        assert abs(first_inf["shift"] - first_inf["guard"]) <= math.log2(n) + 1
 
 
 class TestSgdStep:
