@@ -1,7 +1,7 @@
 """Command-line runner: config handling, subcommands, report emission.
 
-Subcommands: synth, hash, reduce, analyze, train, sweep. Each is a
-thin composition over the library modules; no numerical logic lives here.
+Subcommands: synth, hash, train, sweep. Each is a thin composition over
+the library modules; no numerical logic lives here.
 A sweep cell is the train run with that cell's k and gs: both go through
 one private run function, the package's one epoch loop.
 
@@ -28,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import pearson_matrix, redundancy_profile
 from .dataset import (
     SeriesTable,
     SplitSpec,
@@ -54,7 +53,6 @@ from .model import (
     count_flops,
     hash_groups,
     initialize_params,
-    plan_batch,
     train_epoch,
     validation_loss,
 )
@@ -94,7 +92,6 @@ class RunConfig(TrainSettings):
     train_frac: float = 0.7
     val_frac: float = 0.1
     test_frac: float = 0.2
-    corr_threshold: float = 0.9
     sweep_ks: tuple[int, ...] = (2, 3, 4, 5)
     sweep_gss: tuple[int, ...] = (1, 5, 10, 15)
 
@@ -126,8 +123,6 @@ class RunConfig(TrainSettings):
         require("synth_sigma", 0 <= sigma < np.inf, "[0, inf)", sigma)
         require("synth_length", self.synth_length >= 1, "[1, inf)", self.synth_length)
         _split_spec(self)  # checks the split fractions
-        corr = self.corr_threshold
-        require("corr_threshold", -1.0 <= corr <= 1.0, "[-1, 1]", corr)
         # a sweep checks each (k, gs) cell against epsilon before training any
         for key in ("sweep_ks", "sweep_gss"):
             values = getattr(self, key)
@@ -310,18 +305,15 @@ def _batches(table: SeriesTable, config: RunConfig, horizon: int = 0):
     return batch_windows(windows, config.B)
 
 
-def _require_split(name: str, split: SeriesTable, span: str, length: int) -> None:
-    if split.length < length:
-        raise ParameterError(
-            f"T: {name} split of length {split.length} is shorter than {span}={length}"
-        )
-
-
 def _split_batches(table: SeriesTable, config: RunConfig):
     require("H", config.H >= 1, "[1, inf) for training", config.H)
     train, val, _ = chronological_split(table, _split_spec(config))
-    _require_split("training", train, "T+H", config.T + config.H)
-    _require_split("validation", val, "T+H", config.T + config.H)
+    span = config.T + config.H
+    for name, split in (("training", train), ("validation", val)):
+        if split.length < span:
+            raise ParameterError(
+                f"T: {name} split of length {split.length} is shorter than T+H={span}"
+            )
     return _batches(train, config, config.H), _batches(val, config, config.H)
 
 
@@ -367,52 +359,10 @@ def _cmd_hash(config: RunConfig, out: Path) -> None:
 
 def _reduction_stats(plans) -> tuple[float, float, float]:
     """Mean and population standard deviation (divide by n) of the kept-token
-    counts, and the mean delta, over one ``(tokens, delta)`` pair per plan."""
+    counts, and the mean delta, over one ``(tokens, delta)`` pair per batch."""
     tokens, deltas = zip(*plans)
     counts = np.array(tokens, dtype=np.float64)
     return float(counts.mean()), float(counts.std()), float(np.mean(deltas, dtype=np.float64))
-
-
-def _cmd_reduce(config: RunConfig, out: Path) -> None:
-    table = _load_table(config)
-    batches = _batches(table, config)
-    plans = [plan_batch(batch, config, 0, i) for i, batch in enumerate(batches)]
-    rows = [[i, len(plan.retained), plan.delta] for i, plan in enumerate(plans)]
-    _write_csv_rows(out / "reduction.csv", ["iteration", "tokens_used", "delta"], rows)
-    first = plans[0]
-    payload = {
-        "gs": config.gs,
-        "seed": first.seed,
-        "retained": list(first.retained),
-        "delta": first.delta,
-        "per_group": {key: list(idx) for key, idx in first.per_group.items()},
-    }
-    _write_text(out / "report.json", canonical_json(payload))
-    mean_tokens, std_tokens, mean_delta = _reduction_stats(
-        (len(p.retained), p.delta) for p in plans
-    )
-    print(
-        f"reduce: {len(plans)} iterations, mean tokens "
-        f"{_fmt(mean_tokens)} +- {_fmt(std_tokens)}, mean delta {_fmt(mean_delta)}"
-    )
-
-
-def _cmd_analyze(config: RunConfig, out: Path) -> None:
-    table = _load_table(config)
-    train, _, _ = chronological_split(table, _split_spec(config))
-    _require_split("training", train, "T", config.T)
-    rho = pearson_matrix(train.values[:, -config.T :])
-    _write_csv_rows(out / "corr_matrix.csv", list(table.names), [list(row) for row in rho])
-    profile = redundancy_profile(rho, config.corr_threshold)
-    # rounding can put a duplicate variate's correlation just past 1, and
-    # np.histogram drops values outside its range
-    max_corr = np.clip(profile.max_corr, -1.0, 1.0)
-    counts, edges = np.histogram(max_corr, bins=40, range=(-1.0, 1.0))
-    _write_csv_rows(out / "redundancy.csv", ["bin", "count"], list(zip(edges, counts)))
-    print(
-        f"analyze: strong_frac {_fmt(profile.strong_frac)} at threshold "
-        f"{_fmt(config.corr_threshold)}"
-    )
 
 
 def _train_run(config: RunConfig, train_batches, val_batches, on_epoch=None):
@@ -505,11 +455,6 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
             for m in all_metrics
         ],
     )
-    _write_csv_rows(
-        out / "reduction.csv",
-        ["iteration", "tokens_used", "delta"],
-        [[i, m.tokens_used, m.delta] for i, m in enumerate(all_metrics)],
-    )
     _write_hashes(config, train_batches[0], out)
     _write_text(out / "timing.txt", "\n".join(timing_lines) + "\n")
     _write_text(out / "report.json", report_text)
@@ -540,8 +485,6 @@ def _cmd_sweep(config: RunConfig, out: Path) -> None:
 _COMMANDS = {
     "synth": _cmd_synth,
     "hash": _cmd_hash,
-    "reduce": _cmd_reduce,
-    "analyze": _cmd_analyze,
     "train": _cmd_train,
     "sweep": _cmd_sweep,
 }
@@ -552,7 +495,7 @@ _OVERRIDE_RE = re.compile(r"^--([A-Za-z_][A-Za-z_0-9]*)=(.*)$", re.DOTALL)
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="vardrop",
-        description="Variate-token reduction pipeline: hash, sample, train, analyze.",
+        description="Variate-token reduction pipeline: synth, hash, train, sweep.",
     )
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("-c", "--config", help="key=value config file")

@@ -343,21 +343,6 @@ def adjusted_rand_index(labels_a, labels_b):
     return (sum_cells - expected) / (maximum - expected)
 
 
-def pearson_pair(x, y):
-    """Textbook two-pass Pearson correlation of two sequences."""
-    x = [float(v) for v in x]
-    y = [float(v) for v in y]
-    n = len(x)
-    mx = sum(x) / n
-    my = sum(y) / n
-    cov = sum((a - mx) * (b - my) for a, b in zip(x, y))
-    vx = sum((a - mx) ** 2 for a in x)
-    vy = sum((b - my) ** 2 for b in y)
-    if vx == 0.0 or vy == 0.0:
-        return 0.0
-    return cov / math.sqrt(vx * vy)
-
-
 def dict_grouping(bins):
     """Reference grouping: a dict of row tuples, sorted by tuple key.
 

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import vardrop
-from vardrop import analysis, dataset, errors, model, reduction, spectral
+from vardrop import dataset, errors, model, reduction, spectral
 
-MODULES = (dataset, spectral, reduction, model, analysis, errors)
+MODULES = (dataset, spectral, reduction, model, errors)
 
 
 def test_errors_exports_every_error_class():
@@ -153,10 +153,6 @@ RANGE_ERRORS = {
     "synth_seed": (
         lambda: vardrop.synth_redundant_detail(4, 2, 50, 0.0, seed=-1, period=10),
         "seed: must be in [0, inf), got -1",
-    ),
-    "redundancy_profile": (
-        lambda: vardrop.redundancy_profile(vardrop.pearson_matrix(np.eye(2)), 1.5),
-        "threshold: must be in [-1, 1], got 1.5",
     ),
     "validation_loss": (
         lambda: vardrop.validation_loss(_params(), []),

@@ -15,7 +15,6 @@ from vardrop import (
     NumericError,
     ParameterError,
     ParseError,
-    RedundancyProfile,
     TrainSettings,
     count_flops,
 )
@@ -121,7 +120,6 @@ CONFIG_RANGE_ERRORS = [
     ("train_frac", "-0.1", -0.1, "train_frac: must be in [0, 1], got -0.1"),
     ("val_frac", "1.5", 1.5, "val_frac: must be in [0, 1], got 1.5"),
     ("test_frac", "-0.2", -0.2, "test_frac: must be in [0, 1], got -0.2"),
-    ("corr_threshold", "1.5", 1.5, "corr_threshold: must be in [-1, 1], got 1.5"),
     ("sweep_ks", ",", (), "sweep_ks: must be in non-empty lists, got ()"),
     ("sweep_ks", "0", (0,), "sweep_ks: must be in [1, inf) per entry, got 0"),
     ("sweep_gss", "", (), "sweep_gss: must be in non-empty lists, got ()"),
@@ -305,86 +303,14 @@ class TestMain:
         assert payload["k"] == 3
         assert "2 variates -> 2 groups" in capsys.readouterr().out
 
-    def test_reduce_report_schema(self, tmp_path):
-        out = tmp_path / "o"
-        code = main([
-            "reduce", "-o", str(out),
-            "--synth_n=12", "--synth_g=3", "--synth_length=192",
-            "--T=96", "--gs=2", "--seed=4",
-        ])
-        assert code == 0
-        report = json.loads((out / "report.json").read_text())
-        assert set(report) == {"gs", "seed", "retained", "delta", "per_group"}
-        assert report["gs"] == 2
-        assert len(report["retained"]) == 6
-        assert report["delta"] == 0.5
-        assert all(len(v) == 2 for v in report["per_group"].values())
-        rows = (out / "reduction.csv").read_text().splitlines()
-        assert rows[0] == "iteration,tokens_used,delta"
-        assert rows[1].startswith("0,6,0.5")
-
-    def test_dense_reduce_reports_the_plan_train_uses(self, tmp_path):
-        out = tmp_path / "o"
-        code = main([
-            "reduce", "-o", str(out), "--synth_n=12", "--synth_g=3",
-            "--synth_length=400", "--T=96", "--B=8", "--gs=2", "--seed=4",
-            "--vardrop_on=false",
-        ])
-        assert code == 0
-        rows = (out / "reduction.csv").read_text().splitlines()[1:]
-        assert len(rows) > 1
-        for row in rows:
-            _, tokens, delta = row.split(",")
-            assert int(tokens) == 12
-            assert float(delta) == 0.0
-        report = json.loads((out / "report.json").read_text())
-        assert report["retained"] == list(range(12))
-        assert report["delta"] == 0
-        assert report["per_group"] == {}
-
-    def test_analyze_artifacts(self, tmp_path, capsys):
-        out = tmp_path / "o"
-        code = main([
-            "analyze", "-o", str(out),
-            "--synth_n=8", "--synth_g=2", "--synth_length=300",
-            "--T=48", "--epsilon=24", "--seed=2",
-        ])
-        assert code == 0
-        corr = (out / "corr_matrix.csv").read_text().splitlines()
-        assert corr[0] == "v000,v001,v002,v003,v004,v005,v006,v007"
-        assert len(corr) == 9
-        hist = (out / "redundancy.csv").read_text().splitlines()
-        assert hist[0] == "bin,count"
-        assert len(hist) == 41
-        counts = [int(line.split(",")[1]) for line in hist[1:]]
-        assert sum(counts) == 8
-        assert {p.name for p in out.iterdir()} == {
-            "config.echo", "corr_matrix.csv", "redundancy.csv",
-        }
-        assert capsys.readouterr().out == "analyze: strong_frac 1 at threshold 0.9\n"
-
-    def test_analyze_bins_edges_into_the_bin_they_open(self, tmp_path, monkeypatch):
-        # -0.9, -0.8 and -0.55 open bins 2, 4 and 9; 1.0 closes the last bin,
-        # as does a duplicate variate's correlation rounded just past 1
-        max_corr = (-0.9, -0.8, -0.55, 0.0, 1.0, -1.0, 1.0000000000000007)
-        profile = RedundancyProfile(max_corr=max_corr, strong_frac=0.0)
-        monkeypatch.setattr("vardrop.cli.redundancy_profile", lambda *args: profile)
-        assert main(["analyze", "-o", str(tmp_path), "--synth_n=7", "--synth_g=2"]) == 0
-        rows = (tmp_path / "redundancy.csv").read_text().splitlines()[1:]
-        counts = [int(row.split(",")[1]) for row in rows]
-        assert {i: c for i, c in enumerate(counts) if c} == {
-            0: 1, 2: 1, 4: 1, 9: 1, 20: 1, 39: 2,
-        }
-        assert rows[2] == "-0.9,1"
-
     def test_train_artifacts(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(["train", "-o", str(out)] + TINY_TRAIN)
         assert code == 0
-        for name in ("config.echo", "metrics.csv", "reduction.csv",
-                     "hashes.json", "report.json", "checkpoint.npz",
-                     "timing.txt"):
-            assert (out / name).exists(), name
+        assert {p.name for p in out.iterdir()} == {
+            "config.echo", "metrics.csv", "hashes.json", "report.json",
+            "checkpoint.npz", "timing.txt",
+        }
         metrics = (out / "metrics.csv").read_text().splitlines()
         assert metrics[0] == "epoch,batch,loss,tokens_used,delta,flops"
         report = json.loads((out / "report.json").read_text())
@@ -412,8 +338,8 @@ class TestMain:
         echo_off = (out_off / "config.echo").read_text().splitlines()
         diff = set(echo_on) ^ set(echo_off)
         assert diff == {"vardrop_on=true", "vardrop_on=false"}
-        for line in (out_off / "reduction.csv").read_text().splitlines()[1:]:
-            _, tokens, delta = line.split(",")
+        for line in (out_off / "metrics.csv").read_text().splitlines()[1:]:
+            _, _, _, tokens, delta, _ = line.split(",")
             assert tokens == "8"
             assert float(delta) == 0.0
         on_report = json.loads((out_on / "report.json").read_text())
@@ -471,8 +397,8 @@ class TestMain:
         out_b = tmp_path / "b"
         assert main(["train", "-o", str(out_a)] + TINY_TRAIN) == 0
         assert main(["train", "-o", str(out_b)] + TINY_TRAIN) == 0
-        for name in ("config.echo", "metrics.csv", "reduction.csv",
-                     "hashes.json", "report.json", "checkpoint.npz"):
+        for name in ("config.echo", "metrics.csv", "hashes.json", "report.json",
+                     "checkpoint.npz"):
             assert read(out_a / name) == read(out_b / name), name
 
     def test_sweep_csv(self, tmp_path):
@@ -572,6 +498,18 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err.startswith(f"error [validation]: {key}:")
 
+    @pytest.mark.parametrize("source", ["override", "config file"])
+    def test_dropped_corr_threshold_is_an_unknown_key(self, tmp_path, capsys, source):
+        # no subcommand reads corr_threshold, so it is refused like any unknown key
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("corr_threshold=0.9\n")
+        args = ["--corr_threshold=0.9"] if source == "override" else ["-c", str(cfg)]
+        code = main(["hash", "-o", str(tmp_path / "o"), *args])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error [validation]: unknown config key(s): corr_threshold\n"
+        )
+
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\nx,4\n")
@@ -670,13 +608,6 @@ class TestExitCodes:
             "error [validation]: sweep_ks: must be in non-empty lists, got ()\n"
         )
 
-    def test_analyze_split_shorter_than_t(self, tmp_path, capsys):
-        code = main(["analyze", "-o", str(tmp_path / "o"), "--synth_length=120"])
-        assert code == 3
-        assert capsys.readouterr().err == (
-            "error [validation]: T: training split of length 84 is shorter than T=96\n"
-        )
-
     def test_numeric_error(self, tmp_path, capsys):
         code = main(
             ["train", "-o", str(tmp_path / "o")] + TINY_TRAIN
@@ -729,7 +660,7 @@ class TestExitCodes:
         assert calls == []
 
     @pytest.mark.parametrize(
-        "command", ["synth", "hash", "reduce", "analyze", "train", "sweep"]
+        "command", ["synth", "hash", "train", "sweep"]
     )
     def test_negative_seed_is_validation_error(self, tmp_path, capsys, command):
         code = main([command, "-o", str(tmp_path / "o"), "--seed=-1"])
@@ -737,7 +668,7 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error [validation]: seed:")
 
     @pytest.mark.parametrize(
-        "command", ["synth", "hash", "reduce", "analyze", "train", "sweep"]
+        "command", ["synth", "hash", "train", "sweep"]
     )
     def test_short_synthetic_period_names_t(self, tmp_path, capsys, command):
         # the synthetic period is T, so the error names T, not period

@@ -4,13 +4,13 @@ The byte-determinism check (a11) compares two runs inside one process, so it
 cannot notice output that drifts from one version of the package to the
 next. This file pins the sha256 of every artifact the subcommands write for
 one seeded config, ``timing.txt`` excepted (wall clock), and of ``train``
-and ``analyze`` run again on the CSV the ``synth`` run writes. A refactor
-must keep every digest. A deliberate numeric change refreshes the digests below and
-names the changed artifacts in CHANGES.md.
+run again on the CSV the ``synth`` run writes. A refactor must keep every
+digest. A deliberate numeric change refreshes the digests below and names
+the changed artifacts in CHANGES.md.
 
-Float artifacts that pass through a BLAS call are pinned for one CPU kernel
-only. The rest are pinned for every kernel, and one test reruns the config
-under a second OpenBLAS core to check them.
+The trained weights in ``checkpoint.npz`` are pinned for one CPU kernel
+only. Every other artifact is pinned for every kernel, and one test reruns
+the config under a second OpenBLAS core to check them.
 """
 
 import contextlib
@@ -47,20 +47,16 @@ CONFIG = [
 RUNS = {
     "synth": ["synth"],
     "hash": ["hash"],
-    "reduce": ["reduce"],
-    "analyze": ["analyze"],
     "train": ["train"],
     "dense": ["train", "--vardrop_on=false"],
     "sweep": ["sweep", "--sweep_ks=2,3", "--sweep_gss=1,2", "--epochs=1"],
     # the CSV ingest path, on the table the synth run writes; the path is
     # relative to the output root so config.echo does not name a temp dir
     "csv_train": ["train", "--data=synth/data.csv"],
-    "csv_analyze": ["analyze", "--data=synth/data.csv"],
 }
 
-ECHO = "a5774a60e2b0c6981f67760eae7143c7f0f68dcc23edd6554d64dc289578cfd8"
+ECHO = "e83849d7ee32cd9e547daf83a115e053b35794b3297bb930ee9df188e7f94a72"
 HASHES = "4d689de3a52c0e640e0f2c40ca3d914481bb203a2b94d87229dcaf9d9ce7481f"
-CSV_ECHO = "5eaa833c161fe1a663992d159cfe0d594592985ca13e12b8024196e2fc37b9f2"
 
 GOLDEN = {
     "synth/config.echo": ECHO,
@@ -68,46 +64,30 @@ GOLDEN = {
     "synth/labels.json": "9d5ac3b9a3fc3238889f6a785dcecb990c2118fbd0e2aeefc0245af677b7e8c1",
     "hash/config.echo": ECHO,
     "hash/hashes.json": HASHES,
-    "reduce/config.echo": ECHO,
-    "reduce/reduction.csv": "fbe7e31d665191f82e9ea8c29c6ccb603b72daf2ecb5d0e43d6700a11862b8fd",
-    "reduce/report.json": "d1bcebf8e1dbf9e13b8a056433034eedd9ade260b7b6863356ec2394f1e6f90e",
-    "analyze/config.echo": ECHO,
-    "analyze/corr_matrix.csv": "e7465d4bccf315d9ddeb175c8b6fa4b424e59b97287a30779979d176f8b093be",
-    "analyze/redundancy.csv": "9ece649bedd2e3ef465c39b80644e07f5ea1aff42db68c51c202edebe7c871d2",
     "train/config.echo": ECHO,
     "train/hashes.json": HASHES,
     "train/metrics.csv": "2ac4c84d2abfae3886e80b3bbf5fc77e212d251ad1c9f371608ba8633e52fcfb",
-    "train/reduction.csv": "0c83d89a59daba7f70d1695b3bb980024793efa225df2f3e482896a1112d2091",
     "train/report.json": "57f27aa8e69e53acd8d0234b9102978c8897f385eedb2f340685f4db3cae3f31",
     "train/checkpoint.npz": "192f71e8111015a607f7a2b6086a64b8ca9d8546c5b2ca8ba7baec2f2fb56208",
-    "dense/config.echo": "5642a26b313557cb22dc77702853b77c864f1f32e610255e4392e810b125a8a2",
+    "dense/config.echo": "3001b01730ba12ac20de420d895711012d9046536a30b4b9f37b970df0c5ff3b",
     "dense/hashes.json": HASHES,
     "dense/metrics.csv": "0f8976287f1349a5fd8634dccd3969341917cbbeba5ee9c5783bb392cc90bc42",
-    "dense/reduction.csv": "3cc2598c9d843311d154da90eecd38035abb6adb6ee2a2ef603dd64f7466aea5",
     "dense/report.json": "1d89c3bdd6334a27c32e9d954927e07fd1abeb55ab4f64370e7616a367267326",
     "dense/checkpoint.npz": "a1e057e2904b0d556fe3d9d61d2a672ded4dff55a923bd2326dd220f45a0c74f",
-    "sweep/config.echo": "1946a12a7b95fc03716bd9acb887bb108c25e3d78154039325897e1338120f31",
+    "sweep/config.echo": "fd285940c1035b69f02a0b6ff3096b5ef30b3b4ac4bfdec20952fdc097c92f75",
     "sweep/sweep.csv": "cc8d7279b7a2abe80ff7d2c5dce70c3d32389cddb4b4946ca01537e018b57d43",
-    "csv_train/config.echo": CSV_ECHO,
+    "csv_train/config.echo": "51a6d3f1f0bd4393bcc4acdb768150474244d7497b0a3ea0bc450aa74a8d8b54",
     "csv_train/hashes.json": HASHES,
     "csv_train/metrics.csv": "9d1606af3f8a32c7f14ad83f32b9f77c756a6040df03d00318b475f633320455",
-    "csv_train/reduction.csv": "0c83d89a59daba7f70d1695b3bb980024793efa225df2f3e482896a1112d2091",
     "csv_train/report.json": "57f27aa8e69e53acd8d0234b9102978c8897f385eedb2f340685f4db3cae3f31",
     "csv_train/checkpoint.npz": "4f1a5f2c4874a331bba5db6e2ba825d612b28b490411d142ecaefb6a7a1ef6b6",
-    "csv_analyze/config.echo": CSV_ECHO,
-    "csv_analyze/corr_matrix.csv": "7b18162ea8c30f5d849b5c2c5e575ab8102e5fc52ceee57c02a11c2837164e90",
-    "csv_analyze/redundancy.csv": "9ece649bedd2e3ef465c39b80644e07f5ea1aff42db68c51c202edebe7c871d2",
 }
 
 
-# no BLAS call shapes these bytes: the synthetic table, the hashes, the
-# plans and the config echoes
-KERNEL_FREE = sorted(
-    name
-    for name in GOLDEN
-    if name.split("/")[0] in ("synth", "hash", "reduce")
-    or name.split("/")[1] in ("config.echo", "reduction.csv", "hashes.json")
-)
+# every artifact but the trained weights, which keep each bit of the BLAS
+# calls' rounding; metrics, reports and sweep scores print 12 significant
+# digits, which a second core has not moved
+KERNEL_FREE = sorted(name for name in GOLDEN if not name.endswith("/checkpoint.npz"))
 
 
 def run_golden(root: Path) -> dict[str, str]:
