@@ -455,6 +455,11 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
             for m in all_metrics
         ],
     )
+    _write_csv_rows(
+        out / "reduction.csv",
+        ["iteration", "tokens_used", "delta"],
+        [[i, m.tokens_used, m.delta] for i, m in enumerate(all_metrics)],
+    )
     _write_hashes(config, train_batches[0], out)
     _write_text(out / "timing.txt", "\n".join(timing_lines) + "\n")
     _write_text(out / "report.json", report_text)

@@ -303,13 +303,26 @@ class TestMain:
         assert payload["k"] == 3
         assert "2 variates -> 2 groups" in capsys.readouterr().out
 
+    def test_dense_reduce_reports_the_plan_train_uses(self, tmp_path):
+        out = tmp_path / "o"
+        code = main(["train", "-o", str(out)] + TINY_TRAIN + ["--vardrop_on=false"])
+        assert code == 0
+        rows = (out / "reduction.csv").read_text().splitlines()
+        assert rows[0] == "iteration,tokens_used,delta"
+        metrics = (out / "metrics.csv").read_text().splitlines()[1:]
+        assert len(rows) - 1 == len(metrics) > 1
+        for i, (row, line) in enumerate(zip(rows[1:], metrics)):
+            _, _, _, tokens, delta, _ = line.split(",")
+            assert row == f"{i},{tokens},{delta}"
+            assert (tokens, float(delta)) == ("8", 0.0)
+
     def test_train_artifacts(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(["train", "-o", str(out)] + TINY_TRAIN)
         assert code == 0
         assert {p.name for p in out.iterdir()} == {
-            "config.echo", "metrics.csv", "hashes.json", "report.json",
-            "checkpoint.npz", "timing.txt",
+            "config.echo", "metrics.csv", "reduction.csv", "hashes.json",
+            "report.json", "checkpoint.npz", "timing.txt",
         }
         metrics = (out / "metrics.csv").read_text().splitlines()
         assert metrics[0] == "epoch,batch,loss,tokens_used,delta,flops"
@@ -397,8 +410,8 @@ class TestMain:
         out_b = tmp_path / "b"
         assert main(["train", "-o", str(out_a)] + TINY_TRAIN) == 0
         assert main(["train", "-o", str(out_b)] + TINY_TRAIN) == 0
-        for name in ("config.echo", "metrics.csv", "hashes.json", "report.json",
-                     "checkpoint.npz"):
+        for name in ("config.echo", "metrics.csv", "reduction.csv",
+                     "hashes.json", "report.json", "checkpoint.npz"):
             assert read(out_a / name) == read(out_b / name), name
 
     def test_sweep_csv(self, tmp_path):

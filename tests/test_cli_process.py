@@ -111,17 +111,20 @@ def test_healthy_train_warns_about_nothing(tmp_path):
     assert len(load_strict_json(tmp_path / "hashes.json")["hashes"]) == 16
 
 
-def test_dense_train_keeps_every_variate(tmp_path):
+def test_dense_reduce_keeps_every_variate(tmp_path):
     result = run_cli(
         "train", "-o", tmp_path, "--vardrop_on=false", *SMALL_TRAIN, "--epochs=1"
     )
     assert result.returncode == 0, result.stderr
-    rows = (tmp_path / "metrics.csv").read_text().splitlines()
-    assert rows[0] == "epoch,batch,loss,tokens_used,delta,flops"
+    rows = (tmp_path / "reduction.csv").read_text().splitlines()
+    assert rows[0] == "iteration,tokens_used,delta"
     assert len(rows) > 2
     for row in rows[1:]:
-        _, _, _, tokens, delta, _ = row.split(",")
+        _, tokens, delta = row.split(",")
         assert (tokens, delta) == ("16", "0")
+    report = load_strict_json(tmp_path / "report.json")
+    assert report["reduction"]["mean_tokens"] == 16
+    assert report["reduction"]["mean_delta"] == 0
 
 
 def _huge_table(tmp_path):

@@ -67,11 +67,13 @@ GOLDEN = {
     "train/config.echo": ECHO,
     "train/hashes.json": HASHES,
     "train/metrics.csv": "2ac4c84d2abfae3886e80b3bbf5fc77e212d251ad1c9f371608ba8633e52fcfb",
+    "train/reduction.csv": "0c83d89a59daba7f70d1695b3bb980024793efa225df2f3e482896a1112d2091",
     "train/report.json": "57f27aa8e69e53acd8d0234b9102978c8897f385eedb2f340685f4db3cae3f31",
     "train/checkpoint.npz": "192f71e8111015a607f7a2b6086a64b8ca9d8546c5b2ca8ba7baec2f2fb56208",
     "dense/config.echo": "3001b01730ba12ac20de420d895711012d9046536a30b4b9f37b970df0c5ff3b",
     "dense/hashes.json": HASHES,
     "dense/metrics.csv": "0f8976287f1349a5fd8634dccd3969341917cbbeba5ee9c5783bb392cc90bc42",
+    "dense/reduction.csv": "3cc2598c9d843311d154da90eecd38035abb6adb6ee2a2ef603dd64f7466aea5",
     "dense/report.json": "1d89c3bdd6334a27c32e9d954927e07fd1abeb55ab4f64370e7616a367267326",
     "dense/checkpoint.npz": "a1e057e2904b0d556fe3d9d61d2a672ded4dff55a923bd2326dd220f45a0c74f",
     "sweep/config.echo": "fd285940c1035b69f02a0b6ff3096b5ef30b3b4ac4bfdec20952fdc097c92f75",
@@ -79,6 +81,7 @@ GOLDEN = {
     "csv_train/config.echo": "51a6d3f1f0bd4393bcc4acdb768150474244d7497b0a3ea0bc450aa74a8d8b54",
     "csv_train/hashes.json": HASHES,
     "csv_train/metrics.csv": "9d1606af3f8a32c7f14ad83f32b9f77c756a6040df03d00318b475f633320455",
+    "csv_train/reduction.csv": "0c83d89a59daba7f70d1695b3bb980024793efa225df2f3e482896a1112d2091",
     "csv_train/report.json": "57f27aa8e69e53acd8d0234b9102978c8897f385eedb2f340685f4db3cae3f31",
     "csv_train/checkpoint.npz": "4f1a5f2c4874a331bba5db6e2ba825d612b28b490411d142ecaefb6a7a1ef6b6",
 }
