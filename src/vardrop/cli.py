@@ -1,9 +1,9 @@
-"""Command-line runner: config handling, subcommands, report emission.
+"""Command-line runner: config parsing, subcommand dispatch, artifact writing.
 
 Subcommands: synth, hash, train, sweep. Each is a thin composition over
-the library modules; no numerical logic lives here.
-A sweep cell is the train run with that cell's k and gs: both go through
-one private run function, the package's one epoch loop.
+the library modules; no numerical logic lives here. ``RunConfig`` and the
+run itself live in ``vardrop.model``: ``train`` is one ``run``, and a sweep
+cell is the same ``run`` with that cell's k and gs.
 
 Configuration is a flat ``key=value`` text file. Precedence: built-in
 defaults, then the config file, then ``--key=value`` command-line
@@ -22,113 +22,25 @@ import argparse
 import json
 import re
 import sys
-import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import (
-    SeriesTable,
-    SplitSpec,
-    SynthDetail,
-    WindowBatch,
-    batch_windows,
-    chronological_split,
-    load_csv,
-    sliding_windows,
-    synth_redundant_detail,
-    write_csv,
-)
+from .dataset import WindowBatch, batch_windows, sliding_windows, write_csv
 from .errors import (
     NumericError,
     ParameterError,
     ParseError,
     PipelineIOError,
     VardropError,
-    require,
 )
-from .model import (
-    TrainSettings,
-    count_flops,
-    hash_groups,
-    initialize_params,
-    train_epoch,
-    validation_loss,
-)
+from .model import RunConfig, count_flops, hash_groups, load_table, run, split_batches
 from .reduction import GroupTable
 
-__all__ = ["RunConfig", "validate_config", "parse_config_file", "main"]
+__all__ = ["validate_config", "parse_config_file", "main"]
 
 _EXIT_CODES = {"parse": 2, "validation": 3, "numeric": 4, "io": 5}
-
-
-@dataclass(frozen=True)
-class RunConfig(TrainSettings):
-    """Fully defaulted run configuration that range-checks itself when built.
-
-    Each field is one config key. The training keys are TrainSettings' own
-    fields, defaults and checks; the keys declared here are the rest, and
-    ``__post_init__`` checks them, so a config built from text, in code or
-    by ``dataclasses.replace`` passes the same checks. A field's annotation,
-    a string under postponed evaluation, names the kind validate_config
-    parses the key as and TrainSettings checks its value against; its
-    default is the built-in default.
-    """
-
-    data: str = ""
-    delimiter: str = ","
-    synth_n: int = 64
-    synth_g: int = 8
-    synth_sigma: float = 0.05
-    synth_length: int = 4096
-    T: int = 96
-    H: int = 96
-    B: int = 32
-    stride: int = 1
-    d: int = 64
-    d_k: int = 32
-    epochs: int = 10
-    train_frac: float = 0.7
-    val_frac: float = 0.1
-    test_frac: float = 0.2
-    sweep_ks: tuple[int, ...] = (2, 3, 4, 5)
-    sweep_gss: tuple[int, ...] = (1, 5, 10, 15)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        one_char = len(self.delimiter) == 1
-        require("delimiter", one_char, "one-character strings", repr(self.delimiter))
-        require("T", self.T >= 2, "[2, inf)", self.T)
-        require("H", self.H >= 0, "[0, inf)", self.H)
-        require("B", self.B >= 1, "[1, inf)", self.B)
-        require("stride", self.stride >= 1, "[1, inf)", self.stride)
-        require(
-            "epsilon",
-            self.epsilon <= self.T // 2,
-            f"[1, {self.T // 2}] (floor(T/2) for T={self.T})",
-            self.epsilon,
-        )
-        require("d", self.d >= 1, "[1, inf)", self.d)
-        require("d_k", self.d_k >= 1, "[1, inf)", self.d_k)
-        require("epochs", self.epochs >= 1, "[1, inf)", self.epochs)
-        require("synth_n", self.synth_n >= 1, "[1, inf)", self.synth_n)
-        require(
-            "synth_g",
-            1 <= self.synth_g <= self.synth_n,
-            f"[1, {self.synth_n}] (at most synth_n)",
-            self.synth_g,
-        )
-        sigma = self.synth_sigma
-        require("synth_sigma", 0 <= sigma < np.inf, "[0, inf)", sigma)
-        require("synth_length", self.synth_length >= 1, "[1, inf)", self.synth_length)
-        _split_spec(self)  # checks the split fractions
-        # a sweep checks each (k, gs) cell against epsilon before training any
-        for key in ("sweep_ks", "sweep_gss"):
-            values = getattr(self, key)
-            require(key, len(values) >= 1, "non-empty lists", values)
-            for v in values:
-                require(key, v >= 1, "[1, inf) per entry", v)
 
 
 def _parse_bool(key: str, text: str) -> bool:
@@ -189,7 +101,8 @@ def validate_config(raw: dict[str, str]) -> RunConfig:
 def parse_config_file(path: str) -> dict[str, str]:
     """Read a flat key=value config file; '#' comments and blank lines skipped.
 
-    A key set on two lines is a ``ParseError`` naming the key and both lines.
+    A line with no ``=``, or nothing before it, is a ``ParseError`` naming
+    the line, and a key set on two lines is one naming the key and both lines.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
@@ -203,10 +116,10 @@ def parse_config_file(path: str) -> dict[str, str]:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "=" not in stripped:
-            raise ParseError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = stripped.partition("=")
+        key, sep, value = stripped.partition("=")
         key = key.strip()
+        if not sep or not key:
+            raise ParseError(f"{path}:{lineno}: expected key=value, got {line!r}")
         if key in raw:
             raise ParseError(
                 f"{path}:{lineno}: key {key!r} repeated, first set on line {first_line[key]}"
@@ -277,46 +190,6 @@ def _echo_config(config: RunConfig) -> str:
     return "\n".join(sorted(lines)) + "\n"
 
 
-def _synth(config: RunConfig) -> SynthDetail:
-    # the synthetic period is T, so a too-short T is reported as T
-    require("T", config.T >= 10, "[10, inf) for synthetic data", config.T)
-    return synth_redundant_detail(
-        config.synth_n,
-        config.synth_g,
-        config.synth_length,
-        config.synth_sigma,
-        config.seed,
-        period=config.T,
-    )
-
-
-def _load_table(config: RunConfig) -> SeriesTable:
-    if config.data:
-        return load_csv(config.data, delimiter=config.delimiter)
-    return _synth(config).table
-
-
-def _split_spec(config: RunConfig) -> SplitSpec:
-    return SplitSpec(config.train_frac, config.val_frac, config.test_frac)
-
-
-def _batches(table: SeriesTable, config: RunConfig, horizon: int = 0):
-    windows = sliding_windows(table, config.T, horizon, config.stride)
-    return batch_windows(windows, config.B)
-
-
-def _split_batches(table: SeriesTable, config: RunConfig):
-    require("H", config.H >= 1, "[1, inf) for training", config.H)
-    train, val, _ = chronological_split(table, _split_spec(config))
-    span = config.T + config.H
-    for name, split in (("training", train), ("validation", val)):
-        if split.length < span:
-            raise ParameterError(
-                f"T: {name} split of length {split.length} is shorter than T+H={span}"
-            )
-    return _batches(train, config, config.H), _batches(val, config, config.H)
-
-
 def _write_hashes(config: RunConfig, batch: WindowBatch, out: Path) -> GroupTable:
     """Hash one batch, group it, and write ``hashes.json``; returns the groups."""
     groups = hash_groups(batch, config)
@@ -335,7 +208,7 @@ def _write_hashes(config: RunConfig, batch: WindowBatch, out: Path) -> GroupTabl
 
 
 def _cmd_synth(config: RunConfig, out: Path) -> None:
-    detail = _synth(config)
+    detail = config.synth_detail()
     write_csv(detail.table, str(out / "data.csv"), delimiter=config.delimiter)
     sidecar = {
         "labels": list(detail.labels),
@@ -351,8 +224,8 @@ def _cmd_synth(config: RunConfig, out: Path) -> None:
 
 
 def _cmd_hash(config: RunConfig, out: Path) -> None:
-    table = _load_table(config)
-    batch = _batches(table, config)[0]
+    table = load_table(config)
+    batch = batch_windows(sliding_windows(table, config.T, 0, config.stride), config.B)[0]
     groups = _write_hashes(config, batch, out)
     print(f"hash: {batch.n_variates} variates -> {groups.G} groups")
 
@@ -365,28 +238,8 @@ def _reduction_stats(plans) -> tuple[float, float, float]:
     return float(counts.mean()), float(counts.std()), float(np.mean(deltas, dtype=np.float64))
 
 
-def _train_run(config: RunConfig, train_batches, val_batches, on_epoch=None):
-    """Initialize from ``seed``, train ``epochs`` epochs, score on validation.
-
-    The package's one epoch loop: ``train`` runs it once and ``sweep`` once
-    per cell. ``on_epoch(epoch, metrics, seconds)`` sees each epoch's batch
-    metrics and wall time as it ends. Returns the final parameters, every
-    batch's metrics in order, and the dense validation loss.
-    """
-    params = initialize_params(config.T, config.H, config.d, config.d_k, config.seed)
-    all_metrics = []
-    for epoch in range(config.epochs):
-        started = time.perf_counter()
-        params, metrics = train_epoch(train_batches, params, config, epoch)
-        if on_epoch is not None:
-            on_epoch(epoch, metrics, time.perf_counter() - started)
-        all_metrics.extend(metrics)
-    return params, all_metrics, validation_loss(params, val_batches)
-
-
 def _cmd_train(config: RunConfig, out: Path) -> None:
-    table = _load_table(config)
-    train_batches, val_batches = _split_batches(table, config)
+    train_batches, val_batches = split_batches(load_table(config), config)
 
     epoch_rows = []
     timing_lines = []
@@ -411,9 +264,9 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
             f"delta={_fmt(mean_delta)} ({elapsed:.3f} s)"
         )
 
-    params, all_metrics, val_loss = _train_run(config, train_batches, val_batches, log_epoch)
+    result = run(config, train_batches, val_batches, log_epoch)
     mean_tokens, std_tokens, mean_delta = _reduction_stats(
-        (m.tokens_used, m.delta) for m in all_metrics
+        (m.tokens_used, m.delta) for m in result.metrics
     )
 
     # the attention FLOPs the same run would spend with every variate kept,
@@ -422,7 +275,7 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
         b.size * count_flops(b.n_variates, config.T, config.d, config.d_k, config.H).attention
         for b in train_batches
     )
-    arrays = {f.name: getattr(params, f.name) for f in fields(params)}
+    arrays = {f.name: getattr(result.params, f.name) for f in fields(result.params)}
     shapes = {name: list(array.shape) for name, array in arrays.items()}
     report = {
         "epochs": epoch_rows,
@@ -432,11 +285,11 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
             "mean_delta": mean_delta,
         },
         "flops": {
-            "total": sum(m.flops for m in all_metrics),
-            "attention": sum(m.attention_flops for m in all_metrics),
+            "total": sum(m.flops for m in result.metrics),
+            "attention": sum(m.attention_flops for m in result.metrics),
             "dense_attention": dense_attention,
         },
-        "val_loss": val_loss,
+        "val_loss": result.val_loss,
         "checkpoint": {"shapes": shapes, "seed": config.seed},
     }
     report_text = canonical_json(report)
@@ -452,23 +305,17 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
         ["epoch", "batch", "loss", "tokens_used", "delta", "flops"],
         [
             [m.epoch, m.batch_index, m.loss, m.tokens_used, m.delta, m.flops]
-            for m in all_metrics
+            for m in result.metrics
         ],
-    )
-    _write_csv_rows(
-        out / "reduction.csv",
-        ["iteration", "tokens_used", "delta"],
-        [[i, m.tokens_used, m.delta] for i, m in enumerate(all_metrics)],
     )
     _write_hashes(config, train_batches[0], out)
     _write_text(out / "timing.txt", "\n".join(timing_lines) + "\n")
     _write_text(out / "report.json", report_text)
-    print(f"train: done, val_loss={_fmt(val_loss)}")
+    print(f"train: done, val_loss={_fmt(result.val_loss)}")
 
 
 def _cmd_sweep(config: RunConfig, out: Path) -> None:
-    table = _load_table(config)
-    train_batches, val_batches = _split_batches(table, config)
+    train_batches, val_batches = split_batches(load_table(config), config)
     # every cell is built, and so range-checked, before any trains
     cells = [
         replace(config, k=k, gs=gs, vardrop_on=True)
@@ -477,9 +324,9 @@ def _cmd_sweep(config: RunConfig, out: Path) -> None:
     ]
     rows = []
     for cell in cells:
-        _, metrics, val_loss = _train_run(cell, train_batches, val_batches)
-        _, _, mean_delta = _reduction_stats((m.tokens_used, m.delta) for m in metrics)
-        rows.append([cell.k, cell.gs, mean_delta, val_loss])
+        result = run(cell, train_batches, val_batches)
+        _, _, mean_delta = _reduction_stats((m.tokens_used, m.delta) for m in result.metrics)
+        rows.append([cell.k, cell.gs, mean_delta, result.val_loss])
     _write_csv_rows(out / "sweep.csv", ["k", "gs", "delta", "val_loss"], rows)
     print(
         f"sweep: {len(cells)} cells over k={list(config.sweep_ks)} "

@@ -34,6 +34,11 @@ layer norm, no feed-forward sublayer, plain gradient descent: enough to
 exercise the claims under test (attention cost, reduction accounting,
 gradient flow) without optimizer state complicating determinism.
 
+A ``RunConfig`` holds every key of one run. ``load_table`` and
+``split_batches`` build its batches, and ``run`` initializes, trains
+``epochs`` epochs through ``train_epoch`` and scores the validation split:
+the package's one run loop, which the CLI's ``train`` and ``sweep`` call.
+
 Numpy never warns here: each public function that computes floats runs
 whole under one ``np.errstate(over="ignore", invalid="ignore")``. Failure
 is the explicit finiteness checks' ``NumericError`` instead, so a diverging
@@ -44,12 +49,23 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Sequence
+import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dataset import WindowBatch
+from .dataset import (
+    SeriesTable,
+    SplitSpec,
+    SynthDetail,
+    WindowBatch,
+    batch_windows,
+    chronological_split,
+    load_csv,
+    sliding_windows,
+    synth_redundant_detail,
+)
 from .errors import NumericError, ParameterError, require
 from .reduction import (
     GroupTable,
@@ -114,6 +130,11 @@ __all__ = [
     "train_epoch",
     "predict_full",
     "validation_loss",
+    "RunConfig",
+    "RunResult",
+    "load_table",
+    "split_batches",
+    "run",
 ]
 
 
@@ -499,7 +520,7 @@ def _of_kind(value, kind: str) -> bool:
 class TrainSettings:
     """Knobs for one training run; reduction applies only when enabled.
 
-    The CLI's RunConfig extends this class: each field is a config key.
+    RunConfig extends this class: each field is a config key.
     Every field, a subclass's too, is checked against its annotation before
     any range check: an ``int`` takes any integral value, a ``float`` any
     real one, and neither takes a bool.
@@ -694,3 +715,151 @@ def validation_loss(params: ModelParams, batches: list[WindowBatch]) -> float:
     if not math.isfinite(sq_sum):
         raise NumericError("non-finite validation loss")
     return sq_sum / count
+
+
+@dataclass(frozen=True)
+class RunConfig(TrainSettings):
+    """Fully defaulted run configuration that range-checks itself when built.
+
+    Each field is one config key. The training keys are TrainSettings' own
+    fields, defaults and checks; the keys declared here are the rest, and
+    ``__post_init__`` checks them, so a config built from text, in code or
+    by ``dataclasses.replace`` passes the same checks. A field's annotation,
+    a string under postponed evaluation, names the kind the CLI parses the
+    key as and TrainSettings checks its value against; its default is the
+    built-in default.
+    """
+
+    data: str = ""
+    delimiter: str = ","
+    synth_n: int = 64
+    synth_g: int = 8
+    synth_sigma: float = 0.05
+    synth_length: int = 4096
+    T: int = 96
+    H: int = 96
+    B: int = 32
+    stride: int = 1
+    d: int = 64
+    d_k: int = 32
+    epochs: int = 10
+    train_frac: float = 0.7
+    val_frac: float = 0.1
+    test_frac: float = 0.2
+    sweep_ks: tuple[int, ...] = (2, 3, 4, 5)
+    sweep_gss: tuple[int, ...] = (1, 5, 10, 15)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        one_char = len(self.delimiter) == 1
+        require("delimiter", one_char, "one-character strings", repr(self.delimiter))
+        require("T", self.T >= 2, "[2, inf)", self.T)
+        require("H", self.H >= 0, "[0, inf)", self.H)
+        require("B", self.B >= 1, "[1, inf)", self.B)
+        require("stride", self.stride >= 1, "[1, inf)", self.stride)
+        require(
+            "epsilon",
+            self.epsilon <= self.T // 2,
+            f"[1, {self.T // 2}] (floor(T/2) for T={self.T})",
+            self.epsilon,
+        )
+        require("d", self.d >= 1, "[1, inf)", self.d)
+        require("d_k", self.d_k >= 1, "[1, inf)", self.d_k)
+        require("epochs", self.epochs >= 1, "[1, inf)", self.epochs)
+        require("synth_n", self.synth_n >= 1, "[1, inf)", self.synth_n)
+        require(
+            "synth_g",
+            1 <= self.synth_g <= self.synth_n,
+            f"[1, {self.synth_n}] (at most synth_n)",
+            self.synth_g,
+        )
+        sigma = self.synth_sigma
+        require("synth_sigma", 0 <= sigma < np.inf, "[0, inf)", sigma)
+        require("synth_length", self.synth_length >= 1, "[1, inf)", self.synth_length)
+        _split_spec(self)  # checks the split fractions
+        # a sweep checks each (k, gs) cell against epsilon before training any
+        for key in ("sweep_ks", "sweep_gss"):
+            values = getattr(self, key)
+            require(key, len(values) >= 1, "non-empty lists", values)
+            for v in values:
+                require(key, v >= 1, "[1, inf) per entry", v)
+
+    def synth_detail(self) -> SynthDetail:
+        """The synthetic table the ``synth_*`` keys and ``seed`` draw, with
+        its labels and prototypes."""
+        # the synthetic period is T, so a too-short T is reported as T
+        require("T", self.T >= 10, "[10, inf) for synthetic data", self.T)
+        return synth_redundant_detail(
+            self.synth_n,
+            self.synth_g,
+            self.synth_length,
+            self.synth_sigma,
+            self.seed,
+            period=self.T,
+        )
+
+
+def _split_spec(config: RunConfig) -> SplitSpec:
+    return SplitSpec(config.train_frac, config.val_frac, config.test_frac)
+
+
+def load_table(config: RunConfig) -> SeriesTable:
+    """The run's table: the CSV at ``data``, or the synthetic one without it."""
+    if config.data:
+        return load_csv(config.data, delimiter=config.delimiter)
+    return config.synth_detail().table
+
+
+def split_batches(
+    table: SeriesTable, config: RunConfig
+) -> tuple[list[WindowBatch], list[WindowBatch]]:
+    """The training and validation splits' batches of ``T + H`` windows.
+
+    Each split must hold at least one window; the error names the short one.
+    """
+    require("H", config.H >= 1, "[1, inf) for training", config.H)
+    train, val, _ = chronological_split(table, _split_spec(config))
+    span = config.T + config.H
+    for name, split in (("training", train), ("validation", val)):
+        if split.length < span:
+            raise ParameterError(
+                f"T: {name} split of length {split.length} is shorter than T+H={span}"
+            )
+    return tuple(
+        batch_windows(sliding_windows(split, config.T, config.H, config.stride), config.B)
+        for split in (train, val)
+    )
+
+
+@dataclass(frozen=True)
+class RunResult:
+    """One run's final parameters, every batch's metrics in order, and its
+    dense validation loss."""
+
+    params: ModelParams
+    metrics: list[BatchMetrics]
+    val_loss: float
+
+
+def run(
+    config: RunConfig,
+    train_batches: list[WindowBatch],
+    val_batches: list[WindowBatch],
+    on_epoch: Callable[[int, list[BatchMetrics], float], None] | None = None,
+) -> RunResult:
+    """Initialize from ``seed``, train ``epochs`` epochs, score on validation.
+
+    The package's one run loop: the CLI's ``train`` runs it once and
+    ``sweep`` once per cell, on batches built once, so each batch's hash
+    memo serves every cell. ``on_epoch(epoch, metrics, seconds)`` sees each
+    epoch's batch metrics and wall time as it ends.
+    """
+    params = initialize_params(config.T, config.H, config.d, config.d_k, config.seed)
+    all_metrics = []
+    for epoch in range(config.epochs):
+        started = time.perf_counter()
+        params, metrics = train_epoch(train_batches, params, config, epoch)
+        if on_epoch is not None:
+            on_epoch(epoch, metrics, time.perf_counter() - started)
+        all_metrics.extend(metrics)
+    return RunResult(params, all_metrics, validation_loss(params, val_batches))

@@ -6,6 +6,7 @@ failure) in addition to its pytest verdict, plus the measured quantities
 that justify it.
 """
 
+import dataclasses
 import os
 import time
 from pathlib import Path
@@ -172,37 +173,25 @@ def test_a06_gradient_check():
     )
 
 
-def _desk_scale_batches(seed):
-    detail = vd.synth_redundant_detail(64, 8, 4096, 0.05, seed=seed, period=96)
-    train, val, _ = vd.chronological_split(
-        detail.table, vd.SplitSpec(0.7, 0.1, 0.2)
-    )
-    train_b = vd.batch_windows(vd.sliding_windows(train, 96, 16, 8), 32)
-    val_b = vd.batch_windows(vd.sliding_windows(val, 96, 16, 8), 32)
-    return train_b, val_b
+DESK_SCALE = vd.RunConfig(
+    synth_n=64, synth_g=8, synth_length=4096, synth_sigma=0.05, seed=0,
+    T=96, H=16, B=32, stride=8, d=32, d_k=16,
+    k=3, epsilon=25, gs=2, lr=0.02, epochs=20,
+)
 
 
-def _train_arm(train_b, val_b, vardrop_on, seed, epochs=20):
-    params = vd.initialize_params(96, 16, 32, 16, seed)
-    config = vd.TrainSettings(
-        k=3, epsilon=25, gs=2, lr=0.02, seed=seed, vardrop_on=vardrop_on
-    )
-    deltas = []
-    attention_flops = 0
-    for epoch in range(epochs):
-        params, metrics = vd.train_epoch(train_b, params, config, epoch)
-        for m in metrics:
-            deltas.append(m.delta)
-            ledger = vd.count_flops(m.tokens_used, 96, 32, 16, 16)
-            attention_flops += train_b[m.batch_index].size * ledger.attention
-    return vd.validation_loss(params, val_b), float(np.mean(deltas)), attention_flops
+def _arm(config, train_b, val_b):
+    result = vd.run(config, train_b, val_b)
+    mean_delta = float(np.mean([m.delta for m in result.metrics]))
+    return result.val_loss, mean_delta, sum(m.attention_flops for m in result.metrics)
 
 
 def test_a07_desk_scale_parity():
     started = time.perf_counter()
-    train_b, val_b = _desk_scale_batches(seed=0)
-    dense_loss, _, dense_attention = _train_arm(train_b, val_b, False, seed=0)
-    red_loss, mean_delta, red_attention = _train_arm(train_b, val_b, True, seed=0)
+    train_b, val_b = vd.split_batches(vd.load_table(DESK_SCALE), DESK_SCALE)
+    dense = dataclasses.replace(DESK_SCALE, vardrop_on=False)
+    dense_loss, _, dense_attention = _arm(dense, train_b, val_b)
+    red_loss, mean_delta, red_attention = _arm(DESK_SCALE, train_b, val_b)
     elapsed = time.perf_counter() - started
     rel = abs(red_loss - dense_loss) / dense_loss
     flop_ratio = red_attention / dense_attention

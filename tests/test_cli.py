@@ -15,12 +15,12 @@ from vardrop import (
     NumericError,
     ParameterError,
     ParseError,
+    RunConfig,
     TrainSettings,
     count_flops,
 )
-from vardrop import cli
+from vardrop import cli, model
 from vardrop.cli import (
-    RunConfig,
     canonical_json,
     main,
     parse_config_file,
@@ -307,13 +307,10 @@ class TestMain:
         out = tmp_path / "o"
         code = main(["train", "-o", str(out)] + TINY_TRAIN + ["--vardrop_on=false"])
         assert code == 0
-        rows = (out / "reduction.csv").read_text().splitlines()
-        assert rows[0] == "iteration,tokens_used,delta"
         metrics = (out / "metrics.csv").read_text().splitlines()[1:]
-        assert len(rows) - 1 == len(metrics) > 1
-        for i, (row, line) in enumerate(zip(rows[1:], metrics)):
+        assert len(metrics) > 1
+        for line in metrics:
             _, _, _, tokens, delta, _ = line.split(",")
-            assert row == f"{i},{tokens},{delta}"
             assert (tokens, float(delta)) == ("8", 0.0)
 
     def test_train_artifacts(self, tmp_path, capsys):
@@ -321,8 +318,8 @@ class TestMain:
         code = main(["train", "-o", str(out)] + TINY_TRAIN)
         assert code == 0
         assert {p.name for p in out.iterdir()} == {
-            "config.echo", "metrics.csv", "reduction.csv", "hashes.json",
-            "report.json", "checkpoint.npz", "timing.txt",
+            "config.echo", "metrics.csv", "hashes.json", "report.json",
+            "checkpoint.npz", "timing.txt",
         }
         metrics = (out / "metrics.csv").read_text().splitlines()
         assert metrics[0] == "epoch,batch,loss,tokens_used,delta,flops"
@@ -410,8 +407,8 @@ class TestMain:
         out_b = tmp_path / "b"
         assert main(["train", "-o", str(out_a)] + TINY_TRAIN) == 0
         assert main(["train", "-o", str(out_b)] + TINY_TRAIN) == 0
-        for name in ("config.echo", "metrics.csv", "reduction.csv",
-                     "hashes.json", "report.json", "checkpoint.npz"):
+        for name in ("config.echo", "metrics.csv", "hashes.json",
+                     "report.json", "checkpoint.npz"):
             assert read(out_a / name) == read(out_b / name), name
 
     def test_sweep_csv(self, tmp_path):
@@ -477,6 +474,12 @@ class TestMain:
         raw = parse_config_file(str(out / "config.echo"))
         config = validate_config(raw)
         assert config == validate_config({"synth_length": "150"})
+
+
+def test_cli_binds_no_training_function():
+    # train and sweep reach the model through run alone
+    for name in ("initialize_params", "train_epoch", "validation_loss"):
+        assert not hasattr(cli, name), name
 
 
 def test_readme_lists_exactly_the_subcommands():
@@ -546,6 +549,14 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error [parse]: {config}: not UTF-8 text (invalid start byte)\n"
+
+    def test_config_line_with_empty_key_is_parse_error(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("T=48\n=5\n")
+        code = main(["hash", "-c", str(config), "-o", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error [parse]: {config}:2: expected key=value, got '=5'\n"
 
     def test_oversized_field_is_parse_error(self, tmp_path, capsys):
         # numpy's reader takes the 200,000-digit cell, then stops at the bad
@@ -655,13 +666,13 @@ class TestExitCodes:
     def test_sweep_checks_every_cell_before_training_any(self, tmp_path, capsys,
                                                          monkeypatch):
         calls = []
-        real = cli.train_epoch
+        real = model.train_epoch
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(cli, "train_epoch", counting)
+        monkeypatch.setattr(model, "train_epoch", counting)
         code = main([
             "sweep", "-o", str(tmp_path / "o"),
             "--synth_n=8", "--synth_g=2", "--synth_length=1200", "--T=96",

@@ -116,11 +116,11 @@ def test_dense_reduce_keeps_every_variate(tmp_path):
         "train", "-o", tmp_path, "--vardrop_on=false", *SMALL_TRAIN, "--epochs=1"
     )
     assert result.returncode == 0, result.stderr
-    rows = (tmp_path / "reduction.csv").read_text().splitlines()
-    assert rows[0] == "iteration,tokens_used,delta"
+    rows = (tmp_path / "metrics.csv").read_text().splitlines()
+    assert rows[0] == "epoch,batch,loss,tokens_used,delta,flops"
     assert len(rows) > 2
     for row in rows[1:]:
-        _, tokens, delta = row.split(",")
+        _, _, _, tokens, delta, _ = row.split(",")
         assert (tokens, delta) == ("16", "0")
     report = load_strict_json(tmp_path / "report.json")
     assert report["reduction"]["mean_tokens"] == 16

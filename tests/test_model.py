@@ -17,6 +17,7 @@ from vardrop import (
     ModelParams,
     NumericError,
     ParameterError,
+    RunConfig,
     SeriesTable,
     SplitSpec,
     TrainSettings,
@@ -30,10 +31,12 @@ from vardrop import (
     forward,
     hash_groups,
     initialize_params,
+    load_table,
     plan_batch,
     predict_full,
     sgd_step,
     sliding_windows,
+    split_batches,
     synth_redundant_detail,
     train_epoch,
     validation_loss,
@@ -1291,9 +1294,10 @@ class TestValidationLoss:
 
 def golden_split_batches():
     """The golden CLI config's training and validation batches."""
-    table = synth_redundant_detail(16, 4, 2000, 0.05, seed=7, period=96).table
-    train, val, _ = chronological_split(table, SplitSpec(0.7, 0.1, 0.2))
-    return tuple(batch_windows(sliding_windows(split, 96, 16, 16), 8) for split in (train, val))
+    config = RunConfig(
+        synth_n=16, synth_g=4, synth_length=2000, seed=7, T=96, H=16, B=8, stride=16
+    )
+    return split_batches(load_table(config), config)
 
 
 def golden_params(**fill):
