@@ -9,11 +9,15 @@ in the batch and contribute nothing, gradients included.
 Every stage works on a stack of windows, ``c x N' x T``, cut from a batch's
 ``B x N x T`` array. A batch shares its retained set, so ``train_epoch`` runs
 it in chunks of ``c`` windows, with ``c`` chosen from ``N'`` and the parameter
-count so that one chunk fits a core's cache. The arithmetic per window is
-the same as one window at a time: stacked ``np.matmul`` runs one gemm per
-window, each window's loss is the mean of its own slice, and the batch
-gradient adds the windows' gradients one by one in batch order. The chunk
-size changes the speed, never the bits.
+shapes so that one chunk fits a timed budget. Forward, and backward's
+``N' x N'`` work, run per window as one window at a time would: stacked
+``np.matmul`` runs one gemm per window, and each window's loss is the mean
+of its own slice. ``backward`` returns the gradient of the chunk's summed
+loss, each weight gradient one gemm over the chunk's ``c N'`` token rows,
+and the batch gradient adds one array per chunk. So the chunk size can move
+the last bits of the step; a chunk of one window gives the window loop's
+bits. The chunk size is a pure function of ``N'`` and the parameter shapes,
+so a run still replays byte for byte.
 
 No ``N' x N'`` array is ever normalised: as in FlashAttention (Dao et al.,
 2022), attention divides the ``N' x d_k`` context by the exponentials' row
@@ -23,8 +27,8 @@ window. Softmax is the same for any shift of a row, so a window whose Q
 and K norms bound its scores within ``_SCORE_LIMIT`` exponentiates them
 unshifted. A chunk holding any other window checks its scores for
 finiteness and shifts that window by its row max and each small window by
-0.0, which changes no bit: like the chunk size, the guard never lets one
-window's bits depend on another's.
+0.0, which changes no bit: the guard never lets one window's forward bits
+depend on another's.
 Only the rounding differs from the textbook softmax, in forward and in
 backward, and ``_SCORE_LIMIT`` bounds how much sooner either can overflow.
 
@@ -76,21 +80,27 @@ from .reduction import (
 )
 from .spectral import kdfh
 
-# Float64 values one training chunk may hold (2 MiB, one core's L2 cache).
-# One step of B=32 windows at T=H=96, d=64, d_k=32, minimum of 75 runs on
-# one BLAS thread (2-core Xeon, 2 MiB L2 per core, numpy 2.4.6 / OpenBLAS):
-#   N'=8:   one window at a time 4.6 ms, chunks of 6-9 3.0-3.2 ms, of 32 3.7 ms
-#   N'=16:  5.3 ms, chunks of 4-8 2.7-3.0 ms, of 32 4.5 ms
-#   N'=32:  7.1 ms, chunks of 4-8 4.6-5.2 ms, of 32 8.2 ms
-#   N'=64:  11.4 ms, chunks of 2-4 9.2-10.6 ms, of 32 16.1 ms
-#   N'=128: 21.8 ms, chunks of 2 21.0 ms; N'=321: 77.8 ms, chunks of 2 81.0 ms
-# _chunk_size gives 9, 7, 4, 2, 1 and 1 windows at these widths.
-_CHUNK_BUDGET = 2**18
+# Float64 values one training chunk may hold (4 MiB; _chunk_size counts every
+# array a chunk's forward and backward make, not only those alive at once).
+# One step of B=32 windows at T=H=96, d=64, d_k=32, median of 40 runs on one
+# BLAS thread (2-core Xeon, 2 MiB L2 per core, numpy 2.4.6 / OpenBLAS), after
+# a 16 MB table was built and freed, as a run's set-up does:
+#   N'=8:   one window at a time 7.8 ms, chunks of 8 2.1 ms, of 16-32 1.7-1.8 ms
+#   N'=16:  9.5 ms, chunks of 4 4.4 ms, of 8-32 3.4-3.5 ms
+#   N'=32:  12.4 ms, chunks of 4 7.3 ms, of 8-16 7.0-7.1 ms, of 32 7.5 ms
+#   N'=64:  17.9 ms, chunks of 2-4 14.4-15.1 ms, of 8 14.1 ms, of 16 14.4 ms
+#   N'=128: 32.1 ms, chunks of 2-8 30.7-31.1 ms
+#   N'=321: 111.7 ms, chunks of 2 113.9 ms
+# _chunk_size gives 72, 35, 17, 8, 4 and 1 windows at these widths, so up to
+# N'=16 the whole batch is one chunk; each is within 5 % of its row's
+# fastest. Five epochs of the benchmark's redundant_reduced workload (N'=16)
+# ran fastest with the whole batch in one chunk too.
+_CHUNK_BUDGET = 2**19
 
 # Float64 values of one block of rows of g V^T in backward (2 MiB). It is
 # fixed, not the chunk budget, so the rows per block depend on N' alone and
-# the chunk size never changes the bits. Every N' <= 512 is one block, one
-# gemm per window; more blocks can move the last bits of g V^T.
+# the chunk size never changes a window's dS. Every N' <= 512 is one block,
+# one gemm per window; more blocks can move the last bits of g V^T.
 _BACKWARD_BLOCK = 2**18
 
 # A window may exponentiate its raw scores, unchecked and unshifted, when
@@ -365,18 +375,29 @@ def forward(
     )
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """A ``c x N' x m`` stack as one ``c N' x m`` matrix: a view of every
+    stack ``backward`` reads but the gathered lookback rows, which
+    ``forward``'s index lays out variate-major, so those are copied."""
+    return a.reshape(-1, a.shape[-1])
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def backward(trace: ForwardTrace, params: ModelParams) -> ModelParams:
-    """Analytic gradients of each window's MSE loss, stacked per window.
+    """Analytic gradients of the stack's summed loss ``sum(trace.losses)``.
 
-    Every returned array has a leading window axis: ``grads.w_embed[i]`` is
-    the gradient of ``trace.losses[i]``. With ``g = dC / rowsum(E)``, the
-    softmax backward is ``dV = E^T g`` and ``dS = E * (g V^T - rowsum(g * C))``
-    (as ``rowsum(dW * W) = rowsum(dC * C)``), with the ``1/sqrt(d_k)`` score
-    scale folded into the query/key gradients. Each window's row sums are
-    scaled by the power of two ``2^p`` that lifts the smallest into ``[1, 2)``
-    first, and ``dV``, ``dQ`` and ``dK`` are scaled back by it, which is exact
-    and keeps ``g V^T`` within ``N'`` times the shifted path's (see
+    Each returned array has its parameter's shape. The token-wise weight
+    gradients are one gemm each over the stack's ``c N'`` token rows and the
+    bias gradients one sum over them, so the windows' contributions are
+    summed inside the BLAS kernel: a stack of ``c`` windows can differ from
+    adding ``c`` one-window gradients in the last bits. With
+    ``g = dC / rowsum(E)``, the softmax backward is ``dV = E^T g`` and
+    ``dS = E * (g V^T - rowsum(g * C))`` (as ``rowsum(dW * W) =
+    rowsum(dC * C)``), per window, with the ``1/sqrt(d_k)`` score scale
+    folded into the query/key gradients. Each window's row sums are scaled
+    by the power of two ``2^p`` that lifts the smallest into ``[1, 2)``
+    first, and ``dV``, ``dQ`` and ``dK`` are scaled back by it, which is
+    exact and keeps ``g V^T`` within ``N'`` times the shifted path's (see
     ``_SCORE_LIMIT``).
 
     ``backward`` consumes ``trace.exp_scores``, the one ``N' x N'`` array per
@@ -387,11 +408,11 @@ def backward(trace: ForwardTrace, params: ModelParams) -> ModelParams:
     """
     d_pred = 2.0 * (trace.predictions - trace.target) / trace.predictions[0].size
 
-    d_w_head = _mt(trace.mixed) @ d_pred
-    d_b_head = d_pred.sum(axis=1)
+    d_w_head = _rows(trace.mixed).T @ _rows(d_pred)
+    d_b_head = d_pred.sum(axis=(0, 1))
     d_mixed = d_pred @ params.w_head.T
 
-    d_w_out = _mt(trace.context) @ d_mixed
+    d_w_out = _rows(trace.context).T @ _rows(d_mixed)
     g = d_mixed @ params.w_out.T  # dC, divided in place below
     del d_pred, d_mixed  # the N' x N' pass runs beside as few arrays as it can
 
@@ -415,17 +436,18 @@ def backward(trace: ForwardTrace, params: ModelParams) -> ModelParams:
     d_queries = d_scores @ trace.keys * scale
     d_keys = _mt(d_scores) @ trace.queries * scale
 
-    d_w_query = _mt(trace.tokens) @ d_queries
-    d_w_key = _mt(trace.tokens) @ d_keys
-    d_w_value = _mt(trace.tokens) @ d_values
+    tokens_t = _rows(trace.tokens).T
+    d_w_query = tokens_t @ _rows(d_queries)
+    d_w_key = tokens_t @ _rows(d_keys)
+    d_w_value = tokens_t @ _rows(d_values)
 
     d_tokens = (
         d_queries @ params.w_query.T
         + d_keys @ params.w_key.T
         + d_values @ params.w_value.T
     )
-    d_w_embed = _mt(trace.rows) @ d_tokens
-    d_b_embed = d_tokens.sum(axis=1)
+    d_w_embed = _rows(trace.rows).T @ _rows(d_tokens)
+    d_b_embed = d_tokens.sum(axis=(0, 1))
 
     return ModelParams(
         w_embed=d_w_embed,
@@ -598,21 +620,24 @@ def plan_batch(
 def _chunk_size(n_tokens: int, params: ModelParams) -> int:
     """Windows per forward/backward call for ``n_tokens`` retained variates.
 
-    A window in a chunk holds one gradient value per parameter, because
-    ``backward`` returns them per window, and per token about four
-    ``N'``-wide attention rows plus the lookback, horizon, embedding and
-    attention-width arrays that forward and backward keep. As many windows
-    as fit ``_CHUNK_BUDGET`` values go in one chunk, and never fewer than one.
+    A window in a chunk holds, per token, one ``N'``-wide attention row
+    (its row of ``E``, which ``backward`` turns into ``dS``; the block of
+    ``g V^T`` made beside it is not counted) plus the lookback, horizon,
+    embedding and attention-width arrays that forward and backward keep.
+    ``backward`` returns one gradient per parameter for the whole chunk, so
+    the gradients cost no room per window. As many windows as fit
+    ``_CHUNK_BUDGET`` values go in one chunk, and never fewer than one. The
+    size depends on ``N'`` and the parameter shapes alone, so a run replays
+    byte for byte.
     """
-    n_params = sum(getattr(params, f.name).size for f in fields(ModelParams))
     per_token = (
-        4 * n_tokens
+        n_tokens
         + params.lookback
         + 3 * params.horizon
         + 4 * params.embed_dim
         + 8 * params.attn_dim
     )
-    return max(1, _CHUNK_BUDGET // (n_params + n_tokens * per_token))
+    return max(1, _CHUNK_BUDGET // (n_tokens * per_token))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -628,12 +653,12 @@ def train_epoch(
     arm, then the batch runs through ``forward`` and ``backward`` in chunks of
     windows sized by ``_chunk_size``, and one descent step is taken on the
     kept tokens with the gradients averaged over the batch. Per chunk, each
-    parameter's running sum adds that parameter's window gradients in place
-    one window at a time, in batch order, from 0 as ``sum()`` starts; the
-    losses are summed the same way. Sums of different parameters never mix,
-    so every chunk size gives the same bits as one window at a time.
-    Reported FLOPs are the forward and attention cost of the batch at the
-    kept token count.
+    parameter's running sum, from 0 as ``sum()`` starts, adds ``backward``'s
+    one summed gradient in place, and the losses are added one window at a
+    time in batch order, as the window loop adds them. At chunks of one
+    window the step has the window loop's bits; larger chunks sum inside a
+    gemm and can move its last bits. Reported FLOPs are the forward and
+    attention cost of the batch at the kept token count.
     """
     if not batches:
         raise ParameterError("training needs at least one batch")
@@ -651,8 +676,7 @@ def train_epoch(
             for loss in trace.losses.tolist():
                 loss_sum += loss
             for name, total in grad_sums.items():
-                for window_grad in getattr(grads, name):
-                    total += window_grad
+                total += getattr(grads, name)
             # the next chunk's forward must not run beside this chunk's E
             del trace, grads
         mean_grads = ModelParams(

@@ -107,27 +107,26 @@ PARAM_FIELDS = (
 
 
 def numeric_gradients(data, horizon, params, retained, step=1e-5):
-    """Central-difference gradients of each window's forward loss.
+    """Central-difference gradients of the stack's summed forward loss.
 
     ``data`` and ``horizon`` are ``c x N x T`` and ``c x N x H`` stacks; every
-    returned array has a leading window axis, like ``backward``'s, and
-    ``grad[i]`` differentiates ``losses[i]``.
+    returned array has its parameter's shape, like ``backward``'s, and
+    differentiates ``sum(losses)``.
     """
     out = {}
-    count = len(data)
     for name in PARAM_FIELDS:
         base = getattr(params, name)
-        grad = np.zeros((count,) + base.shape)
+        grad = np.zeros(base.shape)
         flat = base.ravel()
         for idx in range(flat.size):
             orig = flat[idx]
             bumped = base.copy()
             bumped.ravel()[idx] = orig + step
             bumped_params = replace(params, **{name: bumped})
-            hi = forward(data, horizon, bumped_params, retained).losses
+            hi = math.fsum(forward(data, horizon, bumped_params, retained).losses)
             bumped.ravel()[idx] = orig - step
-            lo = forward(data, horizon, bumped_params, retained).losses
-            grad.reshape(count, -1)[:, idx] = (hi - lo) / (2.0 * step)
+            lo = math.fsum(forward(data, horizon, bumped_params, retained).losses)
+            grad.ravel()[idx] = (hi - lo) / (2.0 * step)
         out[name] = grad
     return out
 
@@ -190,7 +189,9 @@ def score_gradients_out_of_place(trace, params):
     ``e`` the ``frexp`` exponent of its smallest row sum; then
     ``g = dC / (rowsum(E) 2^p)`` and ``dS = E * (g V^T - rowsum(g * C))``,
     which is the score gradient over ``2^p``, as ``backward`` leaves it in
-    ``trace.exp_scores``. The weight gradients are scaled back by ``2^p``.
+    ``trace.exp_scores``. The query and key gradients are scaled back by
+    ``2^p``, and the weight gradients sum the stack's windows as ``backward``
+    does: one gemm over all ``c N'`` token rows.
     """
     d_pred = 2.0 * (trace.predictions - trace.target) / trace.predictions[0].size
     d_context = (d_pred @ params.w_head.T) @ params.w_out.T
@@ -202,8 +203,9 @@ def score_gradients_out_of_place(trace, params):
     scale = up / math.sqrt(params.attn_dim)
     d_queries = d_scores @ trace.keys * scale
     d_keys = np.swapaxes(d_scores, -1, -2) @ trace.queries * scale
-    tokens_t = np.swapaxes(trace.tokens, -1, -2)
-    return d_scores, tokens_t @ d_queries, tokens_t @ d_keys
+    tokens_t = trace.tokens.reshape(-1, trace.tokens.shape[-1]).T
+    width = d_queries.shape[-1]
+    return d_scores, tokens_t @ d_queries.reshape(-1, width), tokens_t @ d_keys.reshape(-1, width)
 
 
 def window_loss_and_gradients(rows, target, p, textbook=False):
@@ -309,10 +311,12 @@ def reference_train_epoch(batches, params, config, epoch=0):
 
 
 def max_rel_error(analytic, numeric):
-    """max |a - n| / max(|a| + |n|, 1e-6) over paired gradient arrays."""
+    """max |a - n| / max(|a| + |n|, 1e-6) over paired gradient arrays of
+    equal shapes; arrays that would only broadcast fail."""
     worst = 0.0
     for name, num in numeric.items():
         ana = analytic[name]
+        assert ana.shape == num.shape, f"{name}: shape {ana.shape} against {num.shape}"
         denom = np.maximum(np.abs(ana) + np.abs(num), 1e-6)
         worst = max(worst, float(np.max(np.abs(ana - num) / denom)))
     return worst
