@@ -83,8 +83,7 @@ def validate_config(raw: dict[str, str]) -> RunConfig:
 
     Unknown keys are hard errors. Each key parses by its field's annotation,
     in field order; a sweep list parses to a tuple of ints. Every range
-    check is the dataclasses' own: TrainSettings', RunConfig's and
-    SplitSpec's.
+    check is the dataclasses' own: RunConfig's and SplitSpec's.
     """
     unknown = sorted(set(raw) - {f.name for f in fields(RunConfig)})
     if unknown:
@@ -101,6 +100,9 @@ def validate_config(raw: dict[str, str]) -> RunConfig:
 def parse_config_file(path: str) -> dict[str, str]:
     """Read a flat key=value config file; '#' comments and blank lines skipped.
 
+    Keys and values are stripped, except a value that is all whitespace,
+    such as a tab delimiter, which is kept as written.
+
     A line with no ``=``, or nothing before it, is a ``ParseError`` naming
     the line, and a key set on two lines is one naming the key and both lines.
     """
@@ -116,7 +118,7 @@ def parse_config_file(path: str) -> dict[str, str]:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        key, sep, value = stripped.partition("=")
+        key, sep, value = line.partition("=")
         key = key.strip()
         if not sep or not key:
             raise ParseError(f"{path}:{lineno}: expected key=value, got {line!r}")
@@ -124,7 +126,7 @@ def parse_config_file(path: str) -> dict[str, str]:
             raise ParseError(
                 f"{path}:{lineno}: key {key!r} repeated, first set on line {first_line[key]}"
             )
-        raw[key] = value.strip()
+        raw[key] = value.strip() or value
         first_line[key] = lineno
     return raw
 

@@ -167,9 +167,13 @@ class SplitSpec:
 
 
 _TIMESTAMP_HEADERS = ("date", "time", "timestamp", "datetime")
-# numpy's reader refuses these as delimiters (TypeError), so only the row
-# parser can read them.
-_ROW_PARSER_DELIMITERS = ('"', "\n", "\r")
+
+
+def _check_delimiter(delimiter: str) -> None:
+    """A delimiter is one character other than a line break, which ends a row."""
+    require("delimiter", len(delimiter) == 1, "one-character strings", repr(delimiter))
+    breaks = delimiter in "\n\r"
+    require("delimiter", not breaks, "characters other than line breaks", repr(delimiter))
 
 
 def load_csv(path: str, delimiter: str = ",") -> SeriesTable:
@@ -182,13 +186,14 @@ def load_csv(path: str, delimiter: str = ",") -> SeriesTable:
     ``date``, ``time``, ``timestamp`` or ``datetime`` (any case), or whose
     first data cell is non-numeric. Any NaN/Inf or non-numeric cell aborts
     the load with the offending row/column named; imputation is deliberately
-    not attempted.
+    not attempted. The delimiter is one character other than a line break.
 
     The body is parsed by numpy's C reader. Whatever that reader cannot take
-    as a whole (a comment row after the header, a bad cell, an odd
-    delimiter) goes to the row-by-row parser, which returns the same table
-    or raises the error that names the row and column.
+    as a whole (a comment row after the header, a bad cell, the quote
+    character as delimiter) goes to the row-by-row parser, which returns the
+    same table or raises the error that names the row and column.
     """
+    _check_delimiter(delimiter)
     table = _load_body(path, delimiter)
     return table if table is not None else _load_rows(path, delimiter)
 
@@ -239,7 +244,7 @@ def _load_body(path: str, delimiter: str) -> SeriesTable | None:
     physical line after the header. ``usecols`` is not used because it would
     ignore the extra cells of a ragged row.
     """
-    if delimiter in _ROW_PARSER_DELIMITERS:
+    if delimiter == '"':  # numpy's reader refuses it (TypeError)
         return None
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
@@ -323,6 +328,7 @@ def _load_rows(path: str, delimiter: str) -> SeriesTable:
 
 def write_csv(table: SeriesTable, path: str, delimiter: str = ",") -> None:
     """Write a SeriesTable in the same column-per-variate format load_csv reads."""
+    _check_delimiter(delimiter)
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, delimiter=delimiter)

@@ -38,10 +38,11 @@ layer norm, no feed-forward sublayer, plain gradient descent: enough to
 exercise the claims under test (attention cost, reduction accounting,
 gradient flow) without optimizer state complicating determinism.
 
-A ``RunConfig`` holds every key of one run. ``load_table`` and
-``split_batches`` build its batches, and ``run`` initializes, trains
-``epochs`` epochs through ``train_epoch`` and scores the validation split:
-the package's one run loop, which the CLI's ``train`` and ``sweep`` call.
+A ``RunConfig`` holds every key of one run; ``train_epoch`` reads its first
+six. ``load_table`` and ``split_batches`` build its batches, and ``run``
+initializes, trains ``epochs`` epochs through ``train_epoch`` and scores the
+validation split: the package's one run loop, which the CLI's ``train`` and
+``sweep`` call.
 
 Numpy never warns here: each public function that computes floats runs
 whole under one ``np.errstate(over="ignore", invalid="ignore")``. Failure
@@ -64,6 +65,7 @@ from .dataset import (
     SplitSpec,
     SynthDetail,
     WindowBatch,
+    _check_delimiter,
     batch_windows,
     chronological_split,
     load_csv,
@@ -126,7 +128,6 @@ __all__ = [
     "AttentionFragment",
     "ForwardTrace",
     "FlopLedger",
-    "TrainSettings",
     "BatchMetrics",
     "initialize_params",
     "embed",
@@ -192,19 +193,14 @@ class AttentionFragment:
     row_sums: np.ndarray
     context: np.ndarray
 
-    @property
-    def weights(self) -> np.ndarray:
-        """The softmax ``E / row_sums``, computed on read."""
-        return self.exp_scores / self.row_sums
-
 
 @dataclass(frozen=True)
 class ForwardTrace(AttentionFragment):
     """One forward pass over a stack of windows: gathered rows and targets,
     attention, the head's mixed tokens ``context @ w_out``, predictions, and
     each window's loss (``losses[i]``). ``backward`` consumes ``exp_scores``:
-    afterwards it holds the score gradient (see ``backward``), so ``weights``
-    no longer reads the softmax. Every other array stays as forward made it."""
+    afterwards it holds the score gradient (see ``backward``). Every other
+    array stays as forward made it."""
 
     rows: np.ndarray
     target: np.ndarray
@@ -539,13 +535,16 @@ def _of_kind(value, kind: str) -> bool:
 
 
 @dataclass(frozen=True)
-class TrainSettings:
-    """Knobs for one training run; reduction applies only when enabled.
+class RunConfig:
+    """Fully defaulted run configuration that checks itself when built.
 
-    RunConfig extends this class: each field is a config key.
-    Every field, a subclass's too, is checked against its annotation before
-    any range check: an ``int`` takes any integral value, a ``float`` any
-    real one, and neither takes a bool.
+    Each field is one config key; ``train_epoch`` reads the first six, ``k``
+    to ``vardrop_on``. ``__post_init__`` checks every field against its
+    annotation before any range check: an ``int`` takes any integral value,
+    a ``float`` any real one, and neither takes a bool. So a config built
+    from text, in code or by ``dataclasses.replace`` passes the same checks.
+    A field's annotation, a string under postponed evaluation, also names
+    the kind the CLI parses the key as; its default is the built-in default.
     """
 
     k: int = 3
@@ -554,6 +553,24 @@ class TrainSettings:
     lr: float = 0.01
     seed: int = 0
     vardrop_on: bool = True
+    data: str = ""
+    delimiter: str = ","
+    synth_n: int = 64
+    synth_g: int = 8
+    synth_sigma: float = 0.05
+    synth_length: int = 4096
+    T: int = 96
+    H: int = 96
+    B: int = 32
+    stride: int = 1
+    d: int = 64
+    d_k: int = 32
+    epochs: int = 10
+    train_frac: float = 0.7
+    val_frac: float = 0.1
+    test_frac: float = 0.2
+    sweep_ks: tuple[int, ...] = (2, 3, 4, 5)
+    sweep_gss: tuple[int, ...] = (1, 5, 10, 15)
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -568,6 +585,56 @@ class TrainSettings:
         require("gs", self.gs >= 1, "[1, inf)", self.gs)
         require("lr", 0 < self.lr < math.inf, "(0, inf)", self.lr)
         require("seed", self.seed >= 0, "[0, inf)", self.seed)
+        _check_delimiter(self.delimiter)
+        require("T", self.T >= 2, "[2, inf)", self.T)
+        require("H", self.H >= 0, "[0, inf)", self.H)
+        require("B", self.B >= 1, "[1, inf)", self.B)
+        require("stride", self.stride >= 1, "[1, inf)", self.stride)
+        require(
+            "epsilon",
+            self.epsilon <= self.T // 2,
+            f"[1, {self.T // 2}] (floor(T/2) for T={self.T})",
+            self.epsilon,
+        )
+        require("d", self.d >= 1, "[1, inf)", self.d)
+        require("d_k", self.d_k >= 1, "[1, inf)", self.d_k)
+        require("epochs", self.epochs >= 1, "[1, inf)", self.epochs)
+        require("synth_n", self.synth_n >= 1, "[1, inf)", self.synth_n)
+        require(
+            "synth_g",
+            1 <= self.synth_g <= self.synth_n,
+            f"[1, {self.synth_n}] (at most synth_n)",
+            self.synth_g,
+        )
+        sigma = self.synth_sigma
+        require("synth_sigma", 0 <= sigma < np.inf, "[0, inf)", sigma)
+        require("synth_length", self.synth_length >= 1, "[1, inf)", self.synth_length)
+        _split_spec(self)  # checks the split fractions
+        # a sweep checks each (k, gs) cell against epsilon before training any
+        for key in ("sweep_ks", "sweep_gss"):
+            values = getattr(self, key)
+            require(key, len(values) >= 1, "non-empty lists", values)
+            for v in values:
+                require(key, v >= 1, "[1, inf) per entry", v)
+
+    def synth_detail(self) -> SynthDetail:
+        """The synthetic table the ``synth_*`` keys and ``seed`` draw, with
+        its labels and prototypes."""
+        # the synthetic period is T, so a too-short T is reported as T
+        require("T", self.T >= 10, "[10, inf) for synthetic data", self.T)
+        return synth_redundant_detail(
+            self.synth_n,
+            self.synth_g,
+            self.synth_length,
+            self.synth_sigma,
+            self.seed,
+            period=self.T,
+        )
+
+
+# perfbench/pipeline.py, the one reader of this name, builds its training
+# config under it; delete the name once the benchmark drives ``run``.
+TrainSettings = RunConfig
 
 
 @dataclass(frozen=True)
@@ -587,7 +654,7 @@ class BatchMetrics:
     attention_flops: int
 
 
-def hash_groups(batch: WindowBatch, config: TrainSettings) -> GroupTable:
+def hash_groups(batch: WindowBatch, config: RunConfig) -> GroupTable:
     """The batch's hash groups under ``config``'s k and epsilon.
 
     The one composition of ``kdfh`` and ``group_by_hash``. A batch never
@@ -601,7 +668,7 @@ def hash_groups(batch: WindowBatch, config: TrainSettings) -> GroupTable:
 
 
 def plan_batch(
-    batch: WindowBatch, config: TrainSettings, epoch: int, batch_index: int
+    batch: WindowBatch, config: RunConfig, epoch: int, batch_index: int
 ) -> ReductionPlan:
     """Choose the variates one batch keeps; the one reading of ``vardrop_on``.
 
@@ -644,7 +711,7 @@ def _chunk_size(n_tokens: int, params: ModelParams) -> int:
 def train_epoch(
     batches: list[WindowBatch],
     params: ModelParams,
-    config: TrainSettings,
+    config: RunConfig,
     epoch: int = 0,
 ) -> tuple[ModelParams, list[BatchMetrics]]:
     """One pass over the batches, each on the variates its plan keeps.
@@ -739,88 +806,6 @@ def validation_loss(params: ModelParams, batches: list[WindowBatch]) -> float:
     if not math.isfinite(sq_sum):
         raise NumericError("non-finite validation loss")
     return sq_sum / count
-
-
-@dataclass(frozen=True)
-class RunConfig(TrainSettings):
-    """Fully defaulted run configuration that range-checks itself when built.
-
-    Each field is one config key. The training keys are TrainSettings' own
-    fields, defaults and checks; the keys declared here are the rest, and
-    ``__post_init__`` checks them, so a config built from text, in code or
-    by ``dataclasses.replace`` passes the same checks. A field's annotation,
-    a string under postponed evaluation, names the kind the CLI parses the
-    key as and TrainSettings checks its value against; its default is the
-    built-in default.
-    """
-
-    data: str = ""
-    delimiter: str = ","
-    synth_n: int = 64
-    synth_g: int = 8
-    synth_sigma: float = 0.05
-    synth_length: int = 4096
-    T: int = 96
-    H: int = 96
-    B: int = 32
-    stride: int = 1
-    d: int = 64
-    d_k: int = 32
-    epochs: int = 10
-    train_frac: float = 0.7
-    val_frac: float = 0.1
-    test_frac: float = 0.2
-    sweep_ks: tuple[int, ...] = (2, 3, 4, 5)
-    sweep_gss: tuple[int, ...] = (1, 5, 10, 15)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        one_char = len(self.delimiter) == 1
-        require("delimiter", one_char, "one-character strings", repr(self.delimiter))
-        require("T", self.T >= 2, "[2, inf)", self.T)
-        require("H", self.H >= 0, "[0, inf)", self.H)
-        require("B", self.B >= 1, "[1, inf)", self.B)
-        require("stride", self.stride >= 1, "[1, inf)", self.stride)
-        require(
-            "epsilon",
-            self.epsilon <= self.T // 2,
-            f"[1, {self.T // 2}] (floor(T/2) for T={self.T})",
-            self.epsilon,
-        )
-        require("d", self.d >= 1, "[1, inf)", self.d)
-        require("d_k", self.d_k >= 1, "[1, inf)", self.d_k)
-        require("epochs", self.epochs >= 1, "[1, inf)", self.epochs)
-        require("synth_n", self.synth_n >= 1, "[1, inf)", self.synth_n)
-        require(
-            "synth_g",
-            1 <= self.synth_g <= self.synth_n,
-            f"[1, {self.synth_n}] (at most synth_n)",
-            self.synth_g,
-        )
-        sigma = self.synth_sigma
-        require("synth_sigma", 0 <= sigma < np.inf, "[0, inf)", sigma)
-        require("synth_length", self.synth_length >= 1, "[1, inf)", self.synth_length)
-        _split_spec(self)  # checks the split fractions
-        # a sweep checks each (k, gs) cell against epsilon before training any
-        for key in ("sweep_ks", "sweep_gss"):
-            values = getattr(self, key)
-            require(key, len(values) >= 1, "non-empty lists", values)
-            for v in values:
-                require(key, v >= 1, "[1, inf) per entry", v)
-
-    def synth_detail(self) -> SynthDetail:
-        """The synthetic table the ``synth_*`` keys and ``seed`` draw, with
-        its labels and prototypes."""
-        # the synthetic period is T, so a too-short T is reported as T
-        require("T", self.T >= 10, "[10, inf) for synthetic data", self.T)
-        return synth_redundant_detail(
-            self.synth_n,
-            self.synth_g,
-            self.synth_length,
-            self.synth_sigma,
-            self.seed,
-            period=self.T,
-        )
 
 
 def _split_spec(config: RunConfig) -> SplitSpec:

@@ -376,7 +376,7 @@ def _determinism_digest():
     table = vd.synth_redundant_detail(16, 4, 800, 0.05, seed=7).table
     batches = vd.batch_windows(vd.sliding_windows(table, 96, 16, 32), 8)
     params = vd.initialize_params(96, 16, 16, 8, seed=7)
-    config = vd.TrainSettings(k=3, epsilon=25, gs=2, lr=0.02, seed=7)
+    config = vd.RunConfig(k=3, epsilon=25, gs=2, lr=0.02, seed=7)
     params, metrics = vd.train_epoch(batches, params, config, epoch=0)
     pieces["epoch"] = {
         "losses": [m.loss for m in metrics],

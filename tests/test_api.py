@@ -74,8 +74,8 @@ RANGE_ERRORS = {
         lambda: vardrop.initialize_params(8, 2, 4, 2, seed=-1),
         "seed: must be in [0, inf), got -1",
     ),
-    "train_settings_seed": (
-        lambda: vardrop.TrainSettings(seed=-1),
+    "run_config_seed": (
+        lambda: vardrop.RunConfig(seed=-1),
         "seed: must be in [0, inf), got -1",
     ),
     "count_flops": (

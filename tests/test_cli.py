@@ -16,7 +16,6 @@ from vardrop import (
     ParameterError,
     ParseError,
     RunConfig,
-    TrainSettings,
     count_flops,
 )
 from vardrop import cli, model
@@ -105,6 +104,12 @@ CONFIG_RANGE_ERRORS = [
     ("lr", "inf", math.inf, "lr: must be in (0, inf), got inf"),
     ("seed", "-1", -1, "seed: must be in [0, inf), got -1"),
     ("delimiter", "ab", "ab", "delimiter: must be in one-character strings, got 'ab'"),
+    (
+        "delimiter",
+        "\n",
+        "\n",
+        "delimiter: must be in characters other than line breaks, got '\\n'",
+    ),
     ("T", "1", 1, "T: must be in [2, inf), got 1"),
     ("H", "-1", -1, "H: must be in [0, inf), got -1"),
     ("B", "0", 0, "B: must be in [1, inf), got 0"),
@@ -153,27 +158,27 @@ def test_config_checks_itself_however_built(key, text, value, message):
             build()
 
 
-# (settings class, key, value, message): values of the wrong kind, checked
-# before any range check
+# (key, value, message): values of the wrong kind, checked before any range
+# check
 CONFIG_KIND_ERRORS = [
-    (RunConfig, "T", "96", "T: expected int, got '96'"),
-    (RunConfig, "lr", "0.1", "lr: expected float, got '0.1'"),
-    (TrainSettings, "k", "3", "k: expected int, got '3'"),
-    (RunConfig, "vardrop_on", "false", "vardrop_on: expected bool, got 'false'"),
-    (RunConfig, "k", 2.5, "k: expected int, got 2.5"),
-    (RunConfig, "B", True, "B: expected int, got True"),
-    (RunConfig, "sweep_ks", (2, True), "sweep_ks: expected tuple[int, ...], got (2, True)"),
+    ("T", "96", "T: expected int, got '96'"),
+    ("lr", "0.1", "lr: expected float, got '0.1'"),
+    ("k", "3", "k: expected int, got '3'"),
+    ("vardrop_on", "false", "vardrop_on: expected bool, got 'false'"),
+    ("k", 2.5, "k: expected int, got 2.5"),
+    ("B", True, "B: expected int, got True"),
+    ("sweep_ks", (2, True), "sweep_ks: expected tuple[int, ...], got (2, True)"),
 ]
 
 
 @pytest.mark.parametrize(
-    "cls, key, value, message",
+    "key, value, message",
     CONFIG_KIND_ERRORS,
-    ids=[f"{cls.__name__}.{key}={value!r}" for cls, key, value, _ in CONFIG_KIND_ERRORS],
+    ids=[f"RunConfig.{key}={value!r}" for key, value, _ in CONFIG_KIND_ERRORS],
 )
-def test_config_checks_field_kinds(cls, key, value, message):
+def test_config_checks_field_kinds(key, value, message):
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
-        cls(**{key: value})
+        RunConfig(**{key: value})
 
 
 def test_config_kinds_take_numpy_and_int_values():
@@ -200,6 +205,12 @@ class TestParseConfigFile:
         with pytest.raises(ParseError) as err:
             parse_config_file(str(path))
         assert str(err.value) == f"{path}:4: key 'k' repeated, first set on line 1"
+
+    def test_whitespace_value_kept_as_written(self, tmp_path):
+        # any other value is stripped; a tab delimiter would strip to nothing
+        path = tmp_path / "run.cfg"
+        path.write_text("delimiter=\t\nk = 3\ndata = x.csv \n")
+        assert parse_config_file(str(path)) == {"delimiter": "\t", "k": "3", "data": "x.csv"}
 
     def test_byte_order_mark_skipped(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -287,6 +298,20 @@ class TestMain:
         assert data[0] == "v000,v001,v002,v003,v004,v005"
         assert len(data) == 201
         assert "synth: wrote 6 variates" in capsys.readouterr().out
+
+    def test_tab_delimiter_from_a_config_file(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "delimiter=\t\nsynth_n=4\nsynth_g=2\nsynth_length=200\n"
+            "T=16\nH=4\nepsilon=8\nB=8\nd=8\nd_k=4\nepochs=1\n"
+        )
+        assert main(["synth", "-c", str(config), "-o", str(tmp_path / "s")]) == 0
+        data = tmp_path / "s" / "data.csv"
+        assert data.read_text().splitlines()[0] == "v000\tv001\tv002\tv003"
+        out = tmp_path / "t"
+        assert main(["train", "-c", str(config), "-o", str(out), f"--data={data}"]) == 0
+        assert (out / "report.json").exists()
+        assert "delimiter=\t\n" in (out / "config.echo").read_text()
 
     def test_hash_fixture_groups(self, tmp_path, capsys):
         csv_path = tmp_path / "fig.csv"
@@ -714,6 +739,17 @@ class TestExitCodes:
         code = main(["synth", "-o", str(tmp_path / "o"), f"--delimiter={delimiter}"])
         assert code == 3
         assert capsys.readouterr().err.startswith("error [validation]: delimiter:")
+
+    @pytest.mark.parametrize("delimiter", ["\n", "\r"], ids=["LF", "CR"])
+    def test_line_break_delimiter_is_validation_error(self, tmp_path, capsys, delimiter):
+        # a line break ends a row, so load_csv could not read the file back
+        out = tmp_path / "o"
+        assert main(["synth", "-o", str(out), f"--delimiter={delimiter}"]) == 3
+        assert capsys.readouterr().err == (
+            "error [validation]: delimiter: must be in characters other than "
+            f"line breaks, got {delimiter!r}\n"
+        )
+        assert not (out / "data.csv").exists()
 
     def test_short_split_is_validation_error(self, tmp_path, capsys):
         # the message names the split that is too short and its length, not

@@ -242,6 +242,16 @@ class TestLoadCsv(object):
         table = load_csv(self._write(tmp_path, "a;b\n1;2\n3;4\n"), delimiter=";")
         assert table.n_variates == 2
 
+    @pytest.mark.parametrize("delimiter", ["\n", "\r", ";;"])
+    def test_delimiter_is_one_character_other_than_a_line_break(self, tmp_path, delimiter):
+        table = SeriesTable(("p", "q"), np.ones((2, 3)))
+        path = str(tmp_path / "d.csv")
+        with pytest.raises(ParameterError, match="^delimiter: must be in "):
+            write_csv(table, path, delimiter=delimiter)
+        assert not (tmp_path / "d.csv").exists()
+        with pytest.raises(ParameterError, match="^delimiter: must be in "):
+            load_csv(self._write(tmp_path, "a,b\n1,2\n"), delimiter=delimiter)
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         table = SeriesTable(("p", "q", "r", "s"), rng.normal(size=(4, 20)))

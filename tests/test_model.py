@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import vardrop
 import vardrop.model as model
 
 from vardrop import (
@@ -20,7 +21,6 @@ from vardrop import (
     RunConfig,
     SeriesTable,
     SplitSpec,
-    TrainSettings,
     WindowBatch,
     attention,
     backward,
@@ -159,7 +159,7 @@ class TestAttention:
         rng = np.random.default_rng(4)
         tokens = rng.normal(size=(1, 1, 4))
         frag = attention(tokens, p)
-        npt.assert_array_equal(frag.weights, [[[1.0]]])
+        npt.assert_array_equal(frag.exp_scores / frag.row_sums, [[[1.0]]])
         npt.assert_allclose(frag.context, frag.values, rtol=1e-15)
 
     def test_identical_tokens_uniform_weights(self):
@@ -167,7 +167,8 @@ class TestAttention:
         token = np.random.default_rng(5).normal(size=4)
         tokens = np.tile(token, (1, 5, 1))
         frag = attention(tokens, p)
-        npt.assert_allclose(frag.weights, np.full((1, 5, 5), 0.2), rtol=1e-12)
+        weights = frag.exp_scores / frag.row_sums
+        npt.assert_allclose(weights, np.full((1, 5, 5), 0.2), rtol=1e-12)
         npt.assert_allclose(frag.context, frag.values, rtol=1e-12)
 
     def test_hand_computed_scores(self):
@@ -180,16 +181,18 @@ class TestAttention:
             attn_dim=1,
         )
         frag = attention(np.eye(2)[None], p)
-        npt.assert_allclose(frag.weights[0, 0], [0.25, 0.75], rtol=1e-12)
-        npt.assert_allclose(frag.weights[0, 1], [0.5, 0.5], rtol=1e-12)
+        weights = frag.exp_scores / frag.row_sums
+        npt.assert_allclose(weights[0, 0], [0.25, 0.75], rtol=1e-12)
+        npt.assert_allclose(weights[0, 1], [0.5, 0.5], rtol=1e-12)
         npt.assert_allclose(frag.context, [[[17.5], [15.0]]], rtol=1e-12)
 
     def test_rows_sum_to_one(self):
         p = initialize_params(8, 2, 16, 8, seed=6)
         tokens = np.random.default_rng(6).normal(size=(3, 12, 16)) * 10.0
         frag = attention(tokens, p)
-        npt.assert_allclose(frag.weights.sum(axis=2), np.ones((3, 12)), atol=1e-9)
-        assert np.all(frag.weights >= 0.0)
+        weights = frag.exp_scores / frag.row_sums
+        npt.assert_allclose(weights.sum(axis=2), np.ones((3, 12)), atol=1e-9)
+        assert np.all(weights >= 0.0)
 
     def test_score_scale(self):
         # scores carry the 1/sqrt(d_k) factor
@@ -205,7 +208,7 @@ class TestAttention:
         raw = tokens @ tokens.T / math.sqrt(2.0)
         shifted = raw - raw.max(axis=1, keepdims=True)
         want = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-        npt.assert_allclose(frag.weights[0], want, rtol=1e-12)
+        npt.assert_allclose((frag.exp_scores / frag.row_sums)[0], want, rtol=1e-12)
 
     def test_non_finite_tokens_rejected(self):
         p = initialize_params(8, 2, 4, 2, seed=7)
@@ -452,7 +455,8 @@ class TestInPlaceSoftmax:
 
         tokens = embed(data, p)
         frag = attention(tokens, p)
-        for got, want in zip((frag.weights, frag.context), textbook_attention(tokens, p)):
+        weights = frag.exp_scores / frag.row_sums
+        for got, want in zip((weights, frag.context), textbook_attention(tokens, p)):
             npt.assert_allclose(got, want, rtol=1e-9, atol=1e-11 * np.max(np.abs(want)))
 
         grads = backward(forward(data, target, p, range(n)), p)
@@ -505,7 +509,7 @@ class TestInPlaceSoftmax:
         rng = np.random.default_rng(42)
         p = initialize_params(96, 96, 64, 32, seed=42)
         batch = WindowBatch(rng.normal(size=(3, n, 96)), rng.normal(size=(3, n, 96)))
-        cfg = TrainSettings(vardrop_on=False)
+        cfg = RunConfig(vardrop_on=False)
         assert model._chunk_size(n, p) == 1
         train_epoch([batch], p, cfg)  # first-call caches
         tracemalloc.start()
@@ -794,21 +798,30 @@ class TestCountFlops:
             count_flops(0, 96, 64, 32, 24)
 
 
-class TestTrainSettings:
+class TestRunConfig:
     def test_defaults(self):
-        cfg = TrainSettings()
+        cfg = RunConfig()
         assert (cfg.k, cfg.epsilon, cfg.gs) == (3, 25, 10)
         assert cfg.vardrop_on
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            TrainSettings(k=0)
+            RunConfig(k=0)
         with pytest.raises(ParameterError):
-            TrainSettings(k=5, epsilon=4)
+            RunConfig(k=5, epsilon=4)
         with pytest.raises(ParameterError):
-            TrainSettings(gs=0)
+            RunConfig(gs=0)
         with pytest.raises(ParameterError):
-            TrainSettings(lr=0.0)
+            RunConfig(lr=0.0)
+
+    def test_one_class_with_the_training_keys_first(self):
+        # train_epoch takes the run's one config; the model module keeps the
+        # old name as an alias only, outside the package's namespace
+        assert not hasattr(vardrop, "TrainSettings")
+        assert model.TrainSettings is vardrop.RunConfig
+        assert RunConfig.__mro__ == (RunConfig, object)
+        names = [f.name for f in fields(RunConfig)]
+        assert names[:6] == ["k", "epsilon", "gs", "lr", "seed", "vardrop_on"]
 
 
 def make_batches(seed=19, n=16, g=4, length=600, lookback=48, horizon=8,
@@ -822,10 +835,10 @@ class TestTrainEpoch:
     def test_off_equals_generous_budget(self):
         batches = make_batches()
         p0 = initialize_params(48, 8, 16, 8, seed=19)
-        cfg_off = TrainSettings(k=3, epsilon=24, gs=16, lr=0.02, seed=19,
-                                vardrop_on=False)
-        cfg_on = TrainSettings(k=3, epsilon=24, gs=16, lr=0.02, seed=19,
-                               vardrop_on=True)
+        cfg_off = RunConfig(k=3, epsilon=24, gs=16, lr=0.02, seed=19,
+                            vardrop_on=False)
+        cfg_on = RunConfig(k=3, epsilon=24, gs=16, lr=0.02, seed=19,
+                           vardrop_on=True)
         p_off, m_off = train_epoch(batches, p0, cfg_off)
         p_on, m_on = train_epoch(batches, p0, cfg_on)
         npt.assert_array_equal(p_off.w_embed, p_on.w_embed)
@@ -838,7 +851,7 @@ class TestTrainEpoch:
     def test_reduction_metrics_consistent(self):
         batches = make_batches()
         p0 = initialize_params(48, 8, 16, 8, seed=20)
-        cfg = TrainSettings(k=3, epsilon=24, gs=2, lr=0.02, seed=20, vardrop_on=True)
+        cfg = RunConfig(k=3, epsilon=24, gs=2, lr=0.02, seed=20, vardrop_on=True)
         _, metrics = train_epoch(batches, p0, cfg, epoch=3)
         for i, m in enumerate(metrics):
             assert m.epoch == 3
@@ -853,7 +866,7 @@ class TestTrainEpoch:
     def test_loss_decreases_over_epochs(self):
         batches = make_batches()
         params = initialize_params(48, 8, 16, 8, seed=21)
-        cfg = TrainSettings(k=3, epsilon=24, gs=2, lr=0.02, seed=21, vardrop_on=True)
+        cfg = RunConfig(k=3, epsilon=24, gs=2, lr=0.02, seed=21, vardrop_on=True)
         first = last = None
         for epoch in range(20):
             params, metrics = train_epoch(batches, params, cfg, epoch)
@@ -865,7 +878,7 @@ class TestTrainEpoch:
     def test_representatives_rotate_across_batches(self):
         batches = make_batches()
         p0 = initialize_params(48, 8, 16, 8, seed=22)
-        cfg = TrainSettings(k=3, epsilon=24, gs=1, lr=0.02, seed=22, vardrop_on=True)
+        cfg = RunConfig(k=3, epsilon=24, gs=1, lr=0.02, seed=22, vardrop_on=True)
         from vardrop import derive_seed, group_by_hash, kdfh, stratified_sample
 
         seen = set()
@@ -881,7 +894,7 @@ class TestTrainEpoch:
     def test_metrics_match_plan_batch(self):
         batches = make_batches(sigma=1.0)  # noisy enough that groups vary by batch
         p0 = initialize_params(48, 8, 16, 8, seed=28)
-        cfg = TrainSettings(k=3, epsilon=24, gs=1, lr=0.02, seed=28, vardrop_on=True)
+        cfg = RunConfig(k=3, epsilon=24, gs=1, lr=0.02, seed=28, vardrop_on=True)
         _, metrics = train_epoch(batches, p0, cfg, epoch=2)
         plans = [plan_batch(batch, cfg, 2, i) for i, batch in enumerate(batches)]
         assert [m.tokens_used for m in metrics] == [len(p.retained) for p in plans]
@@ -905,7 +918,7 @@ class TestTrainEpoch:
         train, _, _ = chronological_split(table, SplitSpec(0.7, 0.1, 0.2))
         batches = batch_windows(sliding_windows(train, 96, 16, 1), 8)
         params = initialize_params(96, 16, 16, 8, seed=7)
-        cfg = TrainSettings(lr=lr, seed=7, vardrop_on=vardrop_on)
+        cfg = RunConfig(lr=lr, seed=7, vardrop_on=vardrop_on)
         with pytest.raises(NumericError):
             for epoch in range(3):
                 params, _ = train_epoch(batches, params, cfg, epoch)
@@ -916,12 +929,12 @@ class TestTrainEpoch:
         batches = batch_windows(windows, 4)
         p0 = initialize_params(48, 8, 8, 4, seed=23)
         with pytest.raises(ParameterError):
-            train_epoch(batches, p0, TrainSettings(epsilon=24))
+            train_epoch(batches, p0, RunConfig(epsilon=24))
 
     def test_empty_rejected(self):
         p0 = initialize_params(48, 8, 8, 4, seed=0)
         with pytest.raises(ParameterError):
-            train_epoch([], p0, TrainSettings(epsilon=24))
+            train_epoch([], p0, RunConfig(epsilon=24))
 
 
 def assert_same_run(got, want):
@@ -1013,7 +1026,7 @@ class TestChunkedStep:
             forward(batch.data, batch.horizon, p, range(6))
         assert model._chunk_size(6, p) >= batch.size
         with pytest.raises(NumericError):
-            train_epoch([batch], p, TrainSettings(epsilon=8, vardrop_on=False))
+            train_epoch([batch], p, RunConfig(epsilon=8, vardrop_on=False))
 
     @pytest.mark.parametrize("vardrop_on", [False, True])
     def test_overflowing_update_is_a_numeric_error(self, vardrop_on):
@@ -1025,7 +1038,7 @@ class TestChunkedStep:
             for _ in range(2)
         ]
         p = initialize_params(16, 4, 8, 4, seed=45)
-        cfg = TrainSettings(k=2, epsilon=8, gs=2, lr=1e250, vardrop_on=vardrop_on)
+        cfg = RunConfig(k=2, epsilon=8, gs=2, lr=1e250, vardrop_on=vardrop_on)
         with pytest.raises(NumericError, match="^non-finite attention scores$"):
             train_epoch(batches, p, cfg)
 
@@ -1042,7 +1055,7 @@ class TestChunkedStep:
                                                          vardrop_on):
         batches = make_batches(sigma=1.0, batch=11)
         p0 = initialize_params(48, 8, 16, 8, seed=43)
-        cfg = TrainSettings(k=3, epsilon=24, gs=1, lr=0.02, seed=43, vardrop_on=vardrop_on)
+        cfg = RunConfig(k=3, epsilon=24, gs=1, lr=0.02, seed=43, vardrop_on=vardrop_on)
         monkeypatch.setattr(model, "_CHUNK_BUDGET", 8_000)
         got = train_epoch(batches, p0, cfg, epoch=1)
         assert max(forward_sizes) > 1
@@ -1056,7 +1069,7 @@ class TestChunkedStep:
     def test_runs_at_one_budget_give_the_same_bytes(self, monkeypatch, forward_sizes, budget):
         batches = make_batches(sigma=1.0, batch=11)
         p0 = initialize_params(48, 8, 16, 8, seed=47)
-        cfg = TrainSettings(k=3, epsilon=24, gs=1, lr=0.02, seed=47)
+        cfg = RunConfig(k=3, epsilon=24, gs=1, lr=0.02, seed=47)
         monkeypatch.setattr(model, "_CHUNK_BUDGET", budget)
         runs = [train_epoch(batches, p0, cfg, epoch=1) for _ in range(2)]
         assert max(forward_sizes) > 1
@@ -1068,7 +1081,7 @@ class TestChunkedStep:
     def test_chunk_of_one_keeps_the_bits(self, monkeypatch, forward_sizes):
         batches = make_batches()
         p0 = initialize_params(48, 8, 16, 8, seed=44)
-        cfg = TrainSettings(k=3, epsilon=24, gs=2, lr=0.02, seed=44)
+        cfg = RunConfig(k=3, epsilon=24, gs=2, lr=0.02, seed=44)
         monkeypatch.setattr(model, "_CHUNK_BUDGET", 1)
         got = train_epoch(batches, p0, cfg)
         assert set(forward_sizes) == {1}
@@ -1101,7 +1114,7 @@ class TestChunkedStep:
         table = SeriesTable(tuple(f"v{i}" for i in range(n)), values)
         batches = batch_windows(sliding_windows(table, lookback, horizon, stride), batch)
         p0 = initialize_params(lookback, horizon, embed_dim, attn_dim, seed=seed)
-        cfg = TrainSettings(k=2, epsilon=5, gs=gs, lr=1e-3, seed=seed, vardrop_on=vardrop_on)
+        cfg = RunConfig(k=2, epsilon=5, gs=gs, lr=1e-3, seed=seed, vardrop_on=vardrop_on)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(model, "_CHUNK_BUDGET", budget)
             got = train_epoch(batches, p0, cfg, epoch=seed % 3)
@@ -1133,7 +1146,7 @@ class TestHashGroups:
     def test_table_views_hash_once_per_batch(self, kdfh_calls):
         batches = make_batches()
         params = initialize_params(48, 8, 16, 8, seed=32)
-        cfg = TrainSettings(k=3, epsilon=24, gs=2, lr=0.02, seed=32)
+        cfg = RunConfig(k=3, epsilon=24, gs=2, lr=0.02, seed=32)
         for epoch in range(3):
             params, _ = train_epoch(batches, params, cfg, epoch)
         assert len(kdfh_calls) == len(batches)
@@ -1141,7 +1154,7 @@ class TestHashGroups:
 
     def test_dense_plan_keeps_every_variate_and_hashes_nothing(self, kdfh_calls):
         batches = make_batches()
-        on = TrainSettings(k=3, epsilon=24, gs=2, lr=0.02, seed=39)
+        on = RunConfig(k=3, epsilon=24, gs=2, lr=0.02, seed=39)
         off = replace(on, vardrop_on=False)
         for i, batch in enumerate(batches):
             plan = plan_batch(batch, off, 2, i)
@@ -1157,7 +1170,7 @@ class TestHashGroups:
 
     def test_only_hash_settings_rehash(self, kdfh_calls):
         batches = make_batches()
-        cfg = TrainSettings(k=3, epsilon=24, gs=2, lr=0.02, seed=33)
+        cfg = RunConfig(k=3, epsilon=24, gs=2, lr=0.02, seed=33)
 
         def plan_all(config):
             before = len(kdfh_calls)
@@ -1180,7 +1193,7 @@ class TestHashGroups:
         views = make_batches()
         copies = [writable_copy(b) for b in views]
         assert not any(np.shares_memory(c.data, v.data) for c, v in zip(copies, views))
-        cfg = TrainSettings(k=3, epsilon=24, gs=gs, lr=0.02, seed=35)
+        cfg = RunConfig(k=3, epsilon=24, gs=gs, lr=0.02, seed=35)
         runs = []
         for batches in (views, copies):
             params = initialize_params(48, 8, 16, 8, seed=35)
@@ -1203,7 +1216,7 @@ class TestHashGroups:
         no_horizon = np.zeros((*data.shape[:2], 0))
         batch = WindowBatch(data, no_horizon)
         kept = batch.data.copy()
-        cfg = TrainSettings(k=3, epsilon=24, gs=1, lr=0.02, seed=36)
+        cfg = RunConfig(k=3, epsilon=24, gs=1, lr=0.02, seed=36)
         before = plan_batch(batch, cfg, 0, 0)
         assert len(before.retained) == 4  # four prototype groups, one kept each
         # give every variate its own dominant bin: all singletons, all kept
@@ -1225,14 +1238,14 @@ class TestHashGroups:
         view.flags.writeable = False
         batch = WindowBatch(view, np.zeros((1, 6, 0)))
         assert not np.shares_memory(batch.data, base)
-        cfg = TrainSettings(k=2, epsilon=8)
+        cfg = RunConfig(k=2, epsilon=8)
         first = hash_groups(batch, cfg)
         base[:] = 0.0
         assert hash_groups(batch, cfg) is first
         assert len(kdfh_calls) == 1
         assert list(batch.memo) == [("hash_groups", 2, 8)]
-        hash_groups(batch, TrainSettings(k=3, epsilon=8))
-        hash_groups(batch, TrainSettings(k=2, epsilon=6))
+        hash_groups(batch, RunConfig(k=3, epsilon=8))
+        hash_groups(batch, RunConfig(k=2, epsilon=6))
         # one entry per (k, epsilon) and no other
         assert list(batch.memo) == [("hash_groups", k, e) for k, e in ((2, 8), (3, 8), (2, 6))]
 
@@ -1241,7 +1254,7 @@ class TestHashGroups:
 
         batch = make_batches(sigma=0.5)[0]
         for k in range(1, 25):
-            cfg = TrainSettings(k=k, epsilon=24)
+            cfg = RunConfig(k=k, epsilon=24)
             want = group_by_hash(kdfh(batch, k, 24))
             # in the same group order too, which the sampling and reports follow
             assert list(hash_groups(batch, cfg).groups.items()) == list(want.groups.items())
@@ -1360,7 +1373,7 @@ def _overflowing_validation():
 
 def _overflowing_epoch():
     train, _ = golden_split_batches()
-    return train_epoch(train, golden_params(), TrainSettings(lr=1e60, seed=7))
+    return train_epoch(train, golden_params(), RunConfig(lr=1e60, seed=7))
 
 
 def _overflowing_backward():
