@@ -1,9 +1,9 @@
 """Command-line runner: config parsing, subcommand dispatch, artifact writing.
 
-Subcommands: synth, hash, train, sweep. Each is a thin composition over
-the library modules; no numerical logic lives here. ``RunConfig`` and the
-run itself live in ``vardrop.model``: ``train`` is one ``run``, and a sweep
-cell is the same ``run`` with that cell's k and gs.
+Subcommands: synth, hash, train. Each is a thin composition over the
+library modules; no numerical logic lives here. ``RunConfig`` and the run
+itself live in ``vardrop.model``: ``train`` is one ``run``, and a grid over
+k and gs is a loop over ``run`` in library code.
 
 Configuration is a flat ``key=value`` text file. Precedence: built-in
 defaults, then the config file, then ``--key=value`` command-line
@@ -22,7 +22,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -57,8 +57,6 @@ def _parse_scalar(key: str, kind: str, text: str):
         return text
     if kind == "bool":
         return _parse_bool(key, text)
-    if kind == "tuple[int, ...]":
-        return _parse_int_list(key, text)
     try:
         if kind == "int":
             return int(text)
@@ -67,23 +65,12 @@ def _parse_scalar(key: str, kind: str, text: str):
         raise ParameterError(f"{key}: expected {kind}, got {text!r}") from None
 
 
-def _parse_int_list(key: str, text: str) -> tuple[int, ...]:
-    # no entries parse to (), which RunConfig refuses like any range error
-    items = [piece.strip() for piece in text.split(",") if piece.strip()]
-    try:
-        return tuple(int(piece) for piece in items)
-    except ValueError:
-        raise ParameterError(
-            f"{key}: expected a comma-separated list of integers, got {text!r}"
-        ) from None
-
-
 def validate_config(raw: dict[str, str]) -> RunConfig:
     """Parse raw key-value strings into a RunConfig, which checks itself.
 
     Unknown keys are hard errors. Each key parses by its field's annotation,
-    in field order; a sweep list parses to a tuple of ints. Every range
-    check is the dataclasses' own: RunConfig's and SplitSpec's.
+    in field order. Every range check is the dataclasses' own: RunConfig's
+    and SplitSpec's.
     """
     unknown = sorted(set(raw) - {f.name for f in fields(RunConfig)})
     if unknown:
@@ -133,8 +120,6 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 def _fmt(value) -> str:
     """Canonical scalar formatting: 12 significant digits for floats."""
-    if isinstance(value, tuple):
-        return ",".join(_fmt(v) for v in value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -316,31 +301,10 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
     print(f"train: done, val_loss={_fmt(result.val_loss)}")
 
 
-def _cmd_sweep(config: RunConfig, out: Path) -> None:
-    train_batches, val_batches = split_batches(load_table(config), config)
-    # every cell is built, and so range-checked, before any trains
-    cells = [
-        replace(config, k=k, gs=gs, vardrop_on=True)
-        for k in config.sweep_ks
-        for gs in config.sweep_gss
-    ]
-    rows = []
-    for cell in cells:
-        result = run(cell, train_batches, val_batches)
-        _, _, mean_delta = _reduction_stats((m.tokens_used, m.delta) for m in result.metrics)
-        rows.append([cell.k, cell.gs, mean_delta, result.val_loss])
-    _write_csv_rows(out / "sweep.csv", ["k", "gs", "delta", "val_loss"], rows)
-    print(
-        f"sweep: {len(cells)} cells over k={list(config.sweep_ks)} "
-        f"gs={list(config.sweep_gss)}"
-    )
-
-
 _COMMANDS = {
     "synth": _cmd_synth,
     "hash": _cmd_hash,
     "train": _cmd_train,
-    "sweep": _cmd_sweep,
 }
 
 _OVERRIDE_RE = re.compile(r"^--([A-Za-z_][A-Za-z_0-9]*)=(.*)$", re.DOTALL)
@@ -349,7 +313,7 @@ _OVERRIDE_RE = re.compile(r"^--([A-Za-z_][A-Za-z_0-9]*)=(.*)$", re.DOTALL)
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="vardrop",
-        description="Variate-token reduction pipeline: synth, hash, train, sweep.",
+        description="Variate-token reduction pipeline: synth, hash, train.",
     )
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("-c", "--config", help="key=value config file")

@@ -331,7 +331,7 @@ def write_csv(table: SeriesTable, path: str, delimiter: str = ",") -> None:
     _check_delimiter(delimiter)
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, delimiter=delimiter)
+            writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
             writer.writerow(table.names)
             for col in table.values.T:
                 writer.writerow([f"{v:.12g}" for v in col])

@@ -41,8 +41,8 @@ gradient flow) without optimizer state complicating determinism.
 A ``RunConfig`` holds every key of one run; ``train_epoch`` reads its first
 six. ``load_table`` and ``split_batches`` build its batches, and ``run``
 initializes, trains ``epochs`` epochs through ``train_epoch`` and scores the
-validation split: the package's one run loop, which the CLI's ``train`` and
-``sweep`` call.
+validation split: the package's one run loop, which the CLI's ``train``
+calls once and a grid over k and gs calls once per cell.
 
 Numpy never warns here: each public function that computes floats runs
 whole under one ``np.errstate(over="ignore", invalid="ignore")``. Failure
@@ -524,13 +524,14 @@ def count_flops(
     )
 
 
+# the checkpoint stores the seed as one uint64
+_MAX_SEED = 2**64 - 1
+
 _KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
 
 
 def _of_kind(value, kind: str) -> bool:
     """Whether ``value`` has a field's annotated kind; a bool is only a bool."""
-    if kind == "tuple[int, ...]":
-        return isinstance(value, tuple) and all(_of_kind(v, "int") for v in value)
     return isinstance(value, _KINDS[kind]) and (kind == "bool") == isinstance(value, bool)
 
 
@@ -569,8 +570,6 @@ class RunConfig:
     train_frac: float = 0.7
     val_frac: float = 0.1
     test_frac: float = 0.2
-    sweep_ks: tuple[int, ...] = (2, 3, 4, 5)
-    sweep_gss: tuple[int, ...] = (1, 5, 10, 15)
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -585,6 +584,7 @@ class RunConfig:
         require("gs", self.gs >= 1, "[1, inf)", self.gs)
         require("lr", 0 < self.lr < math.inf, "(0, inf)", self.lr)
         require("seed", self.seed >= 0, "[0, inf)", self.seed)
+        require("seed", self.seed <= _MAX_SEED, f"[0, {_MAX_SEED}]", self.seed)
         _check_delimiter(self.delimiter)
         require("T", self.T >= 2, "[2, inf)", self.T)
         require("H", self.H >= 0, "[0, inf)", self.H)
@@ -610,12 +610,6 @@ class RunConfig:
         require("synth_sigma", 0 <= sigma < np.inf, "[0, inf)", sigma)
         require("synth_length", self.synth_length >= 1, "[1, inf)", self.synth_length)
         _split_spec(self)  # checks the split fractions
-        # a sweep checks each (k, gs) cell against epsilon before training any
-        for key in ("sweep_ks", "sweep_gss"):
-            values = getattr(self, key)
-            require(key, len(values) >= 1, "non-empty lists", values)
-            for v in values:
-                require(key, v >= 1, "[1, inf) per entry", v)
 
     def synth_detail(self) -> SynthDetail:
         """The synthetic table the ``synth_*`` keys and ``seed`` draw, with
@@ -659,7 +653,7 @@ def hash_groups(batch: WindowBatch, config: RunConfig) -> GroupTable:
 
     The one composition of ``kdfh`` and ``group_by_hash``. A batch never
     changes, so its memo keeps one table per ``(k, epsilon)``, for later
-    epochs and sweep cells at the same setting.
+    epochs and later runs at the same setting.
     """
     key = ("hash_groups", config.k, config.epsilon)
     if key not in batch.memo:
@@ -858,10 +852,11 @@ def run(
 ) -> RunResult:
     """Initialize from ``seed``, train ``epochs`` epochs, score on validation.
 
-    The package's one run loop: the CLI's ``train`` runs it once and
-    ``sweep`` once per cell, on batches built once, so each batch's hash
-    memo serves every cell. ``on_epoch(epoch, metrics, seconds)`` sees each
-    epoch's batch metrics and wall time as it ends.
+    The package's one run loop: the CLI's ``train`` runs it once. A grid
+    over k and gs runs it once per cell on batches built once, so each
+    batch's hash memo serves every cell at the same k.
+    ``on_epoch(epoch, metrics, seconds)`` sees each epoch's batch metrics
+    and wall time as it ends.
     """
     params = initialize_params(config.T, config.H, config.d, config.d_k, config.seed)
     all_metrics = []

@@ -190,4 +190,10 @@ def test_readme_quickstart_runs():
         exec(compile(block, "README.md", "exec"), {})
     lines = out.getvalue().splitlines()
     assert lines[:2] == ["(345, 64, 96) (345, 64, 16)", "[10  6  7] 8 0.75"]
-    assert len(lines) == 3 and np.isfinite(float(lines[2]))
+    assert len(lines) == 7 and np.isfinite(float(lines[2]))
+    # the grid: k-major, and for each k delta does not grow with gs
+    grid = [line.split() for line in lines[3:]]
+    assert [row[:2] for row in grid] == [["2", "1"], ["2", "2"], ["3", "1"], ["3", "2"]]
+    deltas = [float(row[2]) for row in grid]
+    assert deltas[0] >= deltas[1] and deltas[2] >= deltas[3]
+    assert all(np.isfinite(float(row[3])) for row in grid)

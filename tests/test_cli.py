@@ -17,8 +17,9 @@ from vardrop import (
     ParseError,
     RunConfig,
     count_flops,
+    load_csv,
 )
-from vardrop import cli, model
+from vardrop import cli
 from vardrop.cli import (
     canonical_json,
     main,
@@ -73,18 +74,6 @@ class TestValidateConfig:
             validate_config({"train_frac": "0.5", "val_frac": "0.1"})
         assert "sum to 1" in str(err.value)
 
-    def test_sweep_lists_validated(self, tmp_path):
-        with pytest.raises(ParameterError):
-            validate_config({"sweep_ks": "2,zero"})
-        with pytest.raises(ParameterError):
-            validate_config({"sweep_gss": "0,5"})
-        # entries parse to ints, so the echo is canonical
-        config = validate_config({"sweep_gss": " 1, 5 ,10 "})
-        assert config.sweep_gss == (1, 5, 10)
-        assert main(["hash", "-o", str(tmp_path), "--sweep_gss= 1, 5 ,10 "]) == 0
-        echo = (tmp_path / "config.echo").read_text().splitlines()
-        assert "sweep_gss=1,5,10" in echo
-
     def test_seed_env_fallback(self, monkeypatch, tmp_path):
         # there is none: the environment cannot change a run's seed
         monkeypatch.setenv("VARDROP_SEED", "777")
@@ -103,6 +92,7 @@ CONFIG_RANGE_ERRORS = [
     ("lr", "0", 0.0, "lr: must be in (0, inf), got 0.0"),
     ("lr", "inf", math.inf, "lr: must be in (0, inf), got inf"),
     ("seed", "-1", -1, "seed: must be in [0, inf), got -1"),
+    ("seed", str(2**64), 2**64, f"seed: must be in [0, {2**64 - 1}], got {2**64}"),
     ("delimiter", "ab", "ab", "delimiter: must be in one-character strings, got 'ab'"),
     (
         "delimiter",
@@ -125,10 +115,6 @@ CONFIG_RANGE_ERRORS = [
     ("train_frac", "-0.1", -0.1, "train_frac: must be in [0, 1], got -0.1"),
     ("val_frac", "1.5", 1.5, "val_frac: must be in [0, 1], got 1.5"),
     ("test_frac", "-0.2", -0.2, "test_frac: must be in [0, 1], got -0.2"),
-    ("sweep_ks", ",", (), "sweep_ks: must be in non-empty lists, got ()"),
-    ("sweep_ks", "0", (0,), "sweep_ks: must be in [1, inf) per entry, got 0"),
-    ("sweep_gss", "", (), "sweep_gss: must be in non-empty lists, got ()"),
-    ("sweep_gss", "2,0", (2, 0), "sweep_gss: must be in [1, inf) per entry, got 0"),
     ("k", "26", 26, "k: must be in [1, 25] (at most epsilon), got 26"),
     ("epsilon", "49", 49, "epsilon: must be in [1, 48] (floor(T/2) for T=96), got 49"),
     ("synth_g", "65", 65, "synth_g: must be in [1, 64] (at most synth_n), got 65"),
@@ -167,7 +153,6 @@ CONFIG_KIND_ERRORS = [
     ("vardrop_on", "false", "vardrop_on: expected bool, got 'false'"),
     ("k", 2.5, "k: expected int, got 2.5"),
     ("B", True, "B: expected int, got True"),
-    ("sweep_ks", (2, True), "sweep_ks: expected tuple[int, ...], got (2, True)"),
 ]
 
 
@@ -297,6 +282,14 @@ class TestMain:
         data = (out / "data.csv").read_text().splitlines()
         assert data[0] == "v000,v001,v002,v003,v004,v005"
         assert len(data) == 201
+        # every artifact ends its lines with \n, data.csv included, and
+        # load_csv reads back the values as written, at 12 significant digits
+        assert b"\r" not in (out / "data.csv").read_bytes()
+        want = RunConfig(synth_n=6, synth_g=3, synth_length=200, seed=1).synth_detail()
+        back = load_csv(str(out / "data.csv"))
+        assert back.names == want.table.names
+        written = [[float(f"{v:.12g}") for v in row] for row in want.table.values]
+        np.testing.assert_array_equal(back.values, written)
         assert "synth: wrote 6 variates" in capsys.readouterr().out
 
     def test_tab_delimiter_from_a_config_file(self, tmp_path):
@@ -361,6 +354,12 @@ class TestMain:
         lines = capsys.readouterr().out.splitlines()
         assert any(line.startswith("epoch 0: loss=") for line in lines)
         assert lines[-1].startswith("train: done, val_loss=")
+
+    def test_largest_seed_checkpoint_loads(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["train", "-o", str(out)] + TINY_TRAIN + [f"--seed={2**64 - 1}"]) == 0
+        ck = np.load(out / "checkpoint.npz")
+        assert int(ck["seed"]) == 2**64 - 1
 
     def test_train_dense_vs_reduced(self, tmp_path):
         out_on = tmp_path / "on"
@@ -436,23 +435,6 @@ class TestMain:
                      "report.json", "checkpoint.npz"):
             assert read(out_a / name) == read(out_b / name), name
 
-    def test_sweep_csv(self, tmp_path):
-        out = tmp_path / "o"
-        code = main([
-            "sweep", "-o", str(out),
-            "--synth_n=8", "--synth_g=2", "--synth_length=400",
-            "--T=24", "--H=8", "--epsilon=12", "--B=8",
-            "--d=8", "--d_k=4", "--epochs=1", "--seed=6",
-            "--sweep_ks=2,3", "--sweep_gss=1,4",
-        ])
-        assert code == 0
-        rows = (out / "sweep.csv").read_text().splitlines()
-        assert rows[0] == "k,gs,delta,val_loss"
-        assert len(rows) == 5
-        assert [row.split(",")[:2] for row in rows[1:]] == [
-            ["2", "1"], ["2", "4"], ["3", "1"], ["3", "4"],
-        ]
-
     def test_train_reports_its_dense_attention_cost(self, tmp_path):
         # each batch's FLOPs are its size times the ledger at its kept count,
         # so metrics.csv gives every batch's size and token count
@@ -502,7 +484,7 @@ class TestMain:
 
 
 def test_cli_binds_no_training_function():
-    # train and sweep reach the model through run alone
+    # train reaches the model through run alone
     for name in ("initialize_params", "train_epoch", "validation_loss"):
         assert not hasattr(cli, name), name
 
@@ -530,6 +512,7 @@ class TestExitCodes:
             ("--gs=0", "gs"),
             ("--lr=0", "lr"),
             ("--k=30", "k"),
+            (f"--seed={2**70}", "seed"),
             ("--train_frac=-0.1", "train_frac"),
             ("--train_frac=0.5", "train_frac/val_frac/test_frac"),
         ],
@@ -550,6 +533,13 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error [validation]: unknown config key(s): corr_threshold\n"
         )
+
+    @pytest.mark.parametrize("key", ["sweep_ks", "sweep_gss"])
+    def test_dropped_sweep_lists_are_unknown_keys(self, tmp_path, capsys, key):
+        # the sweep subcommand is gone, and its grid lists with it
+        code = main(["hash", "-o", str(tmp_path / "o"), f"--{key}=2"])
+        assert code == 3
+        assert capsys.readouterr().err == f"error [validation]: unknown config key(s): {key}\n"
 
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -650,13 +640,6 @@ class TestExitCodes:
             # report.json claims a finished run
             assert sorted(p.name for p in out.iterdir()) == ["checkpoint.npz", "config.echo"]
 
-    def test_empty_sweep_list_is_validation_error(self, tmp_path, capsys):
-        code = main(["sweep", "-o", str(tmp_path / "o"), "--sweep_ks=,"])
-        assert code == 3
-        assert capsys.readouterr().err == (
-            "error [validation]: sweep_ks: must be in non-empty lists, got ()\n"
-        )
-
     def test_numeric_error(self, tmp_path, capsys):
         code = main(
             ["train", "-o", str(tmp_path / "o")] + TINY_TRAIN
@@ -677,48 +660,13 @@ class TestExitCodes:
         assert code == 3
         assert "--key=value" in capsys.readouterr().err
 
-    def test_sweep_k_above_epsilon_fails_at_run_time(self, tmp_path, capsys):
-        code = main([
-            "sweep", "-o", str(tmp_path / "o"),
-            "--synth_n=8", "--synth_g=2", "--synth_length=400",
-            "--T=24", "--H=8", "--epsilon=12", "--B=8",
-            "--d=8", "--d_k=4", "--epochs=1",
-            "--sweep_ks=13", "--sweep_gss=1",
-        ])
-        assert code == 3
-        assert "error [validation]:" in capsys.readouterr().err
-
-    def test_sweep_checks_every_cell_before_training_any(self, tmp_path, capsys,
-                                                         monkeypatch):
-        calls = []
-        real = model.train_epoch
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(model, "train_epoch", counting)
-        code = main([
-            "sweep", "-o", str(tmp_path / "o"),
-            "--synth_n=8", "--synth_g=2", "--synth_length=1200", "--T=96",
-            "--H=8", "--B=8", "--stride=16", "--d=8", "--d_k=4", "--epochs=3",
-            "--sweep_ks=2,3,26", "--sweep_gss=1,2,4",
-        ])
-        assert code == 3
-        assert "k: must be in [1, 25] (at most epsilon), got 26" in capsys.readouterr().err
-        assert calls == []
-
-    @pytest.mark.parametrize(
-        "command", ["synth", "hash", "train", "sweep"]
-    )
+    @pytest.mark.parametrize("command", ["synth", "hash", "train"])
     def test_negative_seed_is_validation_error(self, tmp_path, capsys, command):
         code = main([command, "-o", str(tmp_path / "o"), "--seed=-1"])
         assert code == 3
         assert capsys.readouterr().err.startswith("error [validation]: seed:")
 
-    @pytest.mark.parametrize(
-        "command", ["synth", "hash", "train", "sweep"]
-    )
+    @pytest.mark.parametrize("command", ["synth", "hash", "train"])
     def test_short_synthetic_period_names_t(self, tmp_path, capsys, command):
         # the synthetic period is T, so the error names T, not period
         code = main([command, "-o", str(tmp_path / "o"), "--T=4", "--epsilon=2",
@@ -758,77 +706,13 @@ class TestExitCodes:
             ("300", "validation split of length 30"),
             ("250", "training split of length 175"),
         ]
-        for command in ("train", "sweep"):
-            for length, split in cases:
-                code = main([
-                    command, "-o", str(tmp_path / "o"),
-                    "--synth_n=4", "--synth_g=2", f"--synth_length={length}",
-                ])
-                assert code == 3
-                assert capsys.readouterr().err == (
-                    f"error [validation]: T: {split} is shorter than T+H=192\n"
-                )
+        for length, split in cases:
+            code = main([
+                "train", "-o", str(tmp_path / "o"),
+                "--synth_n=4", "--synth_g=2", f"--synth_length={length}",
+            ])
+            assert code == 3
+            assert capsys.readouterr().err == (
+                f"error [validation]: T: {split} is shorter than T+H=192\n"
+            )
 
-
-def sweep_rows(out, *overrides):
-    """Run ``sweep`` on the tiny config; its rows as (k, gs, delta, val_loss)."""
-    assert main(["sweep", "-o", str(out)] + TINY_TRAIN + ["--stride=8", *overrides]) == 0
-    lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[0] == "k,gs,delta,val_loss"
-    rows = [line.split(",") for line in lines[1:]]
-    return [(int(k), int(gs), float(delta), float(loss)) for k, gs, delta, loss in rows]
-
-
-class TestSweep:
-    def test_generous_gs_zero_deltas(self, tmp_path):
-        rows = sweep_rows(tmp_path, "--sweep_ks=2,3", "--sweep_gss=16")
-        assert [row[2] for row in rows] == [0.0, 0.0]
-
-    def test_delta_monotone_in_gs(self, tmp_path):
-        rows = sweep_rows(tmp_path, "--sweep_ks=3", "--sweep_gss=1,5")
-        by_gs = {gs: delta for _, gs, delta, _ in rows}
-        assert by_gs[1] > by_gs[5]
-
-    def test_full_grid_one_row_per_cell(self, tmp_path):
-        ks = [2, 3, 4, 5]
-        gss = list(range(1, 10))
-        rows = sweep_rows(
-            tmp_path,
-            "--sweep_ks=" + ",".join(map(str, ks)),
-            "--sweep_gss=" + ",".join(map(str, gss)),
-        )
-        # grid order: k-major, gs within
-        assert [(k, gs) for k, gs, _, _ in rows] == [(k, gs) for k in ks for gs in gss]
-        for k in ks:
-            deltas = [delta for row_k, _, delta, _ in rows if row_k == k]
-            assert all(a >= b for a, b in zip(deltas, deltas[1:]))
-            assert deltas[-1] == 0.0
-
-    def test_reruns_are_byte_identical(self, tmp_path):
-        grid = ("--sweep_ks=3", "--sweep_gss=2", "--epochs=2")
-        sweep_rows(tmp_path / "a", *grid)
-        sweep_rows(tmp_path / "b", *grid)
-        assert read(tmp_path / "a" / "sweep.csv") == read(tmp_path / "b" / "sweep.csv")
-
-    def test_validation(self, tmp_path, capsys):
-        cases = [
-            ("--sweep_gss=,", "sweep_gss: must be in non-empty lists, got ()"),
-            ("--epochs=0", "epochs: must be in [1, inf), got 0"),
-        ]
-        for i, (override, message) in enumerate(cases):
-            out = tmp_path / str(i)
-            assert main(["sweep", "-o", str(out)] + TINY_TRAIN + [override]) == 3
-            assert capsys.readouterr().err == f"error [validation]: {message}\n"
-            assert not (out / "sweep.csv").exists()
-
-    def test_each_cell_equals_a_train_run(self, tmp_path):
-        # a cell is the train run with that k and gs, and no cell's training
-        # leaks into the next
-        rows = sweep_rows(tmp_path / "sweep", "--sweep_ks=2,3", "--sweep_gss=1,2")
-        assert len(rows) == 4
-        for k, gs, delta, val_loss in rows:
-            out = tmp_path / f"train_{k}_{gs}"
-            args = TINY_TRAIN + ["--stride=8", f"--k={k}", f"--gs={gs}"]
-            assert main(["train", "-o", str(out)] + args) == 0
-            report = json.loads((out / "report.json").read_text())
-            assert (delta, val_loss) == (report["reduction"]["mean_delta"], report["val_loss"])

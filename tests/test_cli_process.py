@@ -148,7 +148,7 @@ def test_overflowing_spectrum_is_a_numeric_error_under_warnings_as_errors(
     assert result.stderr == "error [numeric]: non-finite amplitude spectrum\n"
 
 
-@pytest.mark.parametrize("command", ["reduce", "analyze"])
+@pytest.mark.parametrize("command", ["reduce", "analyze", "sweep"])
 def test_removed_subcommands_are_invalid_choices(tmp_path, command):
     result = run_cli(command, "-o", tmp_path / "o")
     assert result.returncode == 2

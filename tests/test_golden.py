@@ -49,18 +49,17 @@ RUNS = {
     "hash": ["hash"],
     "train": ["train"],
     "dense": ["train", "--vardrop_on=false"],
-    "sweep": ["sweep", "--sweep_ks=2,3", "--sweep_gss=1,2", "--epochs=1"],
     # the CSV ingest path, on the table the synth run writes; the path is
     # relative to the output root so config.echo does not name a temp dir
     "csv_train": ["train", "--data=synth/data.csv"],
 }
 
-ECHO = "e83849d7ee32cd9e547daf83a115e053b35794b3297bb930ee9df188e7f94a72"
+ECHO = "e932024d12eaec3e46b5eda57e10a33ea488c3ad5920f6d7ff86245297543218"
 HASHES = "4d689de3a52c0e640e0f2c40ca3d914481bb203a2b94d87229dcaf9d9ce7481f"
 
 GOLDEN = {
     "synth/config.echo": ECHO,
-    "synth/data.csv": "f498ad7b49288dcf028f4d6e6ba14226e19059d3526354f87745821546926a45",
+    "synth/data.csv": "9b7148d05596390c1ee82cd2b087260a8cbfbeb0b01871420bf6d7dc2247967e",
     "synth/labels.json": "9d5ac3b9a3fc3238889f6a785dcecb990c2118fbd0e2aeefc0245af677b7e8c1",
     "hash/config.echo": ECHO,
     "hash/hashes.json": HASHES,
@@ -69,14 +68,12 @@ GOLDEN = {
     "train/metrics.csv": "2ac4c84d2abfae3886e80b3bbf5fc77e212d251ad1c9f371608ba8633e52fcfb",
     "train/report.json": "57f27aa8e69e53acd8d0234b9102978c8897f385eedb2f340685f4db3cae3f31",
     "train/checkpoint.npz": "a91a86962581dedb738bca74a4845d519eb01c5c1451faaaddda092768b56b1b",
-    "dense/config.echo": "3001b01730ba12ac20de420d895711012d9046536a30b4b9f37b970df0c5ff3b",
+    "dense/config.echo": "41222b056a81de2d8603dab5f5a97ffb9f81caf3b3797f6f8ab78be18a31b1d3",
     "dense/hashes.json": HASHES,
     "dense/metrics.csv": "0f8976287f1349a5fd8634dccd3969341917cbbeba5ee9c5783bb392cc90bc42",
     "dense/report.json": "1d89c3bdd6334a27c32e9d954927e07fd1abeb55ab4f64370e7616a367267326",
     "dense/checkpoint.npz": "a844f3f6e5151403091c0bf2990b50464e9cfa9176d8f6f8c826f8698ba56690",
-    "sweep/config.echo": "fd285940c1035b69f02a0b6ff3096b5ef30b3b4ac4bfdec20952fdc097c92f75",
-    "sweep/sweep.csv": "cc8d7279b7a2abe80ff7d2c5dce70c3d32389cddb4b4946ca01537e018b57d43",
-    "csv_train/config.echo": "51a6d3f1f0bd4393bcc4acdb768150474244d7497b0a3ea0bc450aa74a8d8b54",
+    "csv_train/config.echo": "6ec48f2292f1d2d5d6c11e86b04a6b5afc90a03ebf436fd5725fce31afd0e1ac",
     "csv_train/hashes.json": HASHES,
     "csv_train/metrics.csv": "9d1606af3f8a32c7f14ad83f32b9f77c756a6040df03d00318b475f633320455",
     "csv_train/report.json": "57f27aa8e69e53acd8d0234b9102978c8897f385eedb2f340685f4db3cae3f31",
@@ -85,8 +82,8 @@ GOLDEN = {
 
 
 # every artifact but the trained weights, which keep each bit of the BLAS
-# calls' rounding; metrics, reports and sweep scores print 12 significant
-# digits, which a second core has not moved
+# calls' rounding; metrics and reports print 12 significant digits, which a
+# second core has not moved
 KERNEL_FREE = sorted(name for name in GOLDEN if not name.endswith("/checkpoint.npz"))
 
 

@@ -34,6 +34,7 @@ from vardrop import (
     load_table,
     plan_batch,
     predict_full,
+    run,
     sgd_step,
     sliding_windows,
     split_batches,
@@ -1260,23 +1261,43 @@ class TestHashGroups:
             assert list(hash_groups(batch, cfg).groups.items()) == list(want.groups.items())
         assert len(kdfh_calls) == 24
 
-    def test_cli_sweep_over_two_ks_hashes_each_batch_once_per_k(self, kdfh_calls, tmp_path):
-        import contextlib
-        import io
-
-        from vardrop.cli import main
-
-        args = ["sweep", "-o", str(tmp_path), "--synth_n=16", "--synth_g=4",
-                "--synth_length=2000", "--T=96", "--H=16", "--B=8", "--stride=16",
-                "--d=16", "--d_k=8", "--epochs=1", "--seed=7",
-                "--sweep_ks=2,3", "--sweep_gss=1,2"]
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(args) == 0
+    def test_runs_over_two_ks_hash_each_batch_once_per_k(self, kdfh_calls):
+        # a k x gs grid is a loop over run on batches built once
+        train, val = golden_split_batches()
         # 1400 training steps in windows of 96 + 16 at stride 16: 81 windows
-        n_batches = math.ceil(81 / 8)
+        assert len(train) == math.ceil(81 / 8)
+        config = RunConfig(T=96, H=16, d=16, d_k=8, epochs=1, seed=7)
+        for k in (2, 3):
+            for gs in (1, 2):
+                run(replace(config, k=k, gs=gs), train, val)
         hashed = [id(b) for b in kdfh_calls]
-        assert len(hashed) == 2 * n_batches
-        assert len(set(hashed)) == n_batches
+        assert len(hashed) == 2 * len(train)
+        assert len(set(hashed)) == len(train)
+
+    def test_run_on_hashed_batches_equals_a_run_on_fresh_ones(self, kdfh_calls):
+        config = RunConfig(T=96, H=16, d=16, d_k=8, epochs=2, seed=7, k=3, gs=2)
+        shared = golden_split_batches()
+        for k, gs in ((2, 1), (3, 1)):
+            run(replace(config, k=k, gs=gs), *shared)
+        before = len(kdfh_calls)
+        got = run(config, *shared)
+        assert len(kdfh_calls) == before  # every batch's k=3 groups were memoized
+        want = run(config, *golden_split_batches())
+        assert_same_run((got.params, got.metrics), (want.params, want.metrics))
+        assert got.val_loss == want.val_loss
+
+    def test_delta_falls_as_gs_grows_to_zero_at_the_largest_group(self):
+        batches = make_batches(sigma=0.5)
+        config = RunConfig(k=3, epsilon=24)
+        for i, batch in enumerate(batches):
+            largest = max(map(len, hash_groups(batch, config).groups.values()))
+            deltas = [
+                plan_batch(batch, replace(config, gs=gs), 0, i).delta
+                for gs in range(1, largest + 2)
+            ]
+            assert all(a >= b for a, b in zip(deltas, deltas[1:]))
+            assert deltas[0] > 0.0
+            assert deltas[-2:] == [0.0, 0.0]
 
 
 class TestPredictFull:
