@@ -1286,7 +1286,7 @@ class TestHashGroups:
         assert_same_run((got.params, got.metrics), (want.params, want.metrics))
         assert got.val_loss == want.val_loss
 
-    def test_delta_falls_as_gs_grows_to_zero_at_the_largest_group(self):
+    def test_delta_does_not_increase_as_gs_grows(self):
         batches = make_batches(sigma=0.5)
         config = RunConfig(k=3, epsilon=24)
         for i, batch in enumerate(batches):
@@ -1296,8 +1296,39 @@ class TestHashGroups:
                 for gs in range(1, largest + 2)
             ]
             assert all(a >= b for a, b in zip(deltas, deltas[1:]))
-            assert deltas[0] > 0.0
-            assert deltas[-2:] == [0.0, 0.0]
+            assert deltas[0] > deltas[-1]
+
+    def test_gs_of_the_largest_group_or_more_gives_zero_delta(self):
+        batches = make_batches(sigma=0.5)
+        for k in (2, 3):
+            config = RunConfig(k=k, epsilon=24)
+            for i, batch in enumerate(batches):
+                largest = max(map(len, hash_groups(batch, config).groups.values()))
+                assert plan_batch(batch, replace(config, gs=largest - 1), 0, i).delta > 0.0
+                for gs in (largest, largest + 1, 16):
+                    assert plan_batch(batch, replace(config, gs=gs), 0, i).delta == 0.0
+
+    def test_grid_of_runs_gives_one_cell_per_k_and_gs(self, kdfh_calls):
+        config = RunConfig(
+            synth_n=8, synth_g=2, synth_length=400, synth_sigma=0.05, T=24, H=8,
+            epsilon=12, B=8, stride=8, d=8, d_k=4, lr=0.01, epochs=1, seed=5,
+        )
+        train, val = split_batches(load_table(config), config)
+        ks, gss = (2, 3, 4, 5), range(1, 10)
+        cells = {}
+        for k in ks:
+            for gs in gss:
+                result = run(replace(config, k=k, gs=gs), train, val)
+                assert len(result.metrics) == len(train)
+                deltas = [m.delta for m in result.metrics]
+                cells[k, gs] = sum(deltas) / len(deltas)
+        assert list(cells) == [(k, gs) for k in ks for gs in gss]
+        for k in ks:
+            deltas = [cells[k, gs] for gs in gss]
+            assert all(a >= b for a, b in zip(deltas, deltas[1:]))
+            assert deltas[-1] == 0.0  # gs=9 covers all 8 variates
+        # k-major: each batch is hashed once per k, not once per cell
+        assert len(kdfh_calls) == len(ks) * len(train)
 
 
 class TestPredictFull:
