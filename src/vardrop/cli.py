@@ -212,6 +212,8 @@ def _cmd_synth(config: RunConfig, out: Path) -> None:
 
 def _cmd_hash(config: RunConfig, out: Path) -> None:
     table = load_table(config)
+    if table.length < config.T:
+        raise ParameterError(f"T: table of length {table.length} is shorter than T={config.T}")
     batch = batch_windows(sliding_windows(table, config.T, 0, config.stride), config.B)[0]
     groups = _write_hashes(config, batch, out)
     print(f"hash: {batch.n_variates} variates -> {groups.G} groups")

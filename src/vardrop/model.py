@@ -23,14 +23,9 @@ No ``N' x N'`` array is ever normalised: as in FlashAttention (Dao et al.,
 2022), attention divides the ``N' x d_k`` context by the exponentials' row
 sums, and its backward builds the score gradient in the exponentials' place,
 a block of rows at a time, so a training step holds one square array per
-window. Softmax is the same for any shift of a row, so a window whose Q
-and K norms bound its scores within ``_SCORE_LIMIT`` exponentiates them
-unshifted. A chunk holding any other window checks its scores for
-finiteness and shifts that window by its row max and each small window by
-0.0, which changes no bit: the guard never lets one window's forward bits
-depend on another's.
-Only the rounding differs from the textbook softmax, in forward and in
-backward, and ``_SCORE_LIMIT`` bounds how much sooner either can overflow.
+window. ``_attend`` and ``_attend_backward`` are that core, over any
+queries, keys and values; only they decide which scores are shifted, and
+the score guard is stated once, at ``_SCORE_LIMIT``.
 
 All math is explicit numpy so gradients can be checked against finite
 differences; there is no framework underneath. One attention block, no
@@ -105,18 +100,19 @@ _CHUNK_BUDGET = 2**19
 # one gemm per window; more blocks can move the last bits of g V^T.
 _BACKWARD_BLOCK = 2**18
 
-# A window may exponentiate its raw scores, unchecked and unshifted, when
-# they are provably small. By Cauchy-Schwarz each score s = q.k / sqrt(d_k)
-# obeys |s| <= b, the largest scaled query norm times the largest key norm
-# (up to rounding, which moves b by a few ulp). Norms are compared squared;
-# a square that overflows is inf, and inf or NaN fails the guard. With
-# b <= _SCORE_LIMIT = 64, every entry of E lies within e^(+-64) = 2^(+-92.3),
-# far inside float64's normal range, and a row sum of N' < 2^931 of them is
-# finite. An unshifted row of E is e^m times the shifted one, m the row
-# max, |m| <= 64, so forward's E V can overflow at most e^64 = 2^92.3 sooner
-# than with the shift, and the context check catches it. A shifted row sum
-# lies in [1, N']; backward scales each window's row sums by the power of two
-# 2^p that lifts the smallest into [1, 2), so g = dC / rowsum(E) and g V^T
+# Softmax is the same for any shift of a row, so a window may exponentiate its
+# raw scores, unchecked and unshifted, when they are provably small; only the
+# rounding differs from the textbook softmax. By Cauchy-Schwarz each score s =
+# q.k / sqrt(d_k) obeys |s| <= b, the largest scaled query norm times the
+# largest key norm (up to rounding, which moves b by a few ulp). Norms are
+# compared squared; a square that overflows is inf, and inf or NaN fails the
+# guard. With b <= _SCORE_LIMIT = 64, every entry of E lies within e^(+-64) =
+# 2^(+-92.3), far inside float64's normal range, and a row sum of N' < 2^931
+# of them is finite. An unshifted row of E is e^m times the shifted one, m the
+# row max, |m| <= 64, so forward's E V can overflow at most e^64 = 2^92.3
+# sooner than with the shift, and the context check catches it. A shifted row
+# sum lies in [1, N']; backward scales each window's row sums by the power of
+# two 2^p that lifts the smallest into [1, 2), so g = dC / rowsum(E) and g V^T
 # are at most N' times the shifted path's and overflow within log2(N') + 1
 # powers of two of it. Scaling dV, dQ and dK back by 2^p is exact (short of
 # subnormals), and a step built from non-finite gradients fails the next
@@ -182,9 +178,8 @@ class ModelParams:
 @dataclass(frozen=True)
 class AttentionFragment:
     """Attention intermediates for a stack of windows: Q/K/V, the scores'
-    exponentials ``E`` (shifted by their row max only in windows whose Q
-    and K norms do not bound them within ``_SCORE_LIMIT``), their row sums
-    and the context."""
+    exponentials ``E`` (shifted as ``_attend``'s guard decides), their row
+    sums and the context."""
 
     queries: np.ndarray
     keys: np.ndarray
@@ -275,33 +270,21 @@ def embed(rows: np.ndarray, params: ModelParams) -> np.ndarray:
     return rows @ params.w_embed + params.b_embed
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def attention(tokens: np.ndarray, params: ModelParams) -> AttentionFragment:
-    """Scaled dot-product attention within each window of ``c x N' x d`` tokens.
+def _attend(
+    queries: np.ndarray, keys: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Attend each window's ``n_q`` queries over its ``n_k`` keys and values;
+    returns ``E``, its row sums and the context.
 
-    Q/K/V are linear maps of the tokens; scores are ``(Q / sqrt(d_k)) K^T``.
-    One ``N' x N'`` array per window holds the scores, exponentiated in
-    place: ``E``. A window whose largest scaled query and key norms bound
-    its scores within ``_SCORE_LIMIT`` exponentiates them as they are. If
-    any window of the stack is not that small, the whole stack's scores are
-    checked for finiteness and shifted: every window that is not small by
-    its row max, so exp cannot overflow, and every small one by 0.0. The
-    context divides ``E @ V`` by ``E``'s row sums and is always checked for
-    finiteness.
+    ``E`` is the scores ``(Q / sqrt(d_k)) K^T`` exponentiated in place, one
+    ``n_q x n_k`` array per window. A window whose largest scaled query and
+    key norms bound its scores within ``_SCORE_LIMIT`` exponentiates them as
+    they are. If any window is not that small, the stack's scores are checked
+    for finiteness and every window is shifted: by its row max, so exp cannot
+    overflow, or by 0.0 if small, which keeps its bits. The context, ``E @ V``
+    divided by ``E``'s row sums, is always checked for finiteness.
     """
-    tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim != 3 or tokens.shape[1] == 0:
-        raise ParameterError(
-            f"expected c x N' x d tokens with N' >= 1, got shape {tokens.shape}"
-        )
-    if tokens.shape[2] != params.embed_dim:
-        raise ParameterError(
-            f"token width {tokens.shape[2]} does not match embed dim {params.embed_dim}"
-        )
-    queries = tokens @ params.w_query
-    keys = tokens @ params.w_key
-    values = tokens @ params.w_value
-    scaled = queries / math.sqrt(params.attn_dim)
+    scaled = queries / math.sqrt(queries.shape[-1])
     exp_scores = scaled @ _mt(keys)
     # each window's largest squared row norm of Q / sqrt(d_k) and of K
     query_sq, key_sq = (np.einsum("cnd,cnd->cn", x, x).max(axis=1) for x in (scaled, keys))
@@ -321,6 +304,26 @@ def attention(tokens: np.ndarray, params: ModelParams) -> AttentionFragment:
     context /= row_sums
     if not np.all(np.isfinite(context)):
         raise NumericError("non-finite attention context")
+    return exp_scores, row_sums, context
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def attention(tokens: np.ndarray, params: ModelParams) -> AttentionFragment:
+    """Scaled dot-product attention within each window of ``c x N' x d`` tokens:
+    ``_attend`` over the tokens' linear maps Q, K and V."""
+    tokens = np.asarray(tokens, dtype=np.float64)
+    if tokens.ndim != 3 or tokens.shape[1] == 0:
+        raise ParameterError(
+            f"expected c x N' x d tokens with N' >= 1, got shape {tokens.shape}"
+        )
+    if tokens.shape[2] != params.embed_dim:
+        raise ParameterError(
+            f"token width {tokens.shape[2]} does not match embed dim {params.embed_dim}"
+        )
+    queries = tokens @ params.w_query
+    keys = tokens @ params.w_key
+    values = tokens @ params.w_value
+    exp_scores, row_sums, context = _attend(queries, keys, values)
     return AttentionFragment(
         queries=queries, keys=keys, values=values, exp_scores=exp_scores,
         row_sums=row_sums, context=context,
@@ -378,6 +381,42 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
+def _attend_backward(
+    fragment: AttentionFragment, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_attend``'s query, key and value gradients for ``g = dC``, the
+    gradient of the context, which is divided in place.
+
+    With ``g = dC / rowsum(E)``, ``dV = E^T g`` and ``dS = E * (g V^T -
+    rowsum(g * C))`` (as ``rowsum(dW * W) = rowsum(dC * C)``), per window,
+    with the ``1/sqrt(d_k)`` score scale folded into ``dQ`` and ``dK``. Each
+    window's row sums are first scaled by the power of two ``2^p`` that lifts
+    the smallest into ``[1, 2)``, and ``dV``, ``dQ`` and ``dK`` are scaled
+    back by it, which is exact (see ``_SCORE_LIMIT``). ``dS`` is built in
+    ``fragment.exp_scores``' place, ``_BACKWARD_BLOCK`` values of ``g V^T``
+    at a time, so afterwards that array holds each window's ``dS / 2^p``.
+    """
+    exponent = np.frexp(fragment.row_sums.min(axis=1, keepdims=True))[1]
+    up = np.ldexp(1.0, np.maximum(0, 1 - exponent))
+    g /= fragment.row_sums * up
+    d_values = _mt(fragment.exp_scores) @ g
+    d_values *= up
+    inner = (g * fragment.context).sum(axis=-1, keepdims=True)
+    d_scores = fragment.exp_scores
+    step = max(1, _BACKWARD_BLOCK // d_scores.shape[-1])
+    for start in range(0, d_scores.shape[1], step):
+        block = slice(start, start + step)
+        part = g[:, block] @ _mt(fragment.values)
+        part -= inner[:, block]
+        d_scores[:, block] *= part
+        del part  # before the next block's product is made
+
+    scale = 1.0 / math.sqrt(fragment.queries.shape[-1]) * up
+    d_queries = d_scores @ fragment.keys * scale
+    d_keys = _mt(d_scores) @ fragment.queries * scale
+    return d_queries, d_keys, d_values
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def backward(trace: ForwardTrace, params: ModelParams) -> ModelParams:
     """Analytic gradients of the stack's summed loss ``sum(trace.losses)``.
@@ -386,21 +425,12 @@ def backward(trace: ForwardTrace, params: ModelParams) -> ModelParams:
     gradients are one gemm each over the stack's ``c N'`` token rows and the
     bias gradients one sum over them, so the windows' contributions are
     summed inside the BLAS kernel: a stack of ``c`` windows can differ from
-    adding ``c`` one-window gradients in the last bits. With
-    ``g = dC / rowsum(E)``, the softmax backward is ``dV = E^T g`` and
-    ``dS = E * (g V^T - rowsum(g * C))`` (as ``rowsum(dW * W) =
-    rowsum(dC * C)``), per window, with the ``1/sqrt(d_k)`` score scale
-    folded into the query/key gradients. Each window's row sums are scaled
-    by the power of two ``2^p`` that lifts the smallest into ``[1, 2)``
-    first, and ``dV``, ``dQ`` and ``dK`` are scaled back by it, which is
-    exact and keeps ``g V^T`` within ``N'`` times the shifted path's (see
-    ``_SCORE_LIMIT``).
+    adding ``c`` one-window gradients in the last bits. ``_attend_backward``
+    gives the query, key and value gradients.
 
     ``backward`` consumes ``trace.exp_scores``, the one ``N' x N'`` array per
-    window: ``dS`` is built in its place, ``_BACKWARD_BLOCK`` values of
-    ``g V^T`` at a time, and afterwards it holds each window's ``dS / 2^p``.
-    Every other trace array is left untouched. A trace goes through
-    ``backward`` once.
+    window, leaving each window's ``dS / 2^p`` in it (see ``_attend_backward``)
+    and every other trace array untouched. A trace goes through ``backward`` once.
     """
     d_pred = 2.0 * (trace.predictions - trace.target) / trace.predictions[0].size
 
@@ -409,28 +439,9 @@ def backward(trace: ForwardTrace, params: ModelParams) -> ModelParams:
     d_mixed = d_pred @ params.w_head.T
 
     d_w_out = _rows(trace.context).T @ _rows(d_mixed)
-    g = d_mixed @ params.w_out.T  # dC, divided in place below
+    g = d_mixed @ params.w_out.T  # dC, which _attend_backward divides in place
     del d_pred, d_mixed  # the N' x N' pass runs beside as few arrays as it can
-
-    # scale each window's row sums by 2^p, so that its smallest lies in [1, 2)
-    exponent = np.frexp(trace.row_sums.min(axis=1, keepdims=True))[1]
-    up = np.ldexp(1.0, np.maximum(0, 1 - exponent))
-    g /= trace.row_sums * up
-    d_values = _mt(trace.exp_scores) @ g
-    d_values *= up
-    inner = (g * trace.context).sum(axis=-1, keepdims=True)
-    d_scores = trace.exp_scores
-    step = max(1, _BACKWARD_BLOCK // d_scores.shape[-1])
-    for start in range(0, d_scores.shape[1], step):
-        block = slice(start, start + step)
-        part = g[:, block] @ _mt(trace.values)
-        part -= inner[:, block]
-        d_scores[:, block] *= part
-        del part  # before the next block's product is made
-
-    scale = 1.0 / math.sqrt(params.attn_dim) * up
-    d_queries = d_scores @ trace.keys * scale
-    d_keys = _mt(d_scores) @ trace.queries * scale
+    d_queries, d_keys, d_values = _attend_backward(trace, g)
 
     tokens_t = _rows(trace.tokens).T
     d_w_query = tokens_t @ _rows(d_queries)
@@ -479,11 +490,10 @@ class FlopLedger:
     ``1/sqrt(d_k)`` score scale is not counted. The scores, softmax and
     context stages all scale with the square of the token count.
 
-    ``attention`` divides context entries, not scores, and shifts scores
-    only in a chunk it cannot prove small: 2 FLOPs per score (exp, sum)
-    when every window is within the guard, 3 (subtract, exp, sum)
-    otherwise, plus 1 per context entry and the guard's two ``O(N' d_k)``
-    norm passes. The ledger keeps the textbook softmax count.
+    ``_attend`` divides context entries, not scores: 2 FLOPs per score
+    (exp, sum) in a chunk its guard leaves unshifted, 3 (subtract, exp, sum)
+    in one it shifts, plus 1 per context entry and the guard's two
+    ``O(N' d_k)`` norm passes. The ledger keeps the textbook softmax count.
     """
 
     embed: int

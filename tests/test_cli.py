@@ -676,6 +676,18 @@ class TestExitCodes:
             "error [validation]: T: must be in [10, inf) for synthetic data, got 4\n"
         )
 
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    def test_hash_on_a_table_shorter_than_t_names_t(self, tmp_path, capsys, source):
+        # hash needs one lookback of T timestamps, and the error names the key
+        data = tmp_path / "d.csv"
+        data.write_text("a,b\n1,2\n3,4\n")
+        table = "--synth_length=50" if source == "synthetic" else f"--data={data}"
+        length = 50 if source == "synthetic" else 2
+        assert main(["hash", "-o", str(tmp_path / "o"), table]) == 3
+        assert capsys.readouterr().err == (
+            f"error [validation]: T: table of length {length} is shorter than T=96\n"
+        )
+
     def test_short_t_still_runs_on_data(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("a,b\n" + "".join(f"{i % 3},{i % 5}\n" for i in range(12)))

@@ -1,9 +1,11 @@
 """Embedding, attention, gradients, FLOP accounting, and the training loop."""
 
+import ast
 import math
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -721,6 +723,71 @@ class TestShiftGuard:
         # the shift overflows only where d_pred itself does, at 2^1023
         assert first_inf["shift"] == 1023
         assert abs(first_inf["shift"] - first_inf["guard"]) <= math.log2(n) + 1
+
+
+class TestAttentionCore:
+    """``_attend`` and ``_attend_backward`` on raw queries, keys and values,
+    whose row counts may differ, as a query-all or sparse-KV caller's would."""
+
+    @pytest.mark.parametrize("n_q, n_k", [(3, 5), (6, 4)])
+    def test_finite_differences_of_both_branches(self, n_q, n_k):
+        # The loss is sum(C * dC). Window 0's scores lie near -12.5: it is
+        # inside the guard, unshifted, and its row sums near 1e-5 are scaled
+        # by 2^p = 2^17 or 2^18. Window 1's norms bound its scores by 128, so
+        # it is shifted, though its scores stay near 0.
+        d_k = 4
+        rng = np.random.default_rng(n_q * n_k)
+        queries = rng.normal(scale=0.3, size=(2, n_q, d_k))
+        keys = rng.normal(scale=0.3, size=(2, n_k, d_k))
+        values = rng.normal(size=(2, n_k, d_k))
+        d_context = rng.normal(size=(2, n_q, d_k))
+        queries[0] += 2.5
+        keys[0] -= 2.5
+        queries[1, :, 0] += 16.0
+        keys[1, :, 1] += 16.0
+        inputs = {"queries": queries, "keys": keys, "values": values}
+        small = scores_are_small(queries / math.sqrt(d_k), keys)
+        npt.assert_array_equal(small, [True, False])
+
+        exp_scores, row_sums, context = model._attend(queries, keys, values)
+        assert row_sums[0].min() < 1.0 <= row_sums[1].min()
+        frag = model.AttentionFragment(
+            queries=queries, keys=keys, values=values, exp_scores=exp_scores,
+            row_sums=row_sums, context=context,
+        )
+        grads = model._attend_backward(frag, d_context.copy())
+        analytic = dict(zip(inputs, grads))
+
+        def loss(**bumped):
+            context = model._attend(**{**inputs, **bumped})[2]
+            return math.fsum((context * d_context).ravel())
+
+        step = 1e-5
+        numeric = {}
+        for name, array in inputs.items():
+            numeric[name] = np.zeros(array.shape)
+            for idx in np.ndindex(array.shape):
+                sides = []
+                for bump in (step, -step):
+                    moved = array.copy()
+                    moved[idx] += bump
+                    sides.append(loss(**{name: moved}))
+                numeric[name][idx] = (sides[0] - sides[1]) / (2.0 * step)
+        assert max_rel_error(analytic, numeric) < 1e-5
+
+    def test_only_the_core_names_the_score_limit_and_the_block(self):
+        # the guard and the row blocks are decided inside the core alone, so
+        # a change to what attends to what (sparse keys, heads, recompute)
+        # reopens no other function
+        tree = ast.parse(Path(model.__file__).read_text())
+        owners = {"_SCORE_LIMIT": set(), "_BACKWARD_BLOCK": set()}
+        for node in tree.body:
+            for name in ast.walk(node):
+                if (isinstance(name, ast.Name) and name.id in owners
+                        and isinstance(name.ctx, ast.Load)):
+                    owners[name.id].add(getattr(node, "name", None))
+        for constant, users in owners.items():
+            assert users and users <= {"_attend", "_attend_backward"}, (constant, users)
 
 
 class TestSgdStep:
