@@ -35,6 +35,7 @@ from .errors import (
     PipelineIOError,
     VardropError,
 )
+from . import model
 from .model import RunConfig, count_flops, hash_groups, load_table, run, split_batches
 from .reduction import GroupTable
 
@@ -231,7 +232,7 @@ def _cmd_train(config: RunConfig, out: Path) -> None:
     train_batches, val_batches = split_batches(load_table(config), config)
 
     epoch_rows = []
-    timing_lines = []
+    timing_lines = [f"workers: {model._WORKERS}"]
 
     def log_epoch(epoch: int, metrics, elapsed: float) -> None:
         mean_loss = float(np.mean([m.loss for m in metrics]))

@@ -22,8 +22,8 @@ so a run still replays byte for byte.
 No ``N' x N'`` array is ever normalised: as in FlashAttention (Dao et al.,
 2022), attention divides the ``N' x d_k`` context by the exponentials' row
 sums, and its backward builds the score gradient in the exponentials' place,
-a block of rows at a time, so a training step holds one square array per
-window. ``_attend`` and ``_attend_backward`` are that core, over any
+a block of rows at a time, so a chunk holds one square array per window.
+``_attend`` and ``_attend_backward`` are that core, over any
 queries, keys and values; only they decide which scores are shifted, and
 the score guard is stated once, at ``_SCORE_LIMIT``.
 
@@ -33,6 +33,14 @@ layer norm, no feed-forward sublayer, plain gradient descent: enough to
 exercise the claims under test (attention cost, reduction accounting,
 gradient flow) without optimizer state complicating determinism.
 
+A batch's chunks, and a validation batch's windows, are independent until
+their sums, so they run on an ordered pool of one thread per usable CPU, and
+the sums are added in chunk and window order: the pool never moves a bit. A
+loop runs on the pool only when one of its windows fits ``_CHUNK_BUDGET``, so
+at most ``_WORKERS`` budgets, and their square arrays, are in flight; a wider
+window runs alone, in the caller's thread, as it would with one CPU. BLAS's
+own threads multiply with the workers.
+
 A ``RunConfig`` holds every key of one run; ``train_epoch`` reads its first
 six. ``load_table`` and ``split_batches`` build its batches, and ``run``
 initializes, trains ``epochs`` epochs through ``train_epoch`` and scores the
@@ -40,17 +48,24 @@ validation split: the package's one run loop, which the CLI's ``train``
 calls once and a grid over k and gs calls once per cell.
 
 Numpy never warns here: each public function that computes floats runs
-whole under one ``np.errstate(over="ignore", invalid="ignore")``. Failure
-is the explicit finiteness checks' ``NumericError`` instead, so a diverging
-step surfaces at the next forward's check, not as a warning mid-update.
+whole under one ``np.errstate(over="ignore", invalid="ignore")``, and so
+does each function the worker pool runs, as a pool thread does not inherit
+its caller's error state. Failure is the explicit finiteness checks'
+``NumericError`` instead, so a diverging step surfaces at the next
+forward's check, not as a warning mid-update.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
+import os
 import time
-from collections.abc import Callable, Sequence
+from collections import deque
+from collections.abc import Callable, Iterator, Sequence
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -91,7 +106,9 @@ from .spectral import kdfh
 # _chunk_size gives 72, 35, 17, 8, 4 and 1 windows at these widths, so up to
 # N'=16 the whole batch is one chunk; each is within 5 % of its row's
 # fastest. Five epochs of the benchmark's redundant_reduced workload (N'=16)
-# ran fastest with the whole batch in one chunk too.
+# ran fastest with the whole batch in one chunk too. A loop runs on the worker
+# pool only when one window fits the budget, so the pool holds at most one
+# budget per worker.
 _CHUNK_BUDGET = 2**19
 
 # Float64 values of one block of rows of g V^T in backward (2 MiB). It is
@@ -688,27 +705,88 @@ def plan_batch(
     return stratified_sample(hash_groups(batch, config), config.gs, seed)
 
 
-def _chunk_size(n_tokens: int, params: ModelParams) -> int:
-    """Windows per forward/backward call for ``n_tokens`` retained variates.
+def _window_values(n_tokens: int, params: ModelParams) -> int:
+    """Float64 values one window of ``n_tokens`` tokens holds in forward and
+    backward, as ``_CHUNK_BUDGET`` counts them.
 
-    A window in a chunk holds, per token, one ``N'``-wide attention row
-    (its row of ``E``, which ``backward`` turns into ``dS``; the block of
-    ``g V^T`` made beside it is not counted) plus the lookback, horizon,
-    embedding and attention-width arrays that forward and backward keep.
-    ``backward`` returns one gradient per parameter for the whole chunk, so
-    the gradients cost no room per window. As many windows as fit
-    ``_CHUNK_BUDGET`` values go in one chunk, and never fewer than one. The
-    size depends on ``N'`` and the parameter shapes alone, so a run replays
-    byte for byte.
+    Per token: one ``N'``-wide attention row (its row of ``E``, which
+    ``backward`` turns into ``dS``; the block of ``g V^T`` made beside it is
+    not counted) plus the lookback, horizon, embedding and attention-width
+    arrays that forward and backward keep. ``backward`` returns one gradient
+    per parameter for a whole chunk, so the gradients cost no room per
+    window.
     """
-    per_token = (
+    return n_tokens * (
         n_tokens
         + params.lookback
         + 3 * params.horizon
         + 4 * params.embed_dim
         + 8 * params.attn_dim
     )
-    return max(1, _CHUNK_BUDGET // (n_tokens * per_token))
+
+
+def _chunk_size(n_tokens: int, params: ModelParams) -> int:
+    """Windows per forward/backward call for ``n_tokens`` retained variates.
+
+    As many windows as fit ``_CHUNK_BUDGET`` values by ``_window_values`` go
+    in one chunk, and never fewer than one. The size depends on ``N'`` and
+    the parameter shapes alone, so a run replays byte for byte.
+    """
+    return max(1, _CHUNK_BUDGET // _window_values(n_tokens, params))
+
+
+# Threads that run a batch's chunks, or a validation batch's windows, side by
+# side: one per CPU in the process's affinity mask (taskset confines it), or
+# per CPU where the OS has no mask. At 1 every loop runs inline.
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+
+@functools.cache
+def _executor(workers: int) -> ThreadPoolExecutor:
+    """The pool of ``workers`` threads, made on first use and kept."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="vardrop")
+
+
+def _ordered_map(fn: Callable, items: Sequence, pooled: bool) -> Iterator:
+    """``map(fn, items)``, on ``_WORKERS`` threads when ``pooled``.
+
+    Results come in item order. At most ``_WORKERS`` items are submitted
+    ahead of the one the caller reads, unlike ``Executor.map``, which submits
+    them all and keeps every result until it is read; so at most that many
+    items' working sets are alive at once. If an item raises, the items still
+    pending are cancelled, the running ones are waited for, and the earliest
+    item's exception is raised, as the loop in item order would raise it.
+    Runs inline, in the caller's thread, unless ``pooled``, more than one
+    worker and more than one item.
+    """
+    workers = _WORKERS
+    if not pooled or workers < 2 or len(items) < 2:
+        yield from map(fn, items)
+        return
+    pool = _executor(workers)
+    rest = iter(items)
+    pending = deque(pool.submit(fn, item) for item in itertools.islice(rest, workers))
+    try:
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(fn, item) for item in itertools.islice(rest, 1))
+            yield result
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _chunk_step(
+    batch: WindowBatch, params: ModelParams, retained: Sequence[int], window: slice
+) -> tuple[list[float], ModelParams]:
+    """One chunk's window losses and summed gradient; its trace, and the
+    trace's ``N' x N'`` arrays, die here."""
+    trace = forward(batch.data[window], batch.horizon[window], params, retained)
+    return trace.losses.tolist(), backward(trace, params)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -730,6 +808,12 @@ def train_epoch(
     window the step has the window loop's bits; larger chunks sum inside a
     gemm and can move its last bits. Reported FLOPs are the forward and
     attention cost of the batch at the kept token count.
+
+    When one window fits ``_CHUNK_BUDGET``, the chunks run on the worker
+    pool (``_ordered_map``), one per worker at a time, and each chunk's trace
+    dies in its worker; the sums still take the chunks in batch order, so
+    the step's bits do not depend on the worker count. A wider window runs
+    alone, one chunk after another in the caller's thread.
     """
     if not batches:
         raise ParameterError("training needs at least one batch")
@@ -738,18 +822,16 @@ def train_epoch(
         plan = plan_batch(batch, config, epoch, batch_index)
         retained = plan.retained
         chunk = _chunk_size(len(retained), params)
+        windows = [slice(start, start + chunk) for start in range(0, batch.size, chunk)]
+        step = functools.partial(_chunk_step, batch, params, retained)
+        pooled = _window_values(len(retained), params) <= _CHUNK_BUDGET
         grad_sums = {f.name: np.zeros(getattr(params, f.name).shape) for f in fields(ModelParams)}
         loss_sum = 0.0
-        for start in range(0, batch.size, chunk):
-            window = slice(start, start + chunk)
-            trace = forward(batch.data[window], batch.horizon[window], params, retained)
-            grads = backward(trace, params)
-            for loss in trace.losses.tolist():
+        for losses, grads in _ordered_map(step, windows, pooled):
+            for loss in losses:
                 loss_sum += loss
             for name, total in grad_sums.items():
                 total += getattr(grads, name)
-            # the next chunk's forward must not run beside this chunk's E
-            del trace, grads
         mean_grads = ModelParams(
             **{name: total / batch.size for name, total in grad_sums.items()}
         )
@@ -786,12 +868,23 @@ def predict_full(data: np.ndarray, params: ModelParams) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def _window_squares(params: ModelParams, batch: WindowBatch, index: int) -> float:
+    """The summed squared error of ``predict_full`` on one window of a batch."""
+    preds = predict_full(batch.data[index], params)
+    return float(np.sum((preds - batch.horizon[index]) ** 2))
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def validation_loss(params: ModelParams, batches: list[WindowBatch]) -> float:
     """Dense MSE over all variates of all windows (sum of squares / count).
 
     Every batch's horizon length must be the model's ``H``; this is the
-    validation path's one horizon check. Windows are predicted one at a
-    time, so only one window's ``N x N`` attention array is alive at once.
+    validation path's one horizon check. Each window is predicted alone, on
+    the worker pool when it fits ``_CHUNK_BUDGET``, so one window's ``N x N``
+    attention array is alive per worker, for windows within budget, and one
+    in all for wider ones. Each window's squared errors are summed in its
+    worker and the sums are added in window order, so the loss does not
+    depend on the worker count.
     """
     if not batches:
         raise ParameterError("validation needs at least one batch")
@@ -803,10 +896,11 @@ def validation_loss(params: ModelParams, batches: list[WindowBatch]) -> float:
                 f"validation batches need horizons of length {params.horizon}, "
                 f"got {batch.horizon_length}"
             )
-        for data, horizon in zip(batch.data, batch.horizon):
-            preds = predict_full(data, params)
-            sq_sum += float(np.sum((preds - horizon) ** 2))
-            count += preds.size
+        squares = functools.partial(_window_squares, params, batch)
+        pooled = _window_values(batch.n_variates, params) <= _CHUNK_BUDGET
+        for window_sum in _ordered_map(squares, range(batch.size), pooled):
+            sq_sum += window_sum
+        count += batch.size * batch.n_variates * params.horizon
     if not math.isfinite(sq_sum):
         raise NumericError("non-finite validation loss")
     return sq_sum / count

@@ -19,7 +19,7 @@ from vardrop import (
     count_flops,
     load_csv,
 )
-from vardrop import cli
+from vardrop import cli, model
 from vardrop.cli import (
     canonical_json,
     main,
@@ -354,6 +354,15 @@ class TestMain:
         lines = capsys.readouterr().out.splitlines()
         assert any(line.startswith("epoch 0: loss=") for line in lines)
         assert lines[-1].startswith("train: done, val_loss=")
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_timing_names_the_worker_count(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setattr(model, "_WORKERS", workers)
+        out = tmp_path / "o"
+        assert main(["train", "-o", str(out)] + TINY_TRAIN) == 0
+        lines = (out / "timing.txt").read_text().splitlines()
+        assert lines[0] == f"workers: {workers}"
+        assert [line.split(":")[0] for line in lines[1:]] == ["epoch 0", "epoch 1"]
 
     def test_largest_seed_checkpoint_loads(self, tmp_path):
         out = tmp_path / "o"

@@ -2,6 +2,9 @@
 
 import ast
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -1466,6 +1469,202 @@ class TestValidationLoss:
             validation_loss(p, batches)
 
 
+@pytest.fixture
+def workers(monkeypatch):
+    """Set the worker pool's size for one test."""
+    return lambda n: monkeypatch.setattr(model, "_WORKERS", n)
+
+
+def pooled_config_and_batches(**overrides):
+    """Training and validation batches of 64 noise variates at the budget
+    table's N'=64 shapes, where a window fits ``_CHUNK_BUDGET`` and a chunk
+    holds 8 of them: 61 training windows in batches of 32 and 29, and 25
+    validation windows. A stretch of the training split is 30 times larger,
+    so some of its windows take attention's shifted path."""
+    keys = dict(k=3, epsilon=25, gs=2, lr=1e-4, seed=61, T=96, H=96, B=32, stride=16,
+                d=64, d_k=32, epochs=1, train_frac=0.6, val_frac=0.3, test_frac=0.1)
+    config = RunConfig(**{**keys, **overrides})
+    values = np.random.default_rng(61).normal(size=(64, 1920))
+    values[:, 400:700] *= 30
+    table = SeriesTable(tuple(f"v{i}" for i in range(64)), values)
+    return config, *split_batches(table, config)
+
+
+def assert_same_bytes(got, want):
+    for f in fields(want):
+        assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
+
+
+@pytest.fixture
+def calls_beside(monkeypatch):
+    """Wrap ``forward`` and ``predict_full`` as the training and validation
+    loops call them: record each call's variate count, whether it ran in the
+    test's thread, and how many wrapped calls ran at once as it started."""
+    caller = threading.get_ident()
+    lock = threading.Lock()
+    running = [0]
+    calls = []
+
+    def counting(real, n_variates):
+        def wrapper(*args):
+            with lock:
+                running[0] += 1
+                calls.append((n_variates(args), threading.get_ident() == caller, running[0]))
+            try:
+                time.sleep(0.01)  # so that pooled calls overlap
+                return real(*args)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        return wrapper
+
+    monkeypatch.setattr(model, "forward", counting(model.forward, lambda a: len(a[3])))
+    monkeypatch.setattr(model, "predict_full", counting(model.predict_full, lambda a: len(a[0])))
+    return calls
+
+
+class TestWorkerPool:
+    def test_the_pooled_fixture_pools_and_shifts(self):
+        config, train, val = pooled_config_and_batches()
+        p0 = initialize_params(96, 96, 64, 32, seed=61)
+        assert [b.size for b in train] == [32, 29] and [b.size for b in val] == [25]
+        assert model._window_values(64, p0) <= model._CHUNK_BUDGET
+        assert model._chunk_size(64, p0) == 8
+        tokens = embed(train[0].data, p0)
+        small = scores_are_small(tokens @ p0.w_query / math.sqrt(32), tokens @ p0.w_key)
+        assert small.any() and not small.all()
+
+    @pytest.mark.parametrize("vardrop_on", [False, True])
+    def test_train_epoch_gives_the_same_bytes_at_one_and_two_workers(
+        self, workers, calls_beside, vardrop_on
+    ):
+        config, train, _ = pooled_config_and_batches(vardrop_on=vardrop_on)
+        p0 = initialize_params(96, 96, 64, 32, seed=61)
+        workers(1)
+        alone = train_epoch(train, p0, config, 1)
+        assert all(in_caller for _, in_caller, _ in calls_beside)
+        calls_beside.clear()
+        workers(2)
+        pooled = train_epoch(train, p0, config, 1)
+        assert not all(in_caller for _, in_caller, _ in calls_beside)
+        assert max(beside for _, _, beside in calls_beside) == 2
+        assert_same_bytes(pooled[0], alone[0])
+        assert pooled[1] == alone[1]
+
+    def test_validation_loss_is_the_same_at_one_and_two_workers(self, workers, calls_beside):
+        _, _, val = pooled_config_and_batches()
+        p = initialize_params(96, 96, 64, 32, seed=62)
+        workers(1)
+        alone = validation_loss(p, val)
+        workers(2)
+        assert validation_loss(p, val) == alone
+        assert max(beside for _, _, beside in calls_beside) == 2
+
+    def test_run_gives_the_same_bytes_at_one_and_two_workers(self, workers):
+        config, train, val = pooled_config_and_batches()
+        workers(1)
+        alone = run(config, train, val)
+        workers(2)
+        pooled = run(config, train, val)
+        assert_same_bytes(pooled.params, alone.params)
+        assert pooled.metrics == alone.metrics
+        assert pooled.val_loss == alone.val_loss
+
+    def test_more_workers_than_cpus_switching_often_keep_the_bytes(self, workers):
+        # the workers share only read-only inputs; thread switches every
+        # microsecond would expose any shared write between them
+        config, train, val = pooled_config_and_batches()
+        p0 = initialize_params(96, 96, 64, 32, seed=64)
+        workers(1)
+        alone = train_epoch(train, p0, config), validation_loss(p0, val)
+        workers(5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            (params, metrics), loss = train_epoch(train, p0, config), validation_loss(p0, val)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_bytes(params, alone[0][0])
+        assert (metrics, loss) == (alone[0][1], alone[1])
+
+    def test_at_most_workers_run_at_once_and_wide_windows_run_alone(
+        self, monkeypatch, workers, calls_beside
+    ):
+        batches = make_batches(sigma=1.0)  # groups, and so widths, vary by batch
+        p0 = initialize_params(48, 8, 16, 8, seed=63)
+        cfg = RunConfig(k=3, epsilon=24, gs=1, lr=0.02, seed=63)
+        widths = [len(plan_batch(b, cfg, 0, i).retained) for i, b in enumerate(batches)]
+        middle = sorted(widths)[len(widths) // 2]
+        assert min(widths) < middle < max(widths)
+        # windows up to the middle width fit, one per chunk at that width
+        monkeypatch.setattr(model, "_CHUNK_BUDGET", model._window_values(middle, p0))
+        workers(3)
+        train_epoch(batches, p0, cfg)
+        validation_loss(p0, batches[:2])  # all 16 variates, over the budget
+        pooled = [c for c in calls_beside if model._window_values(c[0], p0) <= model._CHUNK_BUDGET]
+        wide = [c for c in calls_beside if c not in pooled]
+        assert {n for n, _, _ in wide} >= {max(widths), 16}
+        assert all(in_caller and beside == 1 for _, in_caller, beside in wide)
+        assert max(beside for _, _, beside in pooled) == 3
+        assert not all(in_caller for _, in_caller, _ in pooled)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_results_come_in_order_with_at_most_workers_ahead(self, workers, n):
+        workers(n)
+        started = []
+
+        def square(i):
+            started.append(i)
+            time.sleep(0.001 * (i % 3))  # later items may finish first
+            return i * i
+
+        for read, value in enumerate(model._ordered_map(square, range(12), True)):
+            assert value == read * read
+            # the item being read and at most n submitted after it
+            assert len(started) <= read + 1 + n
+        assert sorted(started) == list(range(12))
+
+    def test_the_earliest_error_is_raised_once_the_running_items_end(self, workers):
+        workers(3)
+        started, finished = [], []
+        # item 4 fails first and item 5 still runs when item 3 fails
+        pause = {3: 0.02, 5: 0.06}
+
+        def item(i):
+            started.append(i)
+            try:
+                time.sleep(pause.get(i, 0.001))
+                if i in (3, 4):
+                    raise ValueError(i)
+                return i
+            finally:
+                finished.append(i)
+
+        read = []
+        with pytest.raises(ValueError, match="^3$"):
+            for value in model._ordered_map(item, range(20), True):
+                read.append(value)
+        assert read == [0, 1, 2]
+        assert max(started) <= 3 + 3  # nothing submitted past the failure's window
+        assert sorted(finished) == sorted(started)  # none still runs
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_non_finite_window_mid_batch_raises_as_the_serial_loop(self, workers, n):
+        config, train, val = pooled_config_and_batches(vardrop_on=False)
+        p0 = initialize_params(96, 96, 64, 32, seed=61)
+        poisoned = []
+        for batch in (train[0], val[0]):
+            data = np.array(batch.data)
+            data[batch.size // 2] *= 1e200
+            poisoned.append(WindowBatch(data, batch.horizon))
+        workers(n)
+        with pytest.raises(NumericError, match="^non-finite attention scores$"):
+            train_epoch(poisoned[:1], p0, config)
+        with pytest.raises(NumericError, match="^non-finite attention scores$"):
+            validation_loss(p0, poisoned[1:])
+
+
 def golden_split_batches():
     """The golden CLI config's training and validation batches."""
     config = RunConfig(
@@ -1493,6 +1692,11 @@ def _overflowing_validation():
 def _overflowing_epoch():
     train, _ = golden_split_batches()
     return train_epoch(train, golden_params(), RunConfig(lr=1e60, seed=7))
+
+
+def _overflowing_pooled_epoch():
+    config, train, _ = pooled_config_and_batches(lr=1e200)
+    return train_epoch(train, initialize_params(96, 96, 64, 32, seed=61), config)
 
 
 def _overflowing_backward():
@@ -1540,14 +1744,12 @@ OVERFLOWS = {
     "backward": (_overflowing_backward, None),
     "sgd_step": (_overflowing_step, None),
     "train_epoch": (_overflowing_epoch, "non-finite attention scores"),
+    "train_epoch_pooled": (_overflowing_pooled_epoch, "non-finite attention scores"),
     "validation_loss": (_overflowing_validation, "non-finite validation loss"),
 }
 
 
-@pytest.mark.parametrize("call, message", OVERFLOWS.values(), ids=list(OVERFLOWS))
-def test_overflow_never_warns(call, message):
-    # warnings are errors here, so an overflow warning would escape as a
-    # RuntimeWarning before any finiteness check could raise
+def assert_never_warns(call, message):
     before = np.geterr()
     if message is None:
         assert not np.all(np.isfinite(call()))
@@ -1555,3 +1757,18 @@ def test_overflow_never_warns(call, message):
         with pytest.raises(NumericError, match=f"^{message}$"):
             call()
     assert np.geterr() == before
+
+
+@pytest.mark.parametrize("call, message", OVERFLOWS.values(), ids=list(OVERFLOWS))
+def test_overflow_never_warns(call, message):
+    # warnings are errors here, so an overflow warning would escape as a
+    # RuntimeWarning before any finiteness check could raise
+    assert_never_warns(call, message)
+
+
+@pytest.mark.parametrize("name", ["validation_loss", "train_epoch_pooled"])
+def test_overflow_never_warns_in_a_pool_thread(name, workers):
+    # a pool thread starts without its caller's np.errstate, so each
+    # function the pool runs must set its own
+    workers(2)
+    assert_never_warns(*OVERFLOWS[name])
