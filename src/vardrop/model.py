@@ -744,8 +744,10 @@ _WORKERS = (
 
 
 @functools.cache
-def _executor(workers: int) -> ThreadPoolExecutor:
-    """The pool of ``workers`` threads, made on first use and kept."""
+def _executor(workers: int, pid: int) -> ThreadPoolExecutor:
+    """Process ``pid``'s pool of ``workers`` threads, made on first use and
+    kept. A forked child inherits no threads, so it makes its own; the
+    parent's pool would take its work and never run it."""
     return ThreadPoolExecutor(workers, thread_name_prefix="vardrop")
 
 
@@ -765,7 +767,7 @@ def _ordered_map(fn: Callable, items: Sequence, pooled: bool) -> Iterator:
     if not pooled or workers < 2 or len(items) < 2:
         yield from map(fn, items)
         return
-    pool = _executor(workers)
+    pool = _executor(workers, os.getpid())
     rest = iter(items)
     pending = deque(pool.submit(fn, item) for item in itertools.islice(rest, workers))
     try:

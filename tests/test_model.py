@@ -2,6 +2,8 @@
 
 import ast
 import math
+import os
+import signal
 import sys
 import threading
 import time
@@ -1648,6 +1650,24 @@ class TestWorkerPool:
         assert read == [0, 1, 2]
         assert max(started) <= 3 + 3  # nothing submitted past the failure's window
         assert sorted(finished) == sorted(started)  # none still runs
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_makes_its_own_pool(self, workers):
+        workers(2)
+        assert list(model._ordered_map(abs, [-1, -2, -3], True)) == [1, 2, 3]
+        with warnings.catch_warnings():
+            # forking a process that has threads warns on Python 3.12+
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            ok = False
+            try:
+                signal.alarm(10)  # a child stuck on the parent's pool dies
+                ok = list(model._ordered_map(abs, [-1, -2, -3], True)) == [1, 2, 3]
+            finally:
+                os._exit(0 if ok else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_a_non_finite_window_mid_batch_raises_as_the_serial_loop(self, workers, n):
